@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -17,19 +16,12 @@ from .adaptation import (
     rows_to_csv,
     run_benchmark,
 )
-from .config import ToolkitConfig, apply_config_data, derive_seed, load_config
-from .errors import ConfigError, ExplorationComplete, UnreachableError
+from .config import apply_config_data, load_config
+from .errors import ConfigError
 from .gateway import Gateway, LiveProvider, ScriptedProvider
 from .locomotion import gait_name
 from .mapping import InstanceMemory, ingest, load_scene
-from .navigation import (
-    assign_costs,
-    build_cost_map,
-    extract_path,
-    fmm_solve,
-    global_goal,
-    instance_centroid,
-)
+from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
 from .tasks import World, decompose, execute
 from .terrain import TERRAIN_TYPES
 
@@ -146,35 +138,18 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
 
     start = smap.world_to_cell(scene.start_pose[0], scene.start_pose[1])
     target = assignment.target_object
-    result = {"target": target, "goal_cell": None, "reached": False,
-              "distance_m": None, "no_cost": no_cost}
-    plan = None
-    try:
-        goal = global_goal(target, memory, smap, costmap, start, cfg.nav.speed_floor)
-    except (ExplorationComplete, ValueError) as err:
-        goal = None
-        result["error"] = str(err)
-    if goal is not None:
-        result["goal_cell"] = list(goal)
-        field = fmm_solve(costmap, goal, cfg.nav.speed_floor)
+    goal, field, plan, error = plan_to_target(target, memory, smap, costmap, start,
+                                              scene.start_pose[2], cfg.nav.speed_floor)
+    result = {"target": target, "goal_cell": list(goal) if goal is not None else None,
+              "reached": False, "distance_m": None, "no_cost": no_cost}
+    if error is not None:
+        result["error"] = error
+    if field is not None:
         field.to_csv(os.path.join(out_dir, "arrival.csv"))
-        try:
-            plan = extract_path(field, start, costmap, initial_yaw=scene.start_pose[2])
-        except UnreachableError as err:
-            result["error"] = str(err)
     if plan is not None:
         plan.to_jsonl(os.path.join(out_dir, "plan.jsonl"))
-        end = plan.waypoints[-1].world
-        rec = None
-        try:
-            class_id = smap.category_index(target)
-            matches = memory.by_category(class_id)
-            rec = min(matches, key=lambda r: r.instance_id) if matches else None
-        except ValueError:
-            rec = None
-        if rec is not None:
-            cx, cy = smap.cell_to_world(*instance_centroid(rec.cells))
-            dist = math.hypot(end[0] - cx, end[1] - cy)
+        dist = distance_to_instance(memory, smap, target, plan.waypoints[-1].world)
+        if dist is not None:
             result["distance_m"] = round(dist, 6)
             result["reached"] = dist <= cfg.nav.success_radius
     with open(os.path.join(out_dir, "result.json"), "w") as fh:

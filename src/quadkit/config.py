@@ -22,22 +22,19 @@ from .surrogate import SimConfig
 class LssConfig:
     candidate_cap: int = 4096
     grid_gaits: bool = False
-    runs: int = 10
 
 
 @dataclass
 class MappingConfig:
-    m: int = 480
-    cell_size: float = 0.05
-    dilation_p: int = 3
-    sensor_range: float = 3.0
-    max_point_height: float = 2.0
+    dilation_p: int = 3  # Chebyshev dilation radius (cells) for matching detections to memory
+    sensor_range: float = 3.0  # explored disk radius around each observation pose, m
+    max_point_height: float = 2.0  # points at or above this height are ceiling clutter, m
 
 
 @dataclass
 class NavConfig:
-    unexplored_cost: float = 0.5
-    speed_floor: float = 0.05
+    unexplored_cost: float = 0.5  # traversal cost of cells never observed
+    speed_floor: float = 0.05  # lower clamp on speed so near-impassable cells stay well-posed
     cost_mode: str = "binary"
     success_radius: float = 0.5
 

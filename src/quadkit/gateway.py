@@ -15,7 +15,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError, GatewayError, ParseError, SchemaError, ScriptExhaustedError
@@ -25,7 +25,6 @@ from .locomotion import (
     GLOBAL_RANGES,
     PROMPT_PARAM_ORDER,
     BehaviorParams,
-    Level,
     level_from_name,
 )
 
@@ -52,15 +51,6 @@ class ChatRequest:
     def digest(self) -> str:
         payload = f"{self.system}\x1f{self.user}\x1f{self.temperature}\x1f{self.n_samples}"
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-@dataclass
-class ChatExchange:
-    request: ChatRequest
-    responses: list
-    provider: str
-    model: str
-    timestamp: float = 0.0
 
 
 class ScriptedProvider:
@@ -166,16 +156,12 @@ class Gateway:
         self.provider = provider
         self.log_path = log_path
         self._ordinals: dict = {}
-        self.exchanges: list = []
 
     def complete(self, request: ChatRequest) -> list:
         responses = self.provider.complete(request)
         if len(responses) != request.n_samples:
             raise GatewayError(
                 f"provider returned {len(responses)} responses, expected {request.n_samples}")
-        self.exchanges.append(ChatExchange(request, list(responses),
-                                           self.provider.name, self.provider.model,
-                                           timestamp=time.time()))
         if self.log_path:
             with open(self.log_path, "a") as fh:
                 for text in responses:
@@ -188,10 +174,6 @@ class Gateway:
                         "response": text,
                     }) + "\n")
         return responses
-
-
-def scripted_gateway(path, log_path=None) -> Gateway:
-    return Gateway(ScriptedProvider.from_file(path), log_path=log_path)
 
 
 def load_template(name: str) -> str:

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
+from .config import MappingConfig
+from .errors import ConfigError
 from .terrain import write_pgm
 
-# Chebyshev dilation radius (cells) used when matching detections to memory.
-DEFAULT_DILATION_P = 3
-# Explored disk radius around each observation pose, m.
-DEFAULT_SENSOR_RANGE = 3.0
-# Points at or above this height are ignored as ceiling clutter, m.
-MAX_POINT_HEIGHT = 2.0
 HEIGHT_BIN = 0.05
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -132,10 +128,7 @@ class SemanticMap:
         return (row, col)
 
     def cell_to_world(self, row: int, col: int) -> tuple:
-        half = self.m // 2
-        x = (col - half + 0.5) * self.cell_size + self.origin[0]
-        y = (row - half + 0.5) * self.cell_size + self.origin[1]
-        return (x, y)
+        return cell_to_world(row, col, self.m, self.cell_size, self.origin)
 
     def contains_world(self, x: float, y: float) -> bool:
         half_extent = (self.m // 2) * self.cell_size
@@ -159,7 +152,7 @@ class SemanticMap:
 class InstanceMemory:
     """Persistent per-instance records with per-class cell ownership."""
 
-    def __init__(self, p: int = DEFAULT_DILATION_P):
+    def __init__(self, p: int = MappingConfig.dilation_p):
         self.p = int(p)
         self.instances: dict = {}
         self._owner: dict = {}  # class_id -> {cell: instance_id}
@@ -167,9 +160,6 @@ class InstanceMemory:
 
     def __len__(self):
         return len(self.instances)
-
-    def owner_of(self, class_id: int, cell) -> int | None:
-        return self._owner.get(class_id, {}).get(cell)
 
     def class_coverage(self, class_id: int) -> set:
         return set(self._owner.get(class_id, {}))
@@ -185,12 +175,21 @@ class InstanceMemory:
             owners[cell] = iid
         return iid
 
-    def by_category(self, class_id: int):
-        return [rec for rec in self.instances.values() if rec.class_id == class_id]
+    def first_named(self, categories, name: str):
+        """Lowest-id instance of the category called ``name``, or None."""
+        if name not in categories:
+            return None
+        class_id = categories.index(name)
+        matches = [rec for rec in self.instances.values() if rec.class_id == class_id]
+        return min(matches, key=lambda rec: rec.instance_id, default=None)
 
 
-def world_to_cell(smap: SemanticMap, x: float, y: float) -> tuple:
-    return smap.world_to_cell(x, y)
+def cell_to_world(row: int, col: int, m: int, cell_size: float, origin: tuple) -> tuple:
+    """World (x, y) of a cell centre on an m x m grid centred on ``origin``."""
+    half = m // 2
+    x = (col - half + 0.5) * cell_size + origin[0]
+    y = (row - half + 0.5) * cell_size + origin[1]
+    return (x, y)
 
 
 def dilate(cells, p: int, m: int | None = None) -> set:
@@ -250,8 +249,8 @@ def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> set
 
 
 def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
-                  frame_index: int = 0, sensor_range: float = DEFAULT_SENSOR_RANGE,
-                  max_height: float = MAX_POINT_HEIGHT) -> list:
+                  frame_index: int = 0, sensor_range: float = MappingConfig.sensor_range,
+                  max_height: float = MappingConfig.max_point_height) -> list:
     """Project one observation into the map; returns per-component detections.
 
     Points are binned into (cell, 5 cm height bin, category) voxels up to the
@@ -312,8 +311,8 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
 
 
 def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
-           sensor_range: float = DEFAULT_SENSOR_RANGE,
-           max_height: float = MAX_POINT_HEIGHT) -> list:
+           sensor_range: float = MappingConfig.sensor_range,
+           max_height: float = MappingConfig.max_point_height) -> list:
     """Project a frame, then match-or-create instances for its detections.
 
     Category channels end up holding the owning instance id per cell. Returns
@@ -352,26 +351,46 @@ class Scene:
         return SemanticMap(self.categories, self.m, self.cell_size, self.origin)
 
 
+def _pose(value) -> tuple:
+    pose = tuple(float(v) for v in value)
+    if len(pose) != 3:
+        raise ValueError(f"pose {list(value)} is not [x, y, yaw]")
+    return pose
+
+
 def load_scene(path) -> Scene:
-    """Read a line-delimited scene file: a header object followed by frames."""
+    """Read a line-delimited scene file: a header object followed by frames.
+
+    A malformed file raises ConfigError naming the path and the 1-based line.
+    """
     with open(path) as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
-        raise ValueError(f"scene file {path} is empty")
-    header = json.loads(lines[0])
-    frames = []
-    for i, line in enumerate(lines[1:]):
-        rec = json.loads(line)
-        cloud = LabeledPointCloud(points=tuple(tuple(p) for p in rec.get("points", [])))
-        frames.append(Frame(index=i, pose=tuple(rec["pose"]), cloud=cloud))
-    return Scene(
-        categories=list(header["categories"]),
-        m=int(header.get("M", 480)),
-        cell_size=float(header.get("cell_size", 0.05)),
-        frames=frames,
-        start_pose=tuple(header.get("start_pose", (0.0, 0.0, 0.0))),
-        origin=tuple(header.get("origin", (0.0, 0.0))),
-    )
+        raise ConfigError(f"scene file {path} is empty")
+    scene = None
+    for n, line in lines:
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
+            if scene is None:
+                scene = Scene(
+                    categories=list(rec["categories"]),
+                    m=int(rec.get("M", 480)),
+                    cell_size=float(rec.get("cell_size", 0.05)),
+                    frames=[],
+                    start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0))),
+                    origin=tuple(rec.get("origin", (0.0, 0.0))),
+                )
+            else:
+                cloud = LabeledPointCloud(points=tuple(tuple(p) for p in rec.get("points", [])))
+                scene.frames.append(Frame(index=len(scene.frames), pose=_pose(rec["pose"]),
+                                          cloud=cloud))
+        except KeyError as err:
+            raise ConfigError(f"scene file {path}, line {n}: missing field {err}") from None
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"scene file {path}, line {n}: {err}") from None
+    return scene
 
 
 def save_scene(scene: Scene, path):

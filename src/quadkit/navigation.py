@@ -18,22 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ExplorationComplete, ParseError, UnreachableError
+from .config import NavConfig
+from .errors import ExplorationComplete, UnreachableError
 from .gateway import (
     PARSE_TEMPERATURE,
     ChatRequest,
     Gateway,
+    complete_and_parse,
     load_template,
     parse_cost_json,
-    retry_reprompt,
 )
-from .mapping import InstanceMemory, SemanticMap
+from .mapping import InstanceMemory, SemanticMap, cell_to_world
 from .terrain import write_pgm
-
-# Default traversal cost for cells never observed.
-DEFAULT_UNEXPLORED_COST = 0.5
-# Lower clamp on speed so near-impassable cells stay well-posed.
-SPEED_FLOOR = 0.05
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -78,12 +74,6 @@ class CostMap:
     @property
     def obstacle_mask(self) -> np.ndarray:
         return self.costs >= 1.0
-
-    def cell_to_world(self, row: int, col: int) -> tuple:
-        half = self.m // 2
-        x = (col - half + 0.5) * self.cell_size + self.origin[0]
-        y = (row - half + 0.5) * self.cell_size + self.origin[1]
-        return (x, y)
 
     def to_pgm(self, path):
         write_pgm(path, self.costs)
@@ -130,24 +120,21 @@ class PathPlan:
 
 
 def assign_costs(instruction: str, observed_categories, gateway: Gateway,
-                 mode: str = "binary") -> CostAssignment:
+                 mode: str = NavConfig.cost_mode) -> CostAssignment:
     """Ask the model for per-category costs; one retry on a malformed reply.
 
-    Observed categories the reply does not mention get a default cost of 0.5
-    and normal gait.
+    Observed categories the reply does not mention get the default unexplored
+    cost (``NavConfig.unexplored_cost``) and normal gait.
     """
     observed = list(observed_categories)
     if not observed:
         raise ValueError("assign_costs needs a non-empty category list")
     user = load_template("cost_map").format(instruction=instruction)
     request = ChatRequest("cost_map", "", user, PARSE_TEMPERATURE, 1)
-    try:
-        assignment = parse_cost_json(gateway.complete(request)[0], mode)
-    except ParseError as err:
-        retry = retry_reprompt(request, err)
-        assignment = parse_cost_json(gateway.complete(retry)[0], mode)
+    assignment = complete_and_parse(gateway, request,
+                                    lambda text: parse_cost_json(text, mode))[0]
     known = {entry.type for entry in assignment.terrain}
-    extra = tuple(TerrainCost(type=name, cost=DEFAULT_UNEXPLORED_COST, gait=0)
+    extra = tuple(TerrainCost(type=name, cost=NavConfig.unexplored_cost, gait=0)
                   for name in observed if name not in known)
     return CostAssignment(target_object=assignment.target_object,
                           obstacles=assignment.obstacles,
@@ -155,7 +142,7 @@ def assign_costs(instruction: str, observed_categories, gateway: Gateway,
 
 
 def build_cost_map(smap: SemanticMap, assignment: CostAssignment,
-                   unexplored_cost: float = DEFAULT_UNEXPLORED_COST,
+                   unexplored_cost: float = NavConfig.unexplored_cost,
                    zero_costs: bool = False) -> CostMap:
     """Cell cost = max over categories present of the category cost; obstacle
     categories force 1. Explored empty cells cost 0, unexplored cells the
@@ -194,7 +181,8 @@ def _eikonal_update(a: float, b: float, f: float) -> float:
     return 0.5 * (a + b + math.sqrt(2.0 * f * f - (a - b) ** 2))
 
 
-def fmm_solve(costmap: CostMap, goal: tuple, speed_floor: float = SPEED_FLOOR) -> ArrivalField:
+def fmm_solve(costmap: CostMap, goal: tuple,
+              speed_floor: float = NavConfig.speed_floor) -> ArrivalField:
     """Fast-marching arrival times from every cell to the goal.
 
     Obstacle cells (cost >= 1) never enter the queue and stay at +inf.
@@ -256,7 +244,9 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
             raise UnreachableError(f"descent stalled at {(r, c)}")
         r, c = best
         cells.append(best)
-    waypoints = [Waypoint(cell=cell, world=costmap.cell_to_world(*cell)) for cell in cells]
+    waypoints = [Waypoint(cell=cell, world=cell_to_world(*cell, costmap.m, costmap.cell_size,
+                                                         costmap.origin))
+                 for cell in cells]
     gait_flags = [int(costmap.gait[cell]) for cell in cells[1:]]
     actions = []
     yaw = initial_yaw
@@ -281,7 +271,7 @@ def frontier_cells(smap: SemanticMap, costmap: CostMap) -> list:
 
 
 def frontier_goal(smap: SemanticMap, costmap: CostMap, start: tuple,
-                  speed_floor: float = SPEED_FLOOR) -> tuple:
+                  speed_floor: float = NavConfig.speed_floor) -> tuple:
     """Frontier cell with minimum arrival time from the start; ties resolve
     lexicographically by (row, col). Raises ExplorationComplete when no
     reachable frontier remains."""
@@ -331,26 +321,47 @@ def instance_centroid(cells) -> tuple:
 
 
 def global_goal(goal, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,
-                start: tuple, speed_floor: float = SPEED_FLOOR) -> tuple:
+                start: tuple, speed_floor: float = NavConfig.speed_floor) -> tuple:
     """Memory lookup first: exact category-name match (or a direct instance id)
     returns the instance's centroid snapped to a passable cell; otherwise the
     nearest frontier."""
     if not smap.explored_mask().any():
         raise ValueError("map has no explored cells")
-    record = None
     if isinstance(goal, int):
         if goal not in memory.instances:
             raise ValueError(f"no instance with id {goal}")
         record = memory.instances[goal]
     else:
-        try:
-            class_id = smap.category_index(goal)
-        except ValueError:
-            class_id = None
-        if class_id is not None:
-            matches = memory.by_category(class_id)
-            if matches:
-                record = min(matches, key=lambda rec: rec.instance_id)
+        record = memory.first_named(smap.categories, goal)
     if record is None:
         return frontier_goal(smap, costmap, start, speed_floor)
     return snap_to_free(costmap, instance_centroid(record.cells))
+
+
+def plan_to_target(target, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,
+                   start: tuple, initial_yaw: float = 0.0,
+                   speed_floor: float = NavConfig.speed_floor) -> tuple:
+    """Global goal, its arrival field, and the descent path from ``start``.
+
+    Returns ``(goal, field, plan, error)``. When a step fails, its output and
+    those after it are None and ``error`` holds the step's message.
+    """
+    goal = field = None
+    try:
+        goal = global_goal(target, memory, smap, costmap, start, speed_floor)
+        field = fmm_solve(costmap, goal, speed_floor)
+        plan = extract_path(field, start, costmap, initial_yaw=initial_yaw)
+    except (ExplorationComplete, UnreachableError, ValueError) as err:
+        return goal, field, None, str(err)
+    return goal, field, plan, None
+
+
+def distance_to_instance(memory: InstanceMemory, smap: SemanticMap, name: str,
+                         point: tuple) -> float | None:
+    """Metres from a world point to the centroid of the lowest-id ``name``
+    instance; None when memory holds no such instance."""
+    record = memory.first_named(smap.categories, name)
+    if record is None:
+        return None
+    cx, cy = smap.cell_to_world(*instance_centroid(record.cells))
+    return math.hypot(point[0] - cx, point[1] - cy)

@@ -15,27 +15,19 @@ from dataclasses import dataclass, field
 
 from .adaptation import BENCHMARK_COMMAND, candidate_grid, locate_ranges, select_best
 from .config import ToolkitConfig, derive_seed
-from .errors import ExplorationComplete, ParseError, QuadkitError, SchemaError, UnreachableError
+from .errors import ParseError, QuadkitError, SchemaError
 from .gateway import (
     PARSE_TEMPERATURE,
     ChatRequest,
     Gateway,
+    complete_and_parse,
     extract_json_block,
     load_template,
 )
 from .mapping import Frame, InstanceMemory, LabeledPointCloud, Scene, ingest
-from .navigation import (
-    assign_costs,
-    build_cost_map,
-    extract_path,
-    fmm_solve,
-    frontier_goal,
-    global_goal,
-    instance_centroid,
-    snap_to_free,
-)
+from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
 from .surrogate import SimConfig
-from .terrain import TERRAIN_TYPES, terrain_by_name
+from .terrain import terrain_by_name
 
 MAX_EXPLORE_LEGS = 50
 
@@ -182,20 +174,11 @@ class World:
             self.smap.mark_pose(*wp.cell)
             self.clock += 1
 
-    def find_record(self, category_name: str):
-        try:
-            class_id = self.smap.category_index(category_name)
-        except ValueError:
-            return None
-        matches = self.memory.by_category(class_id)
-        return min(matches, key=lambda r: r.instance_id) if matches else None
+    def has_instance(self, category_name: str) -> bool:
+        return self.memory.first_named(self.smap.categories, category_name) is not None
 
     def distance_to(self, category_name: str) -> float | None:
-        rec = self.find_record(category_name)
-        if rec is None:
-            return None
-        cx, cy = self.smap.cell_to_world(*instance_centroid(rec.cells))
-        return math.hypot(self.pose[0] - cx, self.pose[1] - cy)
+        return distance_to_instance(self.memory, self.smap, category_name, self.pose)
 
     def snapshot_hash(self) -> str:
         digest = hashlib.sha256(self.smap.grid.tobytes())
@@ -212,16 +195,9 @@ def _plan_and_walk(world: World, gateway: Gateway, target: str) -> SkillOutcome:
     world.ingest_pending()
     assignment = assign_costs(f"Go to the {target}.", world.smap.categories,
                               gateway, world.cfg.nav.cost_mode)
-    costmap = build_cost_map(world.smap, assignment, world.cfg.nav.unexplored_cost)
-    start = world.pose_cell()
-    try:
-        goal = global_goal(target, world.memory, world.smap, costmap, start,
-                           world.cfg.nav.speed_floor)
-        fld = fmm_solve(costmap, goal, world.cfg.nav.speed_floor)
-        plan = extract_path(fld, start, costmap, initial_yaw=world.pose[2])
-    except (UnreachableError, ExplorationComplete, ValueError) as err:
-        return SkillOutcome(ok=False, check="geometric", detail=str(err))
-    world.walk(plan)
+    error = _walk_toward(world, assignment, target)
+    if error is not None:
+        return SkillOutcome(ok=False, check="geometric", detail=error)
     distance = world.distance_to(target)
     if distance is None:
         return SkillOutcome(ok=False, check="geometric",
@@ -231,31 +207,34 @@ def _plan_and_walk(world: World, gateway: Gateway, target: str) -> SkillOutcome:
                         detail=f"stopped {distance:.3f} m from the {target}")
 
 
-def _skill_navigate_to(world, gateway, target: str) -> SkillOutcome:
-    return _plan_and_walk(world, gateway, target)
+def _walk_toward(world: World, assignment, target: str) -> str | None:
+    """Plan toward ``target`` on a fresh cost map and walk the path. Returns
+    the planning error, or None once the path is walked."""
+    costmap = build_cost_map(world.smap, assignment, world.cfg.nav.unexplored_cost)
+    _, _, plan, error = plan_to_target(target, world.memory, world.smap, costmap,
+                                       world.pose_cell(), world.pose[2],
+                                       world.cfg.nav.speed_floor)
+    if plan is not None:
+        world.walk(plan)
+    return error
 
 
 def _skill_find(world, gateway, target: str) -> SkillOutcome:
     """Navigate if the target is known, otherwise explore frontiers until it is."""
     world.ingest_pending()
-    if world.find_record(target) is not None:
+    if world.has_instance(target):
         return _plan_and_walk(world, gateway, target)
     assignment = assign_costs(f"Find the {target}.", world.smap.categories,
                               gateway, world.cfg.nav.cost_mode)
     for _ in range(MAX_EXPLORE_LEGS):
         world.ingest_pending()
-        if world.find_record(target) is not None:
+        if world.has_instance(target):
             return _plan_and_walk(world, gateway, target)
-        costmap = build_cost_map(world.smap, assignment, world.cfg.nav.unexplored_cost)
-        start = world.pose_cell()
-        try:
-            goal = frontier_goal(world.smap, costmap, start, world.cfg.nav.speed_floor)
-            fld = fmm_solve(costmap, goal, world.cfg.nav.speed_floor)
-            plan = extract_path(fld, start, costmap, initial_yaw=world.pose[2])
-        except (ExplorationComplete, UnreachableError) as err:
+        # The target is not in memory, so the leg heads for the nearest frontier.
+        error = _walk_toward(world, assignment, target)
+        if error is not None:
             return SkillOutcome(ok=False, check="geometric",
-                                detail=f"exploration ended without '{target}': {err}")
-        world.walk(plan)
+                                detail=f"exploration ended without '{target}': {error}")
         world.observe_here()
     return SkillOutcome(ok=False, check="geometric",
                         detail=f"'{target}' not found in {MAX_EXPLORE_LEGS} exploration legs")
@@ -313,7 +292,7 @@ def default_library() -> SkillLibrary:
     lib.register(Skill("greet", {}, _skill_greet, "greet the person in front of the robot"))
     lib.register(Skill("switch_gait", {"terrain_description": str}, _skill_switch_gait,
                        "adapt the walking parameters to the described terrain"))
-    lib.register(Skill("navigate_to", {"target": str}, _skill_navigate_to,
+    lib.register(Skill("navigate_to", {"target": str}, _plan_and_walk,
                        "walk to a known object or terrain region"))
     lib.register(Skill("find", {"target": str}, _skill_find,
                        "search the environment for an object and walk to it"))
@@ -350,7 +329,8 @@ def decompose(instruction: str, library: SkillLibrary, gateway: Gateway) -> list
                 raise ParseError(f"subgoal {i} missing 'skill'", what=str(i))
             name = item["skill"]
             if name not in library:
-                raise ParseError(f"unknown skill '{name}' in subgoal {i}", what=name)
+                raise ParseError(f"unknown skill '{name}' in subgoal {i}; valid skill "
+                                 f"names: {', '.join(library.names())}", what=name)
             subgoals.append(Subgoal(
                 description=item.get("description", name),
                 skill_name=name,
@@ -360,14 +340,7 @@ def decompose(instruction: str, library: SkillLibrary, gateway: Gateway) -> list
             raise ParseError("empty subgoal list", what="plan")
         return subgoals
 
-    try:
-        return parse(gateway.complete(request)[0])
-    except ParseError as err:
-        retry_user = (f"{user}\n\nYour previous reply was invalid: {err}. "
-                      f"Valid skill names: {', '.join(library.names())}.")
-        retry = ChatRequest(request.template_id, request.system, retry_user,
-                            request.temperature, request.n_samples)
-        return parse(gateway.complete(retry)[0])
+    return complete_and_parse(gateway, request, parse)[0]
 
 
 def retrieve_skill(subgoal: Subgoal, library: SkillLibrary):
@@ -393,7 +366,9 @@ def retrieve_skill(subgoal: Subgoal, library: SkillLibrary):
 def evaluate_success(subgoal: Subgoal, world: World, gateway: Gateway) -> str:
     """Geometric checks verdict directly; state-only skills consult the model.
 
-    A gateway failure yields a conservative "failed".
+    The model must answer with the single word SUCCESS or FAILURE (any case,
+    optional trailing period); anything else gets one retry. A gateway failure
+    or a second unparsable reply yields a conservative "failed".
     """
     outcome = subgoal.outcome
     if outcome is None:
@@ -404,11 +379,20 @@ def evaluate_success(subgoal: Subgoal, world: World, gateway: Gateway) -> str:
         description=subgoal.description, state=world.state.summary())
     request = ChatRequest("evaluate", "", user, PARSE_TEMPERATURE, 1)
     try:
-        reply = gateway.complete(request)[0].lower()
+        return complete_and_parse(gateway, request, parse_verdict)[0]
     except QuadkitError as err:
-        subgoal.outcome.detail += f" (evaluator unavailable: {err})"
+        subgoal.outcome.detail += f" (no evaluator verdict: {err})"
         return "failed"
-    return "succeeded" if "success" in reply else "failed"
+
+
+def parse_verdict(text: str) -> str:
+    """Map a one-word SUCCESS / FAILURE reply to "succeeded" / "failed"."""
+    word = text.strip().removesuffix(".").strip().upper()
+    if word == "SUCCESS":
+        return "succeeded"
+    if word == "FAILURE":
+        return "failed"
+    raise ParseError(f"expected SUCCESS or FAILURE, got {text.strip()[:40]!r}", what="verdict")
 
 
 def execute(plan, world: World, gateway: Gateway, replan_hook=None) -> ExecutionTrace:

@@ -164,6 +164,19 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_plan_malformed_scene_exits_2(tmp_path, capsys):
+    scene = tmp_path / "no_pose.jsonl"
+    scene.write_text(json.dumps({"categories": ["floor"], "M": 40}) + "\n"
+                     + json.dumps({"points": []}) + "\n")
+    code = main(["plan", "--scene", str(scene), "--instruction", "Go to the chair",
+                 "--transcript", asset_path("transcripts", "plan_band.jsonl"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "no_pose.jsonl" in err and "line 2" in err
+
+
 def test_cmd_task_rejects_bad_scenario_files(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -5,6 +6,15 @@ import pytest
 from quadkit.config import ToolkitConfig, derive_seed, load_config
 from quadkit.errors import ConfigError
 from quadkit.locomotion import LEVEL_RANGES
+from quadkit.mapping import InstanceMemory, ingest, project_frame
+from quadkit.navigation import (
+    assign_costs,
+    build_cost_map,
+    fmm_solve,
+    frontier_goal,
+    global_goal,
+    plan_to_target,
+)
 
 
 def test_defaults_mirror_compiled_tables():
@@ -14,7 +24,7 @@ def test_defaults_mirror_compiled_tables():
         {k: tuple(v) for k, v in LEVEL_RANGES.items()}
     assert cfg.sim.steps == 250
     assert cfg.reward.sigma_cf == 100.0
-    assert cfg.mapping.m == 480
+    assert cfg.mapping.dilation_p == 3
     assert cfg.nav.unexplored_cost == 0.5
 
 
@@ -47,6 +57,29 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"sim": {"step_count": 5}}))
     with pytest.raises(ConfigError):
         load_config(path)
+    # the grid size and cell size come from the scene header, the run count from --runs
+    for section, key in (("lss", "runs"), ("mapping", "m"), ("mapping", "cell_size")):
+        path.write_text(json.dumps({section: {key: 2}}))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(path)
+
+
+def test_keyword_defaults_read_the_config():
+    cfg = ToolkitConfig()
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(fmm_solve, "speed_floor") == cfg.nav.speed_floor
+    assert default(frontier_goal, "speed_floor") == cfg.nav.speed_floor
+    assert default(global_goal, "speed_floor") == cfg.nav.speed_floor
+    assert default(plan_to_target, "speed_floor") == cfg.nav.speed_floor
+    assert default(build_cost_map, "unexplored_cost") == cfg.nav.unexplored_cost
+    assert default(assign_costs, "mode") == cfg.nav.cost_mode
+    for fn in (project_frame, ingest):
+        assert default(fn, "sensor_range") == cfg.mapping.sensor_range
+        assert default(fn, "max_height") == cfg.mapping.max_point_height
+    assert InstanceMemory().p == cfg.mapping.dilation_p
 
 
 def test_load_config_validates_level_ranges(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import chebyshev_dilation, union_find_clusters
+from quadkit.errors import ConfigError
 from quadkit.mapping import (
     PRESENCE_MARK,
     Detection,
@@ -327,3 +328,33 @@ def test_class_coverage_is_order_invariant():
     backward = coverage(reversed(range(8)))
     shuffled = coverage([3, 0, 7, 5, 1, 6, 2, 4])
     assert forward == backward == shuffled
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", None),
+    ('{"M": 20}\n', 1),
+    ('{"categories": ["floor"]}\n\n{"points": []}\n', 3),
+    ('{"categories": ["floor"]}\n{"pose": [0, 0, 0]}\nnot json\n', 3),
+    ('{"categories": ["floor"]}\n[1, 2]\n', 2),
+    ('{"categories": ["floor"]}\n{"pose": [0, 0]}\n', 2),
+    ('{"categories": ["floor"], "start_pose": ["x", 0, 0]}\n', 1),
+])
+def test_load_scene_malformed_raises_config_error(tmp_path, text, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_scene(path)
+    assert str(path) in str(err.value)
+    if line is not None:
+        assert f"line {line}" in str(err.value)
+
+
+def test_first_named_returns_lowest_id_instance():
+    smap = small_map()
+    memory = InstanceMemory(p=0)
+    ingest(smap, memory, make_frame([(1.0, 1.0, 0.1, 1)], index=0))
+    ingest(smap, memory, make_frame([(-1.0, -1.0, 0.1, 1)], index=1))
+    assert len(memory) == 2
+    assert memory.first_named(smap.categories, smap.categories[1]).instance_id == 1
+    assert memory.first_named(smap.categories, smap.categories[0]) is None
+    assert memory.first_named(smap.categories, "no such category") is None

@@ -19,6 +19,7 @@ from quadkit.navigation import (
     frontier_goal,
     global_goal,
     instance_centroid,
+    plan_to_target,
     snap_to_free,
 )
 
@@ -369,3 +370,26 @@ def test_global_goal_id_lookup_ignores_category_duplicates():
     by_id = global_goal(second, memory, smap, cm, (30, 30))
     assert by_id == instance_centroid(memory.instances[second].cells)
     assert by_id != by_name
+
+
+def test_plan_to_target_reports_the_failing_step():
+    smap = explored_map(("floor", "chair"), m=40)
+    memory = InstanceMemory(p=2)
+    ingest(smap, memory, Frame(index=0, pose=(0.0, 0.0, 0.0),
+                               cloud=LabeledPointCloud(((0.5, 0.5, 0.2, 1),))))
+    cm = uniform_costmap(m=40)
+    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (5, 5))
+    assert error is None
+    assert goal == instance_centroid(next(iter(memory.instances.values())).cells)
+    assert plan.cells[0] == (5, 5) and plan.cells[-1] == goal
+    assert field.times[goal] == 0.0
+    # wall the start in: the field exists, the path does not
+    cm.costs[3:8, 3:8] = 1.0
+    cm.costs[5, 5] = 0.0
+    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (5, 5))
+    assert goal is not None and field is not None and plan is None
+    assert "cannot reach" in error
+    # no goal at all: a fully explored map without the category has no frontier
+    goal, field, plan, error = plan_to_target("sofa", memory, smap, cm, (5, 5))
+    assert (goal, field, plan) == (None, None, None)
+    assert "no frontier" in error

@@ -224,6 +224,32 @@ def test_evaluate_success_gateway_verdicts():
     assert evaluate_success(sg, world, make_gateway([])) == "failed"
 
 
+@pytest.mark.parametrize("reply, verdict", [
+    ("SUCCESS", "succeeded"),
+    (" success.\n", "succeeded"),
+    ("Failure.", "failed"),
+    ("UNSUCCESSFUL", "failed"),
+    ("Not a success.", "failed"),
+])
+def test_evaluate_success_parses_one_word_verdicts(reply, verdict):
+    from quadkit.tasks import SkillOutcome
+    world = make_world()
+    sg = Subgoal("greet", "greet", {})
+    sg.outcome = SkillOutcome(ok=True, check="state")
+    # an unparsable reply is retried once; both replies here are the same
+    gw = make_gateway([("evaluate", reply)] * 2)
+    assert evaluate_success(sg, world, gw) == verdict
+
+
+def test_evaluate_success_retry_recovers():
+    from quadkit.tasks import SkillOutcome
+    world = make_world()
+    sg = Subgoal("greet", "greet", {})
+    sg.outcome = SkillOutcome(ok=True, check="state")
+    gw = make_gateway([("evaluate", "Not a success."), ("evaluate", "SUCCESS")])
+    assert evaluate_success(sg, world, gw) == "succeeded"
+
+
 def test_trace_serialization_and_hash_stability(tmp_path):
     world = make_world()
     gw = make_gateway([("evaluate", "SUCCESS")] * 2)
