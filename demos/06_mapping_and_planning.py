@@ -25,7 +25,7 @@ print(f"map: {smap.k} channels of {smap.m}x{smap.m} cells "
 print(f"explored cells: {int(smap.explored_mask().sum())}")
 for iid, rec in memory.instances.items():
     print(f"  instance {iid}: class '{scene.categories[rec.class_id]}', "
-          f"{len(rec.cells)} cells, {len(rec.views)} views")
+          f"{np.count_nonzero(rec.cells)} cells, {len(rec.views)} views")
 
 out = os.path.join(tempfile.gettempdir(), "quadkit_plan_demo")
 result, plan = cmd_plan(scene_path, "Go to the chair", transcript=transcript,

@@ -132,7 +132,8 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     for frame in scene.frames:
         ingest(smap, memory, frame, cfg.mapping.sensor_range, cfg.mapping.max_point_height)
 
-    assignment = assign_costs(instruction, smap.categories, gateway, cfg.nav.cost_mode)
+    assignment = assign_costs(instruction, smap.categories, gateway, cfg.nav.cost_mode,
+                              cfg.nav.unexplored_cost)
     costmap = build_cost_map(smap, assignment, cfg.nav.unexplored_cost, zero_costs=no_cost)
     costmap.to_pgm(os.path.join(out_dir, "costmap.pgm"))
 
@@ -169,7 +170,12 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
              provider: str = "scripted", transcript=None):
     """Run a bundled scenario: decompose, execute, evaluate, and write the trace."""
     with open(scenario_path) as fh:
-        scenario = json.load(fh)
+        try:
+            scenario = json.load(fh)
+        except ValueError as err:
+            raise ConfigError(f"scenario {scenario_path} is not valid JSON: {err}") from None
+    if not isinstance(scenario, dict):
+        raise ConfigError(f"scenario {scenario_path} must hold a JSON object")
     base = os.path.dirname(os.path.abspath(scenario_path))
     instruction = scenario.get("instruction", "").strip()
     if not instruction or "scene" not in scenario:

@@ -35,7 +35,7 @@ class MappingConfig:
 class NavConfig:
     unexplored_cost: float = 0.5  # traversal cost of cells never observed
     speed_floor: float = 0.05  # lower clamp on speed so near-impassable cells stay well-posed
-    cost_mode: str = "binary"
+    cost_mode: str = "binary"  # "binary" ({0, 1} costs) or "continuous" ([0, 1] costs)
     success_radius: float = 0.5
 
 
@@ -54,12 +54,17 @@ class ToolkitConfig:
 
 
 def _apply_section(obj, data: dict, section: str):
-    valid = {f.name for f in dataclasses.fields(obj)}
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
     for key, value in data.items():
-        if key not in valid:
+        if key not in defaults:
             raise ConfigError(f"unknown key '{key}' in config section '{section}'")
         if isinstance(value, list):
             value = tuple(value)
+        # Exact types, so a bool never passes for a number; an int is a valid float.
+        expected = type(defaults[key])
+        if not (type(value) is expected or (expected, type(value)) == (float, int)):
+            raise ConfigError(f"config {section}.{key} must be {expected.__name__}, "
+                              f"not {type(value).__name__}")
         setattr(obj, key, value)
 
 
@@ -114,6 +119,9 @@ def apply_config_data(cfg: ToolkitConfig, data: dict) -> ToolkitConfig:
             cfg.terrain_overrides = dict(value)
         else:
             raise ConfigError(f"unknown top-level config key '{key}'")
+    if cfg.nav.cost_mode not in ("binary", "continuous"):
+        raise ConfigError("config nav.cost_mode must be 'binary' or 'continuous', "
+                          f"not {cfg.nav.cost_mode!r}")
     cfg.reward.validate()
     cfg.sim.validate()
     return cfg

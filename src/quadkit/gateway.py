@@ -71,12 +71,20 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedProvider":
+        """Read a transcript; a malformed line raises ConfigError naming the file and line."""
         entries = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
+            for n, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line)
+                except ValueError as err:
+                    raise ConfigError(f"transcript {path}, line {n}: {err}") from None
+                if not isinstance(entry, dict) or not {"template_id", "response"} <= entry.keys():
+                    raise ConfigError(f"transcript {path}, line {n}: expected an object with "
+                                      "'template_id' and 'response'")
+                entries.append(entry)
         return cls(entries, model=str(path))
 
     def complete(self, request: ChatRequest) -> list:

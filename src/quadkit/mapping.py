@@ -5,7 +5,8 @@ holding owning instance ids per cell, then explored, current-position, and
 past-position channels. Labeled points are binned into cells (5 cm height
 bins up to a 2 m ceiling, then summed vertically), connected components per
 category become detections, and detections merge into persistent instance
-records via dilation-overlap matching.
+records via dilation-overlap matching. Every region (a detection, its
+dilation, an instance) is an M x M boolean mask.
 """
 
 from __future__ import annotations
@@ -53,24 +54,24 @@ class Frame:
     cloud: LabeledPointCloud
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detection:
     """One connected same-category component of a frame's projected cells."""
 
     bbox: tuple  # (frame_index, (r0, c0, r1, c1))
     class_id: int
-    cells: frozenset
-    dilated: frozenset | None = None
+    cells: np.ndarray  # (M, M) bool
+    dilated: np.ndarray | None = None
 
-    def with_dilation(self, p: int, m: int) -> "Detection":
-        return replace(self, dilated=frozenset(dilate(self.cells, p, m)))
+    def with_dilation(self, p: int) -> "Detection":
+        return replace(self, dilated=dilate(self.cells, p))
 
 
 @dataclass
 class InstanceRecord:
     instance_id: int
     class_id: int
-    cells: set
+    cells: np.ndarray  # (M, M) bool
     views: set
 
 
@@ -107,9 +108,6 @@ class SemanticMap:
     def past_pos_channel(self) -> int:
         return self.num_categories + 2
 
-    def category_index(self, name: str) -> int:
-        return self.categories.index(name)
-
     def add_category(self, name: str) -> int:
         """Append a category channel (reallocates the grid)."""
         if name in self.categories:
@@ -119,21 +117,19 @@ class SemanticMap:
         self.categories.append(name)
         return c
 
-    def world_to_cell(self, x: float, y: float) -> tuple:
+    def world_to_cell(self, x, y) -> tuple:
+        """(row, col) of world point(s): ints for scalars, int arrays for arrays."""
         half = self.m // 2
-        col = math.floor((x - self.origin[0]) / self.cell_size) + half
-        row = math.floor((y - self.origin[1]) / self.cell_size) + half
-        if not (0 <= row < self.m and 0 <= col < self.m):
-            raise ValueError(f"world point ({x}, {y}) outside map extent")
-        return (row, col)
+        col = np.floor((np.asarray(x) - self.origin[0]) / self.cell_size).astype(np.int64) + half
+        row = np.floor((np.asarray(y) - self.origin[1]) / self.cell_size).astype(np.int64) + half
+        outside = (row < 0) | (row >= self.m) | (col < 0) | (col >= self.m)
+        if outside.any():
+            i = np.argmax(outside)  # the first point outside
+            raise ValueError(f"world point ({np.ravel(x)[i]}, {np.ravel(y)[i]}) outside map extent")
+        return (row, col) if row.ndim else (int(row), int(col))
 
     def cell_to_world(self, row: int, col: int) -> tuple:
         return cell_to_world(row, col, self.m, self.cell_size, self.origin)
-
-    def contains_world(self, x: float, y: float) -> bool:
-        half_extent = (self.m // 2) * self.cell_size
-        return (self.origin[0] - half_extent <= x < self.origin[0] + half_extent
-                and self.origin[1] - half_extent <= y < self.origin[1] + half_extent)
 
     def explored_mask(self) -> np.ndarray:
         return self.grid[self.explored_channel] != 0
@@ -150,29 +146,22 @@ class SemanticMap:
 
 
 class InstanceMemory:
-    """Persistent per-instance records with per-class cell ownership."""
+    """Persistent per-instance records; same-class records own disjoint cells."""
 
     def __init__(self, p: int = MappingConfig.dilation_p):
         self.p = int(p)
         self.instances: dict = {}
-        self._owner: dict = {}  # class_id -> {cell: instance_id}
         self._next_id = 1
 
     def __len__(self):
         return len(self.instances)
-
-    def class_coverage(self, class_id: int) -> set:
-        return set(self._owner.get(class_id, {}))
 
     def create(self, detection: Detection) -> int:
         iid = self._next_id
         self._next_id += 1
         self.instances[iid] = InstanceRecord(
             instance_id=iid, class_id=detection.class_id,
-            cells=set(detection.cells), views={detection.bbox})
-        owners = self._owner.setdefault(detection.class_id, {})
-        for cell in detection.cells:
-            owners[cell] = iid
+            cells=detection.cells.copy(), views={detection.bbox})
         return iid
 
     def first_named(self, categories, name: str):
@@ -192,21 +181,12 @@ def cell_to_world(row: int, col: int, m: int, cell_size: float, origin: tuple) -
     return (x, y)
 
 
-def dilate(cells, p: int, m: int | None = None) -> set:
-    """Chebyshev (8-connected square) dilation by p cells; p=0 is identity."""
+def dilate(mask: np.ndarray, p: int) -> np.ndarray:
+    """Chebyshev (8-connected square) dilation of a bool mask by p cells,
+    clipped at the grid edge; p=0 returns a copy."""
     if p < 0:
         raise ValueError("dilation radius must be >= 0")
-    if p == 0:
-        return set(cells)
-    out = set()
-    offsets = range(-p, p + 1)
-    for (r, c) in cells:
-        for dr in offsets:
-            for dc in offsets:
-                nr, nc = r + dr, c + dc
-                if m is None or (0 <= nr < m and 0 <= nc < m):
-                    out.add((nr, nc))
-    return out
+    return ndimage.maximum_filter(mask, size=2 * p + 1, mode="constant")
 
 
 def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
@@ -220,15 +200,15 @@ def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
         rec = memory.instances[iid]
         if rec.class_id != detection.class_id:
             continue
-        overlap = len(detection.dilated & rec.cells)
+        overlap = np.count_nonzero(detection.dilated & rec.cells)
         if overlap > best_overlap:
             best_overlap = overlap
             best_id = iid
     return best_id
 
 
-def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> set:
-    """Union the detection into an instance; returns the newly owned cells.
+def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> np.ndarray:
+    """Union the detection into an instance; returns the newly owned cells' mask.
 
     Cells already owned by another same-class instance stay with their first
     owner so class coverage remains a partition. No other record is modified.
@@ -238,12 +218,12 @@ def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> set
         raise ValueError(
             f"class mismatch: instance {instance_id} has class {rec.class_id}, "
             f"detection has {detection.class_id}")
-    owners = memory._owner.setdefault(detection.class_id, {})
-    new_cells = {cell for cell in detection.cells
-                 if owners.get(cell) in (None, instance_id)} - rec.cells
-    rec.cells.update(new_cells)
-    for cell in new_cells:
-        owners[cell] = instance_id
+    owned = np.zeros_like(detection.cells)
+    for other in memory.instances.values():
+        if other.class_id == detection.class_id:
+            owned |= other.cells
+    new_cells = detection.cells & ~owned
+    rec.cells |= new_cells
     rec.views.add(detection.bbox)
     return new_cells
 
@@ -275,38 +255,32 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     disk = (disk_rows - pr) ** 2 + (disk_cols - pc) ** 2 <= radius_cells ** 2
     explored[r0:r1, c0:c1][disk] = 1
 
-    touched: dict = {}
-    n_bins = int(max_height / HEIGHT_BIN)
-    for (px, py, pz, cat) in cloud.points:
-        cat = int(cat)
-        if not 0 <= cat < smap.num_categories:
-            raise ValueError(f"category id {cat} outside [0, {smap.num_categories})")
-        z_bin = math.floor(pz / HEIGHT_BIN)
-        if not 0 <= z_bin < n_bins:
-            continue
-        if not smap.contains_world(px, py):
-            continue
-        cell = smap.world_to_cell(px, py)
-        touched.setdefault(cat, set()).add(cell)
+    pts = np.asarray(cloud.points, dtype=float).reshape(-1, 4)
+    cats = pts[:, 3].astype(np.int64)
+    bad = (cats < 0) | (cats >= smap.num_categories)
+    if bad.any():
+        raise ValueError(f"category id {cats[bad][0]} outside [0, {smap.num_categories})")
+    px, py = pts[:, 0], pts[:, 1]
+    z_bin = np.floor(pts[:, 2] / HEIGHT_BIN)
+    ox, oy = smap.origin
+    half_extent = (smap.m // 2) * smap.cell_size
+    keep = ((0 <= z_bin) & (z_bin < int(max_height / HEIGHT_BIN))
+            & (ox - half_extent <= px) & (px < ox + half_extent)
+            & (oy - half_extent <= py) & (py < oy + half_extent))
+    rows, cols = smap.world_to_cell(px[keep], py[keep])
+    cats = cats[keep]
+    explored[rows, cols] = 1
 
     detections = []
-    for cat in sorted(touched):
-        cells = touched[cat]
+    for cat in np.unique(cats).tolist():
         mask = np.zeros((smap.m, smap.m), dtype=bool)
-        rows = [c[0] for c in cells]
-        cols = [c[1] for c in cells]
-        mask[rows, cols] = True
-        explored[rows, cols] = 1
-        labels, n_labels = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+        mask[rows[cats == cat], cols[cats == cat]] = True
+        labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+        for lab, (rs, cs) in enumerate(ndimage.find_objects(labels), start=1):
+            bbox = (frame_index, (rs.start, cs.start, rs.stop - 1, cs.stop - 1))
+            detections.append(Detection(bbox=bbox, class_id=cat, cells=labels == lab))
         channel = smap.grid[cat]
-        for lab in range(1, n_labels + 1):
-            comp_rows, comp_cols = np.where(labels == lab)
-            comp = frozenset(zip(comp_rows.tolist(), comp_cols.tolist()))
-            bbox = (frame_index, (int(comp_rows.min()), int(comp_cols.min()),
-                                  int(comp_rows.max()), int(comp_cols.max())))
-            detections.append(Detection(bbox=bbox, class_id=cat, cells=comp))
-        unmarked = mask & (channel == 0)
-        channel[unmarked] = PRESENCE_MARK
+        channel[mask & (channel == 0)] = PRESENCE_MARK
     return detections
 
 
@@ -322,16 +296,14 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
                                sensor_range, max_height)
     touched_ids = []
     for det in detections:
-        det = det.with_dilation(memory.p, smap.m)
+        det = det.with_dilation(memory.p)
         iid = match_detection(det, memory)
         if iid is None:
             iid = memory.create(det)
             new_cells = memory.instances[iid].cells
         else:
             new_cells = merge(iid, det, memory)
-        channel = smap.grid[det.class_id]
-        for (r, c) in new_cells:
-            channel[r, c] = iid
+        smap.grid[det.class_id][new_cells] = iid
         touched_ids.append(iid)
     return touched_ids
 

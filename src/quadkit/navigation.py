@@ -120,11 +120,12 @@ class PathPlan:
 
 
 def assign_costs(instruction: str, observed_categories, gateway: Gateway,
-                 mode: str = NavConfig.cost_mode) -> CostAssignment:
+                 mode: str = NavConfig.cost_mode,
+                 unexplored_cost: float = NavConfig.unexplored_cost) -> CostAssignment:
     """Ask the model for per-category costs; one retry on a malformed reply.
 
-    Observed categories the reply does not mention get the default unexplored
-    cost (``NavConfig.unexplored_cost``) and normal gait.
+    Observed categories the reply does not mention get ``unexplored_cost`` and
+    normal gait.
     """
     observed = list(observed_categories)
     if not observed:
@@ -134,7 +135,7 @@ def assign_costs(instruction: str, observed_categories, gateway: Gateway,
     assignment = complete_and_parse(gateway, request,
                                     lambda text: parse_cost_json(text, mode))[0]
     known = {entry.type for entry in assignment.terrain}
-    extra = tuple(TerrainCost(type=name, cost=NavConfig.unexplored_cost, gait=0)
+    extra = tuple(TerrainCost(type=name, cost=unexplored_cost, gait=0)
                   for name in observed if name not in known)
     return CostAssignment(target_object=assignment.target_object,
                           obstacles=assignment.obstacles,
@@ -314,10 +315,10 @@ def snap_to_free(costmap: CostMap, cell: tuple) -> tuple:
     return best
 
 
-def instance_centroid(cells) -> tuple:
-    rows = [c[0] for c in cells]
-    cols = [c[1] for c in cells]
-    return (round(sum(rows) / len(rows)), round(sum(cols) / len(cols)))
+def instance_centroid(mask: np.ndarray) -> tuple:
+    """Rounded mean (row, col) of a region mask, as Python ints for JSON output."""
+    rows, cols = np.nonzero(mask)
+    return (round(int(rows.sum()) / rows.size), round(int(cols.sum()) / cols.size))
 
 
 def global_goal(goal, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,

@@ -182,8 +182,10 @@ class World:
 
     def snapshot_hash(self) -> str:
         digest = hashlib.sha256(self.smap.grid.tobytes())
-        digest.update(str(sorted((i, r.class_id, tuple(sorted(r.cells)))
-                                 for i, r in self.memory.instances.items())).encode())
+        # nonzero() is row-major, i.e. sorted; tolist() keeps numpy reprs out of the text.
+        digest.update(str(sorted(
+            (i, r.class_id, tuple(zip(*(a.tolist() for a in r.cells.nonzero()))))
+            for i, r in self.memory.instances.items())).encode())
         return digest.hexdigest()[:16]
 
 
@@ -193,8 +195,8 @@ class World:
 
 def _plan_and_walk(world: World, gateway: Gateway, target: str) -> SkillOutcome:
     world.ingest_pending()
-    assignment = assign_costs(f"Go to the {target}.", world.smap.categories,
-                              gateway, world.cfg.nav.cost_mode)
+    assignment = assign_costs(f"Go to the {target}.", world.smap.categories, gateway,
+                              world.cfg.nav.cost_mode, world.cfg.nav.unexplored_cost)
     error = _walk_toward(world, assignment, target)
     if error is not None:
         return SkillOutcome(ok=False, check="geometric", detail=error)
@@ -224,8 +226,8 @@ def _skill_find(world, gateway, target: str) -> SkillOutcome:
     world.ingest_pending()
     if world.has_instance(target):
         return _plan_and_walk(world, gateway, target)
-    assignment = assign_costs(f"Find the {target}.", world.smap.categories,
-                              gateway, world.cfg.nav.cost_mode)
+    assignment = assign_costs(f"Find the {target}.", world.smap.categories, gateway,
+                              world.cfg.nav.cost_mode, world.cfg.nav.unexplored_cost)
     for _ in range(MAX_EXPLORE_LEGS):
         world.ingest_pending()
         if world.has_instance(target):

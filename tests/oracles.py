@@ -52,6 +52,19 @@ def chebyshev_dilation(cells, p, m=None):
     return out
 
 
+def mask_of(cells, m):
+    """(m, m) bool mask with the given (row, col) cells set."""
+    mask = np.zeros((m, m), dtype=bool)
+    for (r, c) in cells:
+        mask[r, c] = True
+    return mask
+
+
+def cells_of(mask):
+    """Set of (row, col) int tuples of a mask's set cells."""
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -71,23 +84,22 @@ class UnionFind:
 def union_find_clusters(detections, p, m):
     """Transitive closure of same-class dilated-overlap matching over a
     detection batch: returns per-class merged cell coverage sets."""
-    from quadkit.mapping import dilate
-
     uf = UnionFind(len(detections))
-    dilated = [dilate(d.cells, p, m) for d in detections]
+    cells = [cells_of(d.cells) for d in detections]
+    dilated = [chebyshev_dilation(c, p, m) for c in cells]
     for i in range(len(detections)):
         for j in range(i + 1, len(detections)):
             if detections[i].class_id != detections[j].class_id:
                 continue
-            if dilated[i] & set(detections[j].cells) or dilated[j] & set(detections[i].cells):
+            if dilated[i] & cells[j] or dilated[j] & cells[i]:
                 uf.union(i, j)
     clusters = {}
     for i, det in enumerate(detections):
         root = uf.find(i)
-        clusters.setdefault(root, (det.class_id, set()))[1].update(det.cells)
+        clusters.setdefault(root, (det.class_id, set()))[1].update(cells[i])
     by_class = {}
     for i, det in enumerate(detections):
-        by_class.setdefault(det.class_id, set()).update(det.cells)
+        by_class.setdefault(det.class_id, set()).update(cells[i])
     return clusters, by_class
 
 

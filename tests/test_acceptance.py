@@ -12,10 +12,12 @@ import pytest
 
 from conftest import fixture_text, make_gateway
 from oracles import (
+    cells_of,
     chebyshev_dilation,
     contact_table,
     dijkstra_times,
     gait_phase_table,
+    mask_of,
     timing_table,
     union_find_clusters,
 )
@@ -203,14 +205,16 @@ def test_criterion_5_mapping_vs_projection_and_union_find():
             ingest(smap, memory, frame)
         clusters, by_class = union_find_clusters(all_detections, p=2, m=m)
         for cls in range(n_classes):
-            assert memory.class_coverage(cls) == expected_cells[cls]
+            coverage = set().union(*(cells_of(r.cells) for r in memory.instances.values()
+                                     if r.class_id == cls))
+            assert coverage == expected_cells[cls]
             assert by_class.get(cls, set()) == expected_cells[cls]
             channel_cells = {(int(r), int(cc))
                              for r, cc in zip(*np.nonzero(smap.grid[cls]))}
             assert channel_cells == expected_cells[cls]
         for rec in memory.instances.values():
             containing = [cells for cls, cells in clusters.values()
-                          if cls == rec.class_id and rec.cells <= cells]
+                          if cls == rec.class_id and cells_of(rec.cells) <= cells]
             assert len(containing) == 1
 
 
@@ -222,7 +226,7 @@ def test_criterion_6_dilation_and_matching():
             cells = {(int(rng.integers(0, 40)), int(rng.integers(0, 40)))
                      for _ in range(n)}
             p = int(rng.integers(0, 4))
-            assert dilate(cells, p, 40) == chebyshev_dilation(cells, p, 40)
+            assert cells_of(dilate(mask_of(cells, 40), p)) == chebyshev_dilation(cells, p, 40)
         for trial in range(200):
             p = int(rng.integers(0, 4))
             memory = InstanceMemory(p=p)
@@ -234,21 +238,22 @@ def test_criterion_6_dilation_and_matching():
                          for dc in range(int(rng.integers(1, 4)))}
                 cls = int(rng.integers(0, 3))
                 det = Detection(bbox=(0, (r0, c0, r0, c0)), class_id=cls,
-                                cells=frozenset(cells))
+                                cells=mask_of(cells, 40))
                 memory.create(det)
             pr = int(rng.integers(0, 35))
             pc = int(rng.integers(0, 35))
-            probe_cells = frozenset({(pr + dr, pc + dc) for dr in range(2)
-                                     for dc in range(2)})
+            probe_cells = mask_of({(pr + dr, pc + dc) for dr in range(2)
+                                   for dc in range(2)}, 40)
             probe_cls = int(rng.integers(0, 3))
             probe = Detection(bbox=(1, (pr, pc, pr + 1, pc + 1)),
                               class_id=probe_cls,
-                              cells=probe_cells).with_dilation(p, 40)
+                              cells=probe_cells).with_dilation(p)
             got = match_detection(probe, memory)
+            dilated = cells_of(probe.dilated)
             overlaps = {
-                iid: len(probe.dilated & rec.cells)
+                iid: len(dilated & cells_of(rec.cells))
                 for iid, rec in memory.instances.items()
-                if rec.class_id == probe_cls and probe.dilated & rec.cells
+                if rec.class_id == probe_cls and dilated & cells_of(rec.cells)
             }
             if not overlaps:
                 assert got is None

@@ -226,3 +226,47 @@ def test_cmd_plan_reports_when_no_goal_exists(tmp_path):
     assert plan is None
     assert "error" in result
     assert os.path.exists(tmp_path / "out" / "result.json")
+
+
+@pytest.mark.parametrize("text", ["not json", "[1]"])
+def test_cli_task_invalid_scenario_exits_2(tmp_path, capsys, text):
+    scenario = tmp_path / "bad_scenario.json"
+    scenario.write_text(text)
+    code = main(["task", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad_scenario.json" in err
+
+
+def test_cli_plan_malformed_transcript_exits_2(tmp_path, capsys):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"template_id": "cost_map"}) + "\n")
+    code = main(["plan", "--scene", asset_path("scenes", "band_free.jsonl"),
+                 "--instruction", "Go to the chair", "--transcript", str(transcript),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 1" in err and "'response'" in err
+
+
+def test_cmd_plan_pads_costs_with_configured_unexplored_cost(tmp_path, monkeypatch):
+    import quadkit.bench as bench
+    assignments = []
+    build = bench.build_cost_map
+
+    def spy(smap, assignment, *args, **kwargs):
+        assignments.append(assignment)
+        return build(smap, assignment, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_cost_map", spy)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"nav": {"unexplored_cost": 0.9}}))
+    transcript = tmp_path / "t.jsonl"
+    reply = json.dumps({"target_object": "chair", "obstacles": [], "terrain": []})
+    transcript.write_text(json.dumps({"template_id": "cost_map", "response": reply}) + "\n")
+    cmd_plan(asset_path("scenes", "band_free.jsonl"), "Go to the chair",
+             config_path=str(config), transcript=str(transcript),
+             out_dir=str(tmp_path / "out"))
+    (assignment,) = assignments
+    assert assignment.terrain
+    assert all(t.cost == 0.9 for t in assignment.terrain)

@@ -76,10 +76,52 @@ def test_keyword_defaults_read_the_config():
     assert default(plan_to_target, "speed_floor") == cfg.nav.speed_floor
     assert default(build_cost_map, "unexplored_cost") == cfg.nav.unexplored_cost
     assert default(assign_costs, "mode") == cfg.nav.cost_mode
+    assert default(assign_costs, "unexplored_cost") == cfg.nav.unexplored_cost
     for fn in (project_frame, ingest):
         assert default(fn, "sensor_range") == cfg.mapping.sensor_range
         assert default(fn, "max_height") == cfg.mapping.max_point_height
     assert InstanceMemory().p == cfg.mapping.dilation_p
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "steps", "250"),
+    ("sim", "steps", 250.0),
+    ("sim", "steps", True),
+    ("sim", "dt", True),
+    ("sim", "dt", "0.02"),
+    ("mapping", "dilation_p", 2.5),
+    ("mapping", "dilation_p", "3"),
+    ("lss", "grid_gaits", 1),
+    ("reward", "weights", 1.0),
+    ("nav", "cost_mode", 1),
+])
+def test_load_config_rejects_wrong_value_types(tmp_path, section, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "dt", 1),  # an int is a valid float
+    ("sim", "steps", 100),
+    ("lss", "grid_gaits", True),
+    ("reward", "weights", [1, 1, 0.1, 0.1]),
+    ("nav", "cost_mode", "continuous"),
+])
+def test_load_config_accepts_matching_value_types(tmp_path, section, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    cfg = load_config(path)
+    expected = tuple(value) if isinstance(value, list) else value
+    assert getattr(getattr(cfg, section), key) == expected
+
+
+def test_load_config_rejects_unknown_cost_mode(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nav": {"cost_mode": "bogus"}}))
+    with pytest.raises(ConfigError, match="nav.cost_mode"):
+        load_config(path)
 
 
 def test_load_config_validates_level_ranges(tmp_path):

@@ -54,6 +54,22 @@ def test_transcript_log_replays_losslessly(tmp_path):
     assert all("request_hash" in r for r in records)
 
 
+@pytest.mark.parametrize("text, line, what", [
+    ('{"template_id": "auto", "response": "ok"}\nnot json\n', 2, "Expecting value"),
+    ('\n[1, 2]\n', 2, "expected an object"),
+    ('{"response": "ok"}\n', 1, "'template_id'"),
+    ('{"template_id": "cost_map"}\n', 1, "'response'"),
+])
+def test_transcript_malformed_line_raises_config_error(tmp_path, text, line, what):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        ScriptedProvider.from_file(path)
+    assert str(path) in str(err.value)
+    assert f"line {line}" in str(err.value)
+    assert what in str(err.value)
+
+
 def test_live_provider_requires_env(monkeypatch):
     for var in ("QUADKIT_LLM_ENDPOINT", "QUADKIT_LLM_MODEL", "QUADKIT_LLM_API_KEY"):
         monkeypatch.delenv(var, raising=False)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chebyshev_dilation, union_find_clusters
+from oracles import cells_of, chebyshev_dilation, mask_of, union_find_clusters
 from quadkit.errors import ConfigError
 from quadkit.mapping import (
     PRESENCE_MARK,
@@ -35,8 +35,13 @@ def detection(cells, class_id=0, frame=0, p=0, m=100):
     rows = [c[0] for c in cells]
     cols = [c[1] for c in cells]
     det = Detection(bbox=(frame, (min(rows), min(cols), max(rows), max(cols))),
-                    class_id=class_id, cells=frozenset(cells))
-    return det.with_dilation(p, m)
+                    class_id=class_id, cells=mask_of(cells, m))
+    return det.with_dilation(p)
+
+
+def class_coverage(memory, class_id):
+    return set().union(*(cells_of(r.cells) for r in memory.instances.values()
+                         if r.class_id == class_id))
 
 
 def test_channel_layout_k_equals_c_plus_3():
@@ -88,7 +93,7 @@ def test_project_single_point():
     assert len(detections) == 1
     det = detections[0]
     assert det.class_id == 2
-    assert det.cells == frozenset({(250, 260)})
+    assert cells_of(det.cells) == frozenset({(250, 260)})
     channel = smap.grid[2]
     assert channel[250, 260] == PRESENCE_MARK
     assert (channel != 0).sum() == 1
@@ -108,15 +113,28 @@ def test_project_two_clusters_two_detections():
     detections = project_frame(smap, LabeledPointCloud(tuple(points)), (0.0, 0.0, 0.0))
     assert len(detections) == 2
     assert all(d.class_id == 1 for d in detections)
-    assert all(len(d.cells) == 2 for d in detections)
+    assert all(len(cells_of(d.cells)) == 2 for d in detections)
+
+
+@pytest.mark.parametrize("point, message", [
+    ((0.0, 0.0, 0.1, 2), "category id 2"),
+    ((0.0, 0.0, 5.0, -1), "category id -1"),  # checked before the height filter
+    # inside the extent test, but the cell formula floors to column M
+    ((-0.2000000000000002, 0.0, 0.1, 0), "outside map extent"),
+])
+def test_project_frame_rejects_bad_points_with_value_error(point, message):
+    smap = SemanticMap(["floor", "box"], m=100, cell_size=0.05, origin=(-2.7, 0.0))
+    with pytest.raises(ValueError, match=message):
+        project_frame(smap, LabeledPointCloud((point,)), (-2.7, 0.0, 0.0))
 
 
 def test_dilate_identity_and_single_cell():
     cells = {(5, 5), (7, 9)}
-    assert dilate(cells, 0) == cells
-    assert dilate({(5, 5)}, 1) == {(r, c) for r in range(4, 7) for c in range(4, 7)}
+    assert cells_of(dilate(mask_of(cells, 40), 0)) == cells
+    assert cells_of(dilate(mask_of({(5, 5)}, 40), 1)) == \
+        {(r, c) for r in range(4, 7) for c in range(4, 7)}
     with pytest.raises(ValueError):
-        dilate(cells, -1)
+        dilate(mask_of(cells, 40), -1)
 
 
 def test_dilate_matches_bruteforce_oracle():
@@ -125,8 +143,10 @@ def test_dilate_matches_bruteforce_oracle():
         n = int(rng.integers(1, 12))
         cells = {(int(rng.integers(0, 40)), int(rng.integers(0, 40))) for _ in range(n)}
         p = int(rng.integers(0, 4))
-        assert dilate(cells, p, 40) == chebyshev_dilation(cells, p, 40)
-        assert dilate(cells, p) == chebyshev_dilation(cells, p)
+        assert cells_of(dilate(mask_of(cells, 40), p)) == chebyshev_dilation(cells, p, 40)
+        # unclipped: the same cells on a grid padded by 3 on every side
+        shifted = {(r + 3, c + 3) for (r, c) in cells}
+        assert cells_of(dilate(mask_of(shifted, 46), p)) == chebyshev_dilation(shifted, p)
 
 
 def test_match_detection_semantics():
@@ -165,15 +185,15 @@ def test_merge_semantics():
     rec = memory.instances[iid]
     # subset: cells unchanged, views grow by one
     merge(iid, detection({(5, 5)}, class_id=0, frame=1, p=1), memory)
-    assert rec.cells == {(5, 5), (5, 6)}
+    assert cells_of(rec.cells) == {(5, 5), (5, 6)}
     assert len(rec.views) == 2
     # disjoint: cardinality grows by the detection size
     merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2, p=1), memory)
-    assert len(rec.cells) == 4
+    assert len(cells_of(rec.cells)) == 4
     # idempotence: merging the same detection twice equals once
-    before = set(rec.cells)
+    before = cells_of(rec.cells)
     merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2, p=1), memory)
-    assert rec.cells == before
+    assert cells_of(rec.cells) == before
     with pytest.raises(ValueError):
         merge(iid, detection({(1, 1)}, class_id=1, frame=3, p=1), memory)
 
@@ -201,7 +221,7 @@ def test_ingest_chain_merges_to_single_instance():
     for f in frames:
         ingest(smap, memory, f)
     assert len(memory) == 1
-    assert len(next(iter(memory.instances.values())).cells) == 3
+    assert len(cells_of(next(iter(memory.instances.values())).cells)) == 3
 
 
 def test_ingest_disjoint_classes_one_instance_each():
@@ -223,7 +243,7 @@ def test_ingest_is_deterministic():
                     0.1, int(rng.integers(0, 2))) for _ in range(20)]
             ingest(smap, memory, make_frame(pts, index=i))
         return (smap.grid.copy(),
-                {i: (r.class_id, frozenset(r.cells), frozenset(r.views))
+                {i: (r.class_id, frozenset(cells_of(r.cells)), frozenset(r.views))
                  for i, r in memory.instances.items()})
     grid_a, mem_a = run()
     grid_b, mem_b = run()
@@ -247,11 +267,11 @@ def test_ingest_coverage_matches_union_find_oracle():
         ingest(smap, memory, frame)
     clusters, by_class = union_find_clusters(all_detections, p=2, m=100)
     for class_id in (0, 1):
-        assert memory.class_coverage(class_id) == by_class.get(class_id, set())
+        assert class_coverage(memory, class_id) == by_class.get(class_id, set())
     # each instance is contained in exactly one same-class union-find cluster
     for rec in memory.instances.values():
         containing = [cells for cls, cells in clusters.values()
-                      if cls == rec.class_id and rec.cells <= cells]
+                      if cls == rec.class_id and cells_of(rec.cells) <= cells]
         assert len(containing) == 1
 
 
@@ -270,7 +290,7 @@ def test_ingest_partition_property():
         for rec in memory.instances.values():
             if rec.class_id != class_id:
                 continue
-            for cell in rec.cells:
+            for cell in cells_of(rec.cells):
                 assert cell not in owners, "cell owned by two instances"
                 owners[cell] = rec.instance_id
         assert set(owners) == nonzero
@@ -322,7 +342,7 @@ def test_class_coverage_is_order_invariant():
         memory = InstanceMemory(p=2)
         for idx in order:
             ingest(smap, memory, frames[idx])
-        return {cls: memory.class_coverage(cls) for cls in (0, 1)}
+        return {cls: class_coverage(memory, cls) for cls in (0, 1)}
 
     forward = coverage(range(8))
     backward = coverage(reversed(range(8)))

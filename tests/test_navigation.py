@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -352,6 +353,15 @@ def test_assign_costs_empty_terrain_reply_all_defaults():
     assignment = assign_costs("Find the mug", ["floor", "rug"], gw)
     assert {t.type for t in assignment.terrain} == {"floor", "rug"}
     assert all(t.cost == 0.5 and t.gait == 0 for t in assignment.terrain)
+
+
+def test_instance_centroid_returns_python_ints():
+    mask = np.zeros((20, 20), dtype=bool)
+    mask[3:6, 10:14] = True
+    centroid = instance_centroid(mask)
+    assert centroid == (4, 12)
+    assert all(type(v) is int for v in centroid)
+    assert json.loads(json.dumps(centroid)) == [4, 12]
 
 
 def test_global_goal_id_lookup_ignores_category_duplicates():

@@ -315,3 +315,11 @@ def test_world_walk_updates_pose_and_clock():
     assert world.pose[0] > 0.5  # moved east toward the clothes
     cur = world.smap.grid[world.smap.current_pos_channel]
     assert cur.sum() == 1
+
+
+def test_snapshot_hash_of_bundled_scene_is_pinned():
+    from quadkit.bench import asset_path
+    from quadkit.mapping import load_scene
+    world = World(load_scene(asset_path("scenes", "long_horizon.jsonl")), ToolkitConfig())
+    world.ingest_pending()
+    assert world.snapshot_hash() == "afb4b4d2a99999d9"
