@@ -3,6 +3,8 @@ aggregates into percent-of-maximum scores."""
 
 import math
 
+import numpy as np
+
 from quadkit.locomotion import GAITS, CommandVector
 from quadkit.rewards import (
     RewardConfig,
@@ -12,6 +14,7 @@ from quadkit.rewards import (
     r_swing_force,
     r_velocity_xy,
 )
+from quadkit.surrogate import Trajectory
 
 cmd = CommandVector(1.0, 0.0, 0.0)   # walk straight at 1 m/s
 cfg = RewardConfig()
@@ -42,14 +45,18 @@ slip = StepSample(v_xy=(1.0, 0.0), w_z=0.0, foot_force=(0.0,) * 4,
 print("stance-slip term with one 0.5 m/s slip:",
       round(r_stance_velocity(slip, trot, cfg), 6))
 
-# Episode scores divide the summed terms by the summed per-step maxima.
-steps = []
-for k in range(250):
-    t = (k * 3.0 * 0.02) % 1.0
-    v = 1.0 if k % 2 == 0 else 0.5   # alternate perfect / degraded tracking
-    steps.append(StepSample(v_xy=(v, 0.0), w_z=0.0, foot_force=(0.0,) * 4,
-                            foot_speed_xy=(0.0,) * 4, phase_t=t))
-report = episode_percent(steps, cmd, trot, cfg)
+# Episode scores divide the summed terms by the summed per-step maxima. An
+# episode is a Trajectory: one array per quantity, one row per step.
+k = np.arange(250)
+v = np.where(k % 2 == 0, 1.0, 0.5)   # alternate perfect / degraded tracking
+episode = Trajectory(
+    v_xy=np.stack([v, np.zeros(250)], axis=1),
+    w_z=np.zeros(250),
+    foot_force=np.zeros((250, 4)),
+    foot_speed=np.zeros((250, 4)),
+    phase=(k * 3.0 * 0.02) % 1.0,
+)
+report = episode_percent(episode, cmd, trot, cfg)
 print("\nepisode percents (vel_xy, vel_yaw, swing, stance):",
       tuple(round(v, 2) for v in report.as_tuple()))
 print("expected vel_xy percent:", round(100 * (1 + math.exp(-1)) / 2, 2))

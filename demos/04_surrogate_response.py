@@ -42,6 +42,6 @@ for label, params in (("ideal", base), ("height two levels high",
                                         BehaviorParams(gait=base.gait, **dict(
                                             base.continuous(), body_height=0.35)))):
     traj = simulate(terrain, params, cmd, SimConfig(noise_scale=0.0, seed=0))
-    report = episode_percent(traj.samples, cmd, params.gait)
+    report = episode_percent(traj, cmd, params.gait)
     print(f"  {label:24s} -> episode percents "
           f"{tuple(round(v, 2) for v in report.as_tuple())}")

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ToolkitConfig, derive_seed
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .gateway import (
     PARSE_TEMPERATURE,
     SAMPLING_TEMPERATURE,
@@ -228,7 +228,7 @@ def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
     best_key = None
     for cand in candidates:
         traj = simulate(terrain, cand, cmd, sim_cfg)
-        pct = episode_velocity_percent(traj.samples, cmd, reward_cfg)
+        pct = episode_velocity_percent(traj, cmd, reward_cfg)
         percents.append(pct)
         key = _selection_key(pct, cand)
         if best_key is None or key < best_key:
@@ -268,13 +268,29 @@ def determining_pick(selection: LevelSelection, gateway: Gateway,
 
 def manual_params(path) -> BehaviorParams:
     """Load a human-authored parameter file (strictly validated, no clamping)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot load params file {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"params file {path} must hold a JSON object")
     gait = data.get("gait", "trotting")
-    if gait not in GAITS:
-        raise ValueError(f"unknown gait '{gait}' in params file")
-    values = {name: float(data[name]) for name in PARAMETERS}
-    return BehaviorParams(gait=GAITS[gait], **values).validate()
+    if not isinstance(gait, str) or gait not in GAITS:
+        raise ConfigError(f"params file {path}: unknown gait {gait!r}; "
+                          f"valid: {', '.join(GAIT_NAMES)}")
+    values = {}
+    for name in PARAMETERS:
+        if name not in data:
+            raise ConfigError(f"params file {path}: missing '{name}'")
+        if type(data[name]) not in (int, float):
+            raise ConfigError(f"params file {path}: {name} must be a number, "
+                              f"not {type(data[name]).__name__}")
+        values[name] = float(data[name])
+    try:
+        return BehaviorParams(gait=GAITS[gait], **values).validate()
+    except ValueError as err:
+        raise ConfigError(f"params file {path}: {err}") from None
 
 
 def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
@@ -301,7 +317,7 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
     else:
         raise ValueError(f"unknown variant kind '{variant.kind}'")
     traj = simulate(terrain, params, BENCHMARK_COMMAND, sim_cfg)
-    pct = episode_velocity_percent(traj.samples, BENCHMARK_COMMAND, cfg.reward)
+    pct = episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
     return AdaptationResult(params=params, candidate_percents=[pct], variant=variant.kind,
                             terrain=terrain.name, candidates=[params])
 
@@ -335,8 +351,8 @@ def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
                 eval_cfg = SimConfig(cfg.sim.steps, cfg.sim.dt, cfg.sim.noise_scale,
                                      seed=derive_seed(root_seed, "eval", terrain_name, run))
                 traj = simulate(spec, result.params, BENCHMARK_COMMAND, eval_cfg)
-                reports.append(episode_percent(traj.samples, BENCHMARK_COMMAND,
-                                               result.params.gait, cfg.reward))
+                reports.append(episode_percent(traj, BENCHMARK_COMMAND, result.params.gait,
+                                               cfg.reward))
             avg = EpisodeReport(*[
                 sum(r.as_tuple()[i] for r in reports) / len(reports) for i in range(4)
             ])
@@ -362,7 +378,7 @@ def random_baseline_percent(terrain: TerrainSpec, n: int, cfg: ToolkitConfig,
         sim_cfg = SimConfig(cfg.sim.steps, cfg.sim.dt, cfg.sim.noise_scale,
                             seed=derive_seed(root_seed, "baseline", terrain.name, i))
         traj = simulate(terrain, params, BENCHMARK_COMMAND, sim_cfg)
-        total += episode_velocity_percent(traj.samples, BENCHMARK_COMMAND, cfg.reward)
+        total += episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
     return total / n
 
 

@@ -183,7 +183,7 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
     scene = load_scene(os.path.join(base, scenario["scene"]))
     cfg = load_config(config_path)
     if "config" in scenario:
-        apply_config_data(cfg, scenario["config"])
+        apply_config_data(cfg, scenario["config"], f"scenario {scenario_path} config")
     if transcript is None and provider == "scripted":
         if "transcript" not in scenario:
             raise ConfigError(f"scenario {scenario_path} names no transcript")

@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .locomotion import LEVEL_RANGES, PARAMETERS
 from .rewards import RewardConfig
 from .surrogate import SimConfig
+from .terrain import TERRAIN_TYPES
 
 
 @dataclass
@@ -53,33 +54,60 @@ class ToolkitConfig:
         return dataclasses.asdict(self)
 
 
-def _apply_section(obj, data: dict, section: str):
-    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+def _checked_values(cls, data: dict, section: str) -> dict:
+    """``data`` type-checked against the field defaults of dataclass ``cls``."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
     for key, value in data.items():
         if key not in defaults:
-            raise ConfigError(f"unknown key '{key}' in config section '{section}'")
+            raise ConfigError(f"unknown key '{key}' in section '{section}'")
         if isinstance(value, list):
             value = tuple(value)
         # Exact types, so a bool never passes for a number; an int is a valid float.
         expected = type(defaults[key])
         if not (type(value) is expected or (expected, type(value)) == (float, int)):
-            raise ConfigError(f"config {section}.{key} must be {expected.__name__}, "
+            raise ConfigError(f"{section}.{key} must be {expected.__name__}, "
                               f"not {type(value).__name__}")
-        setattr(obj, key, value)
+        values[key] = value
+    return values
 
 
-def _validate_level_ranges(table: dict):
-    for name in PARAMETERS:
-        if name not in table:
-            raise ConfigError(f"level_ranges missing parameter '{name}'")
-        intervals = table[name]
-        if len(intervals) != 5:
-            raise ConfigError(f"level_ranges[{name}] needs exactly 5 intervals")
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _is_interval(iv) -> bool:
+    return (isinstance(iv, (list, tuple)) and len(iv) == 2
+            and all(type(v) in (int, float) for v in iv))
+
+
+def _level_ranges(value, current: dict) -> dict:
+    merged = dict(current)
+    for name, intervals in _object(value, "level_ranges").items():
+        if name not in PARAMETERS:
+            raise ConfigError(f"unknown parameter '{name}' in level_ranges")
+        if not (isinstance(intervals, (list, tuple)) and len(intervals) == 5
+                and all(_is_interval(iv) for iv in intervals)):
+            raise ConfigError(f"level_ranges.{name} must be 5 [lo, hi] number pairs")
         for i, (lo, hi) in enumerate(intervals):
             if hi < lo:
-                raise ConfigError(f"level_ranges[{name}][{i}] is inverted")
+                raise ConfigError(f"level_ranges.{name}[{i}] is inverted")
             if i and abs(lo - intervals[i - 1][1]) > 1e-9:
-                raise ConfigError(f"level_ranges[{name}] intervals must be contiguous")
+                raise ConfigError(f"level_ranges.{name} intervals must be contiguous")
+        merged[name] = [tuple(iv) for iv in intervals]
+    return merged
+
+
+def _terrain_overrides(value) -> dict:
+    overrides = {}
+    for name, fields in _object(value, "terrain_overrides").items():
+        if name not in TERRAIN_TYPES:
+            raise ConfigError(f"unknown terrain '{name}' in terrain_overrides")
+        section = f"terrain_overrides.{name}"
+        overrides[name] = _checked_values(TERRAIN_TYPES[name], _object(fields, section), section)
+    return overrides
 
 
 def load_config(path=None) -> ToolkitConfig:
@@ -92,11 +120,22 @@ def load_config(path=None) -> ToolkitConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot load config {path}: {err}") from None
-    return apply_config_data(cfg, data)
+    return apply_config_data(cfg, data, f"config {path}")
 
 
-def apply_config_data(cfg: ToolkitConfig, data: dict) -> ToolkitConfig:
-    """Merge a config dict (same schema as the JSON file) onto a config."""
+def apply_config_data(cfg: ToolkitConfig, data: dict, source: str = "config") -> ToolkitConfig:
+    """Merge a config dict (same schema as the JSON file) onto a config.
+
+    Every error is a ``ConfigError`` whose message starts with ``source``.
+    """
+    try:
+        _merge(cfg, data)
+    except ConfigError as err:
+        raise ConfigError(f"{source}: {err}") from None
+    return cfg
+
+
+def _merge(cfg: ToolkitConfig, data):
     sections = {
         "reward": cfg.reward,
         "sim": cfg.sim,
@@ -104,27 +143,26 @@ def apply_config_data(cfg: ToolkitConfig, data: dict) -> ToolkitConfig:
         "mapping": cfg.mapping,
         "nav": cfg.nav,
     }
-    for key, value in data.items():
+    for key, value in _object(data, "the top level").items():
         if key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section '{key}' must be an object")
-            _apply_section(sections[key], value, key)
+            section = sections[key]
+            for name, v in _checked_values(section, _object(value, key), key).items():
+                setattr(section, name, v)
         elif key == "level_ranges":
-            table = {k: [tuple(iv) for iv in v] for k, v in value.items()}
-            merged = dict(cfg.level_ranges)
-            merged.update(table)
-            _validate_level_ranges(merged)
-            cfg.level_ranges = merged
+            cfg.level_ranges = _level_ranges(value, cfg.level_ranges)
         elif key == "terrain_overrides":
-            cfg.terrain_overrides = dict(value)
+            cfg.terrain_overrides = _terrain_overrides(value)
         else:
-            raise ConfigError(f"unknown top-level config key '{key}'")
+            raise ConfigError(f"unknown top-level key '{key}'")
     if cfg.nav.cost_mode not in ("binary", "continuous"):
-        raise ConfigError("config nav.cost_mode must be 'binary' or 'continuous', "
+        raise ConfigError("nav.cost_mode must be 'binary' or 'continuous', "
                           f"not {cfg.nav.cost_mode!r}")
-    cfg.reward.validate()
-    cfg.sim.validate()
-    return cfg
+    for key in ("reward", "sim"):
+        try:
+            sections[key].validate()
+        except ValueError as err:
+            # validate() messages start with the offending field's name
+            raise ConfigError(f"{key}.{err}") from None
 
 
 def derive_seed(root: int, *tokens) -> int:

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 # Fraction of each gait cycle a foot is commanded to stay in stance.
 DUTY_FACTOR = 0.5
 
@@ -239,3 +241,12 @@ def timing_reference(t: float, gait: GaitOffsets) -> tuple:
 def desired_contact(gait: GaitOffsets, t: float, duty_factor: float = DUTY_FACTOR) -> tuple:
     """Commanded stance flags per foot: True while the foot phase is below duty."""
     return tuple(p < duty_factor for p in foot_phases(t, gait))
+
+
+def desired_contacts(gait: GaitOffsets, phase, duty_factor: float = DUTY_FACTOR) -> np.ndarray:
+    """(n, 4) bool stance flags whose row k equals ``desired_contact(gait, phase[k])``."""
+    t = np.asarray(phase, dtype=float)
+    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
+        raise ValueError("cycle fractions outside [0, 1]")
+    return np.stack([t + gait.theta2 + gait.theta3, t + gait.theta1 + gait.theta3,
+                     t + gait.theta1, t + gait.theta2], axis=-1) % 1.0 < duty_factor

@@ -12,9 +12,11 @@ Episode scores are percentages of the maximum attainable episodic reward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .locomotion import CommandVector, GaitOffsets, desired_contact
+import numpy as np
+
+from .locomotion import CommandVector, GaitOffsets, desired_contact, desired_contacts
 
 
 @dataclass
@@ -128,40 +130,38 @@ def scalar_reward(sample: StepSample, cmd: CommandVector, gait: GaitOffsets,
     return total
 
 
-def episode_percent(samples, cmd: CommandVector, gait: GaitOffsets,
+def _velocity_xy_terms(traj, cmd: CommandVector, cfg: RewardConfig) -> np.ndarray:
+    """Per-step xy-velocity term: ``r_velocity_xy`` over a trajectory's steps."""
+    d = traj.v_xy - (cmd.vx, cmd.vy)
+    return np.exp(-(d * d).sum(axis=1) / cfg.sigma_vxy)
+
+
+def episode_percent(traj, cmd: CommandVector, gait: GaitOffsets,
                     cfg: RewardConfig | None = None) -> EpisodeReport:
-    """Episode scores: 100 * (sum of term) / (sum of per-step maxima).
+    """Episode scores of a ``Trajectory``: 100 * (sum of term) / (sum of per-step maxima).
 
     The per-step maximum is 1 for the velocity terms and the number of feet the
     selector picks for the phase terms (or a flat 4 with ``flat_phase_max``).
     A selector that never picks a foot yields a vacuous 100.
     """
-    samples = list(samples)
-    if not samples:
+    n = len(traj)
+    if not n:
         raise ValueError("episode needs at least one sample")
     cfg = (cfg or RewardConfig()).validate()
-    acc = [0.0, 0.0, 0.0, 0.0]
-    den = [0.0, 0.0, 0.0, 0.0]
-    for s in samples:
-        acc[0] += r_velocity_xy(s, cmd, cfg)
-        acc[1] += r_velocity_yaw(s, cmd, cfg)
-        den[0] += 1.0
-        den[1] += 1.0
-        sw_sum, sw_n, st_sum, st_n = _phase_terms(s, gait, cfg)
-        acc[2] += sw_sum
-        acc[3] += st_sum
-        den[2] += 4.0 if cfg.flat_phase_max else sw_n
-        den[3] += 4.0 if cfg.flat_phase_max else st_n
-    pct = [100.0 * a / d if d > 0 else 100.0 for a, d in zip(acc, den)]
-    return EpisodeReport(*pct)
+    swing = ~desired_contacts(gait, traj.phase)
+    stance = swing if cfg.swing_selector_on_stance else ~swing
+    acc = (_velocity_xy_terms(traj, cmd, cfg).sum(),
+           np.exp(-((traj.w_z - cmd.wz) ** 2) / cfg.sigma_wz).sum(),
+           np.exp(-(traj.foot_force ** 2) / cfg.sigma_cf)[swing].sum(),
+           np.exp(-(traj.foot_speed ** 2) / cfg.sigma_cv)[stance].sum())
+    den = (n, n, 4 * n, 4 * n) if cfg.flat_phase_max else (n, n, swing.sum(), stance.sum())
+    return EpisodeReport(*(float(100.0 * a / d) if d > 0 else 100.0 for a, d in zip(acc, den)))
 
 
-def episode_velocity_percent(samples, cmd: CommandVector,
+def episode_velocity_percent(traj, cmd: CommandVector,
                              cfg: RewardConfig | None = None) -> float:
     """Just the xy-velocity episode percentage (the candidate-selection metric)."""
-    samples = list(samples)
-    if not samples:
+    if not len(traj):
         raise ValueError("episode needs at least one sample")
     cfg = (cfg or RewardConfig()).validate()
-    total = sum(r_velocity_xy(s, cmd, cfg) for s in samples)
-    return 100.0 * total / len(samples)
+    return float(100.0 * _velocity_xy_terms(traj, cmd, cfg).sum() / len(traj))

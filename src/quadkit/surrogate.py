@@ -21,10 +21,9 @@ from .locomotion import (
     BehaviorParams,
     CommandVector,
     Level,
-    desired_contact,
+    desired_contacts,
     gait_name,
 )
-from .rewards import StepSample
 from .terrain import TerrainSpec
 
 # Total vertical load shared by the stance feet, N.
@@ -90,26 +89,22 @@ IDEAL_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated episode: ordered step samples plus provenance metadata."""
+    """Simulated episode: per-step arrays (feet FR, FL, RR, RL) plus provenance."""
 
-    samples: tuple
-    terrain_name: str
-    params: BehaviorParams
-    cmd: CommandVector
-    seed: int
+    v_xy: np.ndarray  # (n, 2) achieved planar velocity, m/s
+    w_z: np.ndarray  # (n,) achieved yaw rate, rad/s
+    foot_force: np.ndarray  # (n, 4) vertical contact force, N
+    foot_speed: np.ndarray  # (n, 4) planar foot speed, m/s
+    phase: np.ndarray  # (n,) gait cycle fraction in [0, 1)
+    terrain_name: str = ""
+    params: BehaviorParams | None = None
+    cmd: CommandVector | None = None
+    seed: int = 0
 
     def __len__(self):
-        return len(self.samples)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("step,v_x,v_y,w_z,f_fr,f_fl,f_rr,f_rl,s_fr,s_fl,s_rr,s_rl,phase\n")
-            for k, s in enumerate(self.samples):
-                row = [k, s.v_xy[0], s.v_xy[1], s.w_z, *s.foot_force, *s.foot_speed_xy, s.phase_t]
-                fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row))
-                fh.write("\n")
+        return len(self.phase)
 
 
 def ideal_profile(terrain: TerrainSpec) -> IdealProfile:
@@ -161,28 +156,21 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
         noise_v = np.zeros(n)
         noise_w = np.zeros(n)
     mult = np.clip(e + noise_v, -1.0, 1.0)
-    phases = np.mod(np.arange(n) * (params.step_frequency * cfg.dt), 1.0)
+    phase = np.mod(np.arange(n) * (params.step_frequency * cfg.dt), 1.0)
+    contact = desired_contacts(params.gait, phase)
+    n_stance = contact.sum(axis=1)
+    # A step with no stance foot (pronking, second half-cycle) carries no load.
+    load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(n), where=n_stance > 0)
 
     spurious = (1.0 - e) * SPURIOUS_FORCE_N
     slip = (1.0 - e) * SLIP_SCALE
     swing_speed = SWING_SPEED_FACTOR * math.hypot(cmd.vx, cmd.vy) * e
 
-    samples = []
-    for k in range(n):
-        t = float(phases[k])
-        contact = desired_contact(params.gait, t)
-        n_stance = sum(contact)
-        load = BODY_WEIGHT_N / n_stance if n_stance else 0.0
-        m = float(mult[k])
-        samples.append(StepSample(
-            v_xy=(cmd.vx * m, cmd.vy * m),
-            w_z=cmd.wz * e + float(noise_w[k]),
-            foot_force=tuple(load if c else spurious for c in contact),
-            foot_speed_xy=tuple(slip if c else swing_speed for c in contact),
-            phase_t=t,
-        ))
-    return Trajectory(samples=tuple(samples), terrain_name=terrain.name,
-                      params=params, cmd=cmd, seed=cfg.seed)
+    return Trajectory(v_xy=np.stack([cmd.vx * mult, cmd.vy * mult], axis=1),
+                      w_z=cmd.wz * e + noise_w,
+                      foot_force=np.where(contact, load[:, None], spurious),
+                      foot_speed=np.where(contact, slip, swing_speed), phase=phase,
+                      terrain_name=terrain.name, params=params, cmd=cmd, seed=cfg.seed)
 
 
 def ideal_params(terrain: TerrainSpec) -> BehaviorParams:

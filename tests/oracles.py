@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from quadkit.rewards import StepSample, _phase_terms, r_velocity_xy, r_velocity_yaw
+from quadkit.surrogate import Trajectory
+
 
 def gait_phase_table(t, offsets):
     """Direct evaluation of the per-foot phase formulas via floor reduction."""
@@ -23,6 +26,45 @@ def timing_table(t, offsets):
 
 def contact_table(t, offsets, duty=0.5):
     return tuple(p < duty for p in gait_phase_table(t, offsets))
+
+
+def trajectory_of(samples):
+    """Trajectory whose per-step arrays hold the given StepSamples' values."""
+    samples = list(samples)
+    n = len(samples)
+    return Trajectory(
+        v_xy=np.array([s.v_xy for s in samples], dtype=float).reshape(n, 2),
+        w_z=np.array([s.w_z for s in samples], dtype=float),
+        foot_force=np.array([s.foot_force for s in samples], dtype=float).reshape(n, 4),
+        foot_speed=np.array([s.foot_speed_xy for s in samples], dtype=float).reshape(n, 4),
+        phase=np.array([s.phase_t for s in samples], dtype=float),
+    )
+
+
+def samples_of(traj):
+    """One StepSample per row of a trajectory's arrays."""
+    return [StepSample(v_xy=tuple(traj.v_xy[k]), w_z=float(traj.w_z[k]),
+                       foot_force=tuple(traj.foot_force[k]),
+                       foot_speed_xy=tuple(traj.foot_speed[k]), phase_t=float(traj.phase[k]))
+            for k in range(len(traj))]
+
+
+def episode_percent_steps(samples, cmd, gait, cfg):
+    """Per-step episode percents (vel_xy, vel_yaw, swing, stance), one
+    StepSample at a time through the scalar reward terms."""
+    acc = [0.0, 0.0, 0.0, 0.0]
+    den = [0.0, 0.0, 0.0, 0.0]
+    for s in samples:
+        acc[0] += r_velocity_xy(s, cmd, cfg)
+        acc[1] += r_velocity_yaw(s, cmd, cfg)
+        den[0] += 1.0
+        den[1] += 1.0
+        sw_sum, sw_n, st_sum, st_n = _phase_terms(s, gait, cfg)
+        acc[2] += sw_sum
+        acc[3] += st_sum
+        den[2] += 4.0 if cfg.flat_phase_max else sw_n
+        den[3] += 4.0 if cfg.flat_phase_max else st_n
+    return tuple(100.0 * a / d if d > 0 else 100.0 for a, d in zip(acc, den))
 
 
 def bilinear_oracle(heights, resolution, origin, x, y):

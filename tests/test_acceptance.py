@@ -19,6 +19,7 @@ from oracles import (
     gait_phase_table,
     mask_of,
     timing_table,
+    trajectory_of,
     union_find_clusters,
 )
 from quadkit.adaptation import (
@@ -123,7 +124,7 @@ def test_criterion_2_reward_closed_forms():
         got = r_stance_velocity(sample(t=0.25, speed=(0.5, 0.0, 0.0, 0.0)), trot, cfg)
         assert abs(got - (math.exp(-1) + 1.0)) < 1e-12
         steps = [sample(t=(k * 3.0 * 0.02) % 1.0) for k in range(250)]
-        report = episode_percent(steps, cmd, trot, cfg)
+        report = episode_percent(trajectory_of(steps), cmd, trot, cfg)
         assert report.as_tuple() == (100.0, 100.0, 100.0, 100.0)
 
 
@@ -140,7 +141,7 @@ def test_criterion_3_lss_oracle_equivalence():
         scored = []
         for cand in candidates:
             traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg)
-            scored.append((episode_velocity_percent(traj.samples, BENCHMARK_COMMAND), cand))
+            scored.append((episode_velocity_percent(traj, BENCHMARK_COMMAND), cand))
         best_pct = max(p for p, _ in scored)
         pool = [c for p, c in scored if p == best_pct]
         oracle = min(pool, key=lambda c: (c.body_height, c.step_frequency,

@@ -21,8 +21,9 @@ from quadkit.adaptation import (
     run_benchmark,
     select_best,
 )
+from quadkit.cli import main
 from quadkit.config import ToolkitConfig
-from quadkit.errors import ParseError
+from quadkit.errors import ConfigError, ParseError
 from quadkit.gateway import parse_levels
 from quadkit.locomotion import (
     GAITS,
@@ -206,7 +207,7 @@ def test_select_best_matches_exhaustive_argmax_oracle():
     scored = []
     for cand in candidates:
         traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg)
-        pct = episode_velocity_percent(traj.samples, BENCHMARK_COMMAND)
+        pct = episode_velocity_percent(traj, BENCHMARK_COMMAND)
         scored.append((pct, cand))
     best_pct = max(p for p, _ in scored)
     pool = [c for p, c in scored if p == best_pct]
@@ -276,8 +277,46 @@ def test_manual_params_roundtrip(tmp_path):
     bad.write_text(json.dumps({
         "body_height": 0.99, "step_frequency": 3.0, "body_pitch": 0.1,
         "stance_width": 0.3, "swing_height": 0.15, "gait": "trotting"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         manual_params(bad)
+
+
+GOOD_PARAMS = {"body_height": 0.2, "step_frequency": 3.0, "body_pitch": 0.1,
+               "stance_width": 0.3, "swing_height": 0.15}
+
+
+@pytest.mark.parametrize("text, field", [
+    ("not json", None),
+    ("[1]", None),
+    (json.dumps({k: v for k, v in GOOD_PARAMS.items() if k != "step_frequency"}),
+     "step_frequency"),
+    (json.dumps(dict(GOOD_PARAMS, gait="galloping")), "galloping"),
+    (json.dumps(dict(GOOD_PARAMS, gait=[1])), "gait"),
+    (json.dumps(dict(GOOD_PARAMS, body_height=0.9)), "body_height"),
+    (json.dumps(dict(GOOD_PARAMS, body_height="0.2")), "body_height"),
+], ids=["not-json", "not-object", "missing-field", "unknown-gait", "unhashable-gait",
+        "out-of-range", "string-number"])
+def test_manual_params_rejects_bad_files(tmp_path, text, field):
+    path = tmp_path / "bad_params.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad_params.json") as err:
+        manual_params(path)
+    assert field is None or field in str(err.value)
+
+
+def test_manual_params_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="absent.json"):
+        manual_params(tmp_path / "absent.json")
+
+
+def test_cli_bad_manual_params_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad_params.json"
+    path.write_text(json.dumps(dict(GOOD_PARAMS, gait="galloping")))
+    code = main(["adapt", "--runs", "1", "--terrains", "uphill_slope", "--variants", "manual",
+                 "--manual-params", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad_params.json" in err and "galloping" in err
 
 
 def test_adapt_dispatch_manual(tmp_path):
@@ -311,7 +350,7 @@ def test_run_benchmark_single_run_equals_average():
     row = rows[0]
     traj = simulate(terrain_by_name("uphill_slope"), row.result.params,
                     BENCHMARK_COMMAND, SimConfig(noise_scale=0.0, seed=0))
-    single = episode_velocity_percent(traj.samples, BENCHMARK_COMMAND)
+    single = episode_velocity_percent(traj, BENCHMARK_COMMAND)
     assert abs(row.report.vel_xy_pct - single) < 1e-9
 
 

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from quadkit.config import ToolkitConfig, derive_seed, load_config
+from quadkit.cli import main
+from quadkit.config import ToolkitConfig, apply_config_data, derive_seed, load_config
 from quadkit.errors import ConfigError
 from quadkit.locomotion import LEVEL_RANGES
 from quadkit.mapping import InstanceMemory, ingest, project_frame
@@ -146,3 +147,54 @@ def test_derive_seed_stable_and_distinct():
     assert a == b
     assert len({a, c, d}) == 3
     assert 0 <= a < 2 ** 63
+
+
+MALFORMED_CONFIGS = [
+    ([1], "top level"),
+    ({"level_ranges": [1]}, "level_ranges"),
+    ({"level_ranges": {"bogus": []}}, "'bogus'"),
+    ({"level_ranges": {"body_height": [[0.1, 0.2]]}}, "level_ranges.body_height"),
+    ({"terrain_overrides": [1]}, "terrain_overrides"),
+    ({"terrain_overrides": {"uphill_slope": 3}}, "terrain_overrides.uphill_slope"),
+    ({"terrain_overrides": {"uphill_slope": {"bogus": 1}}}, "'bogus'"),
+    ({"terrain_overrides": {"lava": {}}}, "'lava'"),
+    ({"terrain_overrides": {"uneven_ground": {"seed": 1.5}}},
+     "terrain_overrides.uneven_ground.seed"),
+    ({"sim": {"steps": 0}}, "sim.steps"),
+    ({"sim": {"dt": 0}}, "sim.dt"),
+    ({"reward": {"sigma_vxy": 0}}, "reward.sigma_vxy"),
+]
+
+
+@pytest.mark.parametrize("data, key", MALFORMED_CONFIGS)
+def test_load_config_rejects_malformed_input(tmp_path, data, key):
+    path = tmp_path / "bad_cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="bad_cfg.json") as err:
+        load_config(path)
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("data, key", MALFORMED_CONFIGS)
+def test_cli_malformed_config_exits_2(tmp_path, capsys, data, key):
+    path = tmp_path / "bad_cfg.json"
+    path.write_text(json.dumps(data))
+    code = main(["adapt", "--runs", "1", "--terrains", "uphill_slope", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad_cfg.json" in err and key in err
+
+
+def test_terrain_overrides_are_checked_and_kept(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"terrain_overrides": {"uphill_slope": {"slope": -0.2},
+                                                      "uneven_ground": {"seed": 4}}}))
+    cfg = load_config(path)
+    assert cfg.terrain_overrides == {"uphill_slope": {"slope": -0.2},
+                                     "uneven_ground": {"seed": 4}}
+
+
+def test_apply_config_data_names_its_source():
+    with pytest.raises(ConfigError, match="^scenario s.json config: sim.steps"):
+        apply_config_data(ToolkitConfig(), {"sim": {"steps": 0}}, "scenario s.json config")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oracles import contact_table, gait_phase_table, timing_table
@@ -15,6 +16,7 @@ from quadkit.locomotion import (
     GaitOffsets,
     Level,
     desired_contact,
+    desired_contacts,
     foot_phases,
     level_from_name,
     level_midpoint,
@@ -75,6 +77,10 @@ def test_desired_contact_match_bruteforce(gait_name_):
     offsets = (gait.theta1, gait.theta2, gait.theta3)
     for t in T_GRID:
         assert desired_contact(gait, t) == contact_table(t, offsets)
+    rows = desired_contacts(gait, T_GRID)
+    assert rows.shape == (len(T_GRID), 4) and rows.dtype == bool
+    for t, row in zip(T_GRID, rows):
+        assert tuple(row) == contact_table(t, offsets)
 
 
 def test_timing_reference_examples():
@@ -89,6 +95,23 @@ def test_desired_contact_examples():
     assert desired_contact(GAITS["pronking"], 0.25) == (True, True, True, True)
     assert desired_contact(GAITS["pronking"], 0.75) == (False, False, False, False)
     assert desired_contact(GAITS["trotting"], 0.25) == (True, False, False, True)
+
+
+@pytest.mark.parametrize("gait_name_", GAIT_NAMES)
+def test_desired_contacts_equal_scalar_at_simulated_phases(gait_name_):
+    # phases as the surrogate steps them: k * f * dt reduced into [0, 1)
+    gait = GAITS[gait_name_]
+    for f in (1.5, 2.3, 3.7):
+        phase = np.mod(np.arange(250) * (f * 0.02), 1.0)
+        rows = desired_contacts(gait, phase)
+        assert [tuple(row) for row in rows] == [desired_contact(gait, float(t)) for t in phase]
+
+
+def test_desired_contacts_rejects_bad_fractions():
+    assert desired_contacts(GAITS["trotting"], []).shape == (0, 4)
+    for bad in ([0.2, 1.5], [-0.1], [float("nan")]):
+        with pytest.raises(ValueError):
+            desired_contacts(GAITS["trotting"], bad)
 
 
 def test_cycle_fraction_bounds_rejected():

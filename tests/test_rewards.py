@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from quadkit.locomotion import GAITS, CommandVector, desired_contact
+from oracles import episode_percent_steps, samples_of, trajectory_of
+from quadkit.locomotion import (
+    GAITS,
+    BehaviorParams,
+    CommandVector,
+    desired_contact,
+    desired_contacts,
+)
 from quadkit.rewards import (
     EpisodeReport,
     RewardConfig,
@@ -15,6 +22,8 @@ from quadkit.rewards import (
     r_velocity_yaw,
     scalar_reward,
 )
+from quadkit.surrogate import SimConfig, ideal_params, simulate
+from quadkit.terrain import UphillSlope
 
 CMD = CommandVector(1.0, 0.0, 0.0)
 CFG = RewardConfig()
@@ -112,14 +121,14 @@ def test_perfect_episode_scores_100():
     for k in range(250):
         t = (k * 3.0 * 0.02) % 1.0
         steps.append(sample(t=t))
-    report = episode_percent(steps, CMD, gait, CFG)
+    report = episode_percent(trajectory_of(steps), CMD, gait, CFG)
     assert report.as_tuple() == (100.0, 100.0, 100.0, 100.0)
 
 
 def test_constant_e_minus_one_velocity_percent():
     gait = GAITS["trotting"]
     steps = [sample(v=(0.5, 0.0), t=0.25) for _ in range(250)]
-    report = episode_percent(steps, CMD, gait, CFG)
+    report = episode_percent(trajectory_of(steps), CMD, gait, CFG)
     assert abs(report.vel_xy_pct - 100.0 * math.exp(-1)) < 1e-9
     assert abs(report.vel_xy_pct - 36.79) < 0.01
 
@@ -128,25 +137,26 @@ def test_episode_invariant_under_duplication():
     gait = GAITS["pacing"]
     steps = [sample(v=(0.8, 0.1), w=0.2, force=(10.0, 0.0, 5.0, 1.0),
                     speed=(0.1, 0.4, 0.0, 0.2), t=k * 0.1) for k in range(10)]
-    once = episode_percent(steps, CMD, gait, CFG)
-    twice = episode_percent(steps + steps, CMD, gait, CFG)
+    once = episode_percent(trajectory_of(steps), CMD, gait, CFG)
+    twice = episode_percent(trajectory_of(steps + steps), CMD, gait, CFG)
     assert all(abs(a - b) < 1e-9 for a, b in zip(once.as_tuple(), twice.as_tuple()))
 
 
 def test_empty_episode_rejected():
     with pytest.raises(ValueError):
-        episode_percent([], CMD, GAITS["trotting"], CFG)
+        episode_percent(trajectory_of([]), CMD, GAITS["trotting"], CFG)
     with pytest.raises(ValueError):
-        episode_velocity_percent([], CMD, CFG)
+        episode_velocity_percent(trajectory_of([]), CMD, CFG)
 
 
 def test_flat_normalization_option():
     gait = GAITS["trotting"]
     steps = [sample(t=0.25)]
-    flat = episode_percent(steps, CMD, gait, RewardConfig(flat_phase_max=True))
+    flat = episode_percent(trajectory_of(steps), CMD, gait,
+                           RewardConfig(flat_phase_max=True))
     # 2 perfect swing feet out of a flat 4 maximum
     assert abs(flat.swing_force_pct - 50.0) < 1e-9
-    realized = episode_percent(steps, CMD, gait, CFG)
+    realized = episode_percent(trajectory_of(steps), CMD, gait, CFG)
     assert realized.swing_force_pct == 100.0
 
 
@@ -172,3 +182,49 @@ def test_report_csv_row():
     report = EpisodeReport(99.5, 98.25, 100.0, 67.125)
     row = report.csv_row("uphill_slope", "auto")
     assert row == "uphill_slope,auto,99.500000,98.250000,100.000000,67.125000"
+
+
+AUDIT_FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def assert_matches_step_oracle(traj, cmd, gait, cfg):
+    want = episode_percent_steps(samples_of(traj), cmd, gait, cfg)
+    got = episode_percent(traj, cmd, gait, cfg).as_tuple()
+    assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0) for a, b in zip(got, want))
+    assert math.isclose(episode_velocity_percent(traj, cmd, cfg), want[0],
+                        rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("gait_name_", list(GAITS))
+@pytest.mark.parametrize("on_stance,flat", AUDIT_FLAGS)
+def test_episode_arrays_match_per_step_oracle(gait_name_, on_stance, flat):
+    cfg = RewardConfig(swing_selector_on_stance=on_stance, flat_phase_max=flat)
+    terrain = UphillSlope()
+    base = ideal_params(terrain).continuous()
+    cmd = CommandVector(0.8, -0.3, 0.4)
+    # a detuned height keeps spurious swing forces and stance slips nonzero
+    params = BehaviorParams(gait=GAITS[gait_name_], **dict(base, body_height=0.3))
+    for noise in (0.05, 0.4):
+        for seed in (0, 7, 123):
+            traj = simulate(terrain, params, cmd, SimConfig(noise_scale=noise, seed=seed))
+            # scored against every gait, not only the simulated one
+            for other in GAITS.values():
+                assert_matches_step_oracle(traj, cmd, other, cfg)
+
+
+@pytest.mark.parametrize("on_stance,flat", AUDIT_FLAGS)
+def test_pronking_steps_without_stance_match_oracle(on_stance, flat):
+    cfg = RewardConfig(swing_selector_on_stance=on_stance, flat_phase_max=flat)
+    pronk = GAITS["pronking"]
+    params = BehaviorParams(gait=pronk, **dict(ideal_params(UphillSlope()).continuous(),
+                                               body_height=0.3))
+    traj = simulate(UphillSlope(), params, CMD, SimConfig(noise_scale=0.4, seed=3))
+    no_stance = ~desired_contacts(pronk, traj.phase).any(axis=1)
+    assert no_stance.any() and not no_stance.all()
+    assert_matches_step_oracle(traj, CMD, pronk, cfg)
+    # an episode made only of such steps: the stance selector never picks a foot
+    swing_only = trajectory_of(s for s in samples_of(traj) if s.phase_t >= 0.5)
+    assert_matches_step_oracle(swing_only, CMD, pronk, cfg)
+    report = episode_percent(swing_only, CMD, pronk, cfg)
+    if not (on_stance or flat):
+        assert report.stance_vel_pct == 100.0

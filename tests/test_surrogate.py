@@ -22,6 +22,7 @@ from quadkit.terrain import (
 )
 
 CMD = CommandVector(1.0, 0.0, 0.0)
+TRAJECTORY_ARRAYS = ("v_xy", "w_z", "foot_force", "foot_speed", "phase")
 
 
 def test_uphill_profile_matches_expert_answers():
@@ -76,10 +77,9 @@ def test_ideal_zero_noise_tracks_exactly():
     params = ideal_params(terrain)
     traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.0, seed=0))
     assert len(traj) == 250
-    for s in traj.samples:
-        assert s.v_xy == (1.0, 0.0)
-        assert s.w_z == 0.0
-    report = episode_percent(traj.samples, CMD, params.gait)
+    assert np.all(traj.v_xy == (1.0, 0.0))
+    assert np.all(traj.w_z == 0.0)
+    report = episode_percent(traj, CMD, params.gait)
     assert report.vel_xy_pct == 100.0
     assert report.swing_force_pct >= 99.0
     assert report.stance_vel_pct >= 99.0
@@ -91,8 +91,8 @@ def test_same_seed_reproduces_trajectory():
     a = simulate(terrain, params, CMD, SimConfig(seed=123))
     b = simulate(terrain, params, CMD, SimConfig(seed=123))
     c = simulate(terrain, params, CMD, SimConfig(seed=124))
-    assert a.samples == b.samples
-    assert a.samples != c.samples
+    assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in TRAJECTORY_ARRAYS)
+    assert not all(np.array_equal(getattr(a, k), getattr(c, k)) for k in TRAJECTORY_ARRAYS)
 
 
 def test_speed_cap():
@@ -100,8 +100,7 @@ def test_speed_cap():
     params = ideal_params(terrain)
     traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.4, seed=5))
     cmd_speed = math.hypot(CMD.vx, CMD.vy)
-    for s in traj.samples:
-        assert math.hypot(*s.v_xy) <= cmd_speed + 1e-12
+    assert np.all(np.hypot(traj.v_xy[:, 0], traj.v_xy[:, 1]) <= cmd_speed + 1e-12)
 
 
 def test_phase_advances_by_frequency_dt():
@@ -110,8 +109,7 @@ def test_phase_advances_by_frequency_dt():
     cfg = SimConfig(noise_scale=0.0, seed=0)
     traj = simulate(terrain, params, CMD, cfg)
     step = params.step_frequency * cfg.dt
-    for a, b in zip(traj.samples, traj.samples[1:]):
-        assert abs((b.phase_t - a.phase_t) % 1.0 - step % 1.0) < 1e-9
+    assert np.all(np.abs(np.diff(traj.phase) % 1.0 - step % 1.0) < 1e-9)
 
 
 def test_ordinal_monotonicity_at_zero_noise():
@@ -133,7 +131,7 @@ def test_ordinal_monotonicity_at_zero_noise():
                     values[param] = (lo + hi) / 2
                     candidate = BehaviorParams(gait=base.gait, **values)
                     traj = simulate(terrain, candidate, CMD, cfg)
-                    percents.append(episode_velocity_percent(traj.samples, CMD))
+                    percents.append(episode_velocity_percent(traj, CMD))
                 assert all(a >= b - 1e-9 for a, b in zip(percents, percents[1:]))
 
 
@@ -144,8 +142,8 @@ def test_degraded_params_score_lower():
     values = good.continuous()
     values["body_height"] = 0.35  # two levels above the ideal "low"
     bad = BehaviorParams(gait=good.gait, **values)
-    good_pct = episode_velocity_percent(simulate(terrain, good, CMD, cfg).samples, CMD)
-    bad_pct = episode_velocity_percent(simulate(terrain, bad, CMD, cfg).samples, CMD)
+    good_pct = episode_velocity_percent(simulate(terrain, good, CMD, cfg), CMD)
+    bad_pct = episode_velocity_percent(simulate(terrain, bad, CMD, cfg), CMD)
     assert good_pct > bad_pct
 
 
@@ -157,13 +155,3 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         simulate(UphillSlope(), ideal_params(UphillSlope()),
                  CommandVector(3.0, 0.0, 0.0), SimConfig())
-
-
-def test_trajectory_csv(tmp_path):
-    terrain = UphillSlope()
-    traj = simulate(terrain, ideal_params(terrain), CMD, SimConfig(steps=5, seed=1))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("step,v_x,v_y,w_z")
-    assert len(lines) == 6
