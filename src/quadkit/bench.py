@@ -73,7 +73,11 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
     """Run the adaptation benchmark and emit a per-(terrain, variant) CSV."""
     cfg = load_config(config_path)
     if noise_scale is not None:
+        if noise_scale < 0:
+            raise ConfigError(f"noise_scale must be >= 0, not {noise_scale}")
         cfg.sim.noise_scale = noise_scale
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, not {runs}")
     unknown = [t for t in terrains if t not in TERRAIN_TYPES]
     if unknown:
         raise ConfigError(

@@ -20,7 +20,6 @@ from scipy import ndimage
 
 from .config import MappingConfig
 from .errors import ConfigError
-from .terrain import write_pgm
 
 HEIGHT_BIN = 0.05
 
@@ -31,18 +30,27 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 PRESENCE_MARK = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledPointCloud:
-    """World-frame points, each with a category id in [0, C)."""
+    """World-frame points as one (N, 4) float array of (x, y, z, category_id),
+    each category id in [0, C). Any (N, 4) numeric sequence is accepted."""
 
-    points: tuple  # of (x, y, z, category_id)
+    points: np.ndarray
 
     def __post_init__(self):
-        for p in self.points:
-            if len(p) != 4:
-                raise ValueError("points must be (x, y, z, category_id)")
-            if not all(math.isfinite(v) for v in p[:3]):
-                raise ValueError("point coordinates must be finite")
+        bad_shape = "points must be (x, y, z, category_id)"
+        try:
+            pts = np.asarray(self.points)  # no dtype, so a string is not coerced
+        except ValueError:  # ragged rows
+            raise ValueError(bad_shape) from None
+        if pts.shape == (0,):
+            pts = pts.reshape(0, 4)
+        if pts.ndim != 2 or pts.shape[1] != 4 or pts.dtype.kind not in "iuf":
+            raise ValueError(bad_shape)
+        pts = pts.astype(float)
+        if not np.isfinite(pts[:, :3]).all():
+            raise ValueError("point coordinates must be finite")
+        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -108,15 +116,6 @@ class SemanticMap:
     def past_pos_channel(self) -> int:
         return self.num_categories + 2
 
-    def add_category(self, name: str) -> int:
-        """Append a category channel (reallocates the grid)."""
-        if name in self.categories:
-            return self.categories.index(name)
-        c = self.num_categories
-        self.grid = np.insert(self.grid, c, 0, axis=0)
-        self.categories.append(name)
-        return c
-
     def world_to_cell(self, x, y) -> tuple:
         """(row, col) of world point(s): ints for scalars, int arrays for arrays."""
         half = self.m // 2
@@ -140,9 +139,6 @@ class SemanticMap:
         cur[row, col] = 1
         self.grid[self.past_pos_channel][row, col] = 1
         self.grid[self.explored_channel][row, col] = 1
-
-    def channel_to_pgm(self, channel: int, path):
-        write_pgm(path, np.abs(self.grid[channel]).astype(float))
 
 
 class InstanceMemory:
@@ -255,7 +251,7 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     disk = (disk_rows - pr) ** 2 + (disk_cols - pc) ** 2 <= radius_cells ** 2
     explored[r0:r1, c0:c1][disk] = 1
 
-    pts = np.asarray(cloud.points, dtype=float).reshape(-1, 4)
+    pts = cloud.points
     cats = pts[:, 3].astype(np.int64)
     bad = (cats < 0) | (cats >= smap.num_categories)
     if bad.any():
@@ -355,7 +351,7 @@ def load_scene(path) -> Scene:
                     origin=tuple(rec.get("origin", (0.0, 0.0))),
                 )
             else:
-                cloud = LabeledPointCloud(points=tuple(tuple(p) for p in rec.get("points", [])))
+                cloud = LabeledPointCloud(points=rec.get("points", []))
                 scene.frames.append(Frame(index=len(scene.frames), pose=_pose(rec["pose"]),
                                           cloud=cloud))
         except KeyError as err:
@@ -378,5 +374,6 @@ def save_scene(scene: Scene, path):
         for frame in scene.frames:
             fh.write(json.dumps({
                 "pose": list(frame.pose),
-                "points": [list(p) for p in frame.cloud.points],
+                # the category id stays a JSON integer
+                "points": [[x, y, z, int(c)] for x, y, z, c in frame.cloud.points.tolist()],
             }) + "\n")

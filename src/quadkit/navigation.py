@@ -300,19 +300,12 @@ def snap_to_free(costmap: CostMap, cell: tuple) -> tuple:
     obstacles = costmap.obstacle_mask
     if not obstacles[cell]:
         return cell
-    m = costmap.m
-    best = None
-    best_key = None
-    free_rows, free_cols = np.where(~obstacles)
-    for r, c in zip(free_rows.tolist(), free_cols.tolist()):
-        d2 = (r - cell[0]) ** 2 + (c - cell[1]) ** 2
-        key = (d2, r, c)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (r, c)
-    if best is None:
+    rows, cols = np.nonzero(~obstacles)
+    if rows.size == 0:
         raise UnreachableError("cost map has no passable cells")
-    return best
+    # np.nonzero is row-major, so the first minimum is also the lowest (row, col)
+    k = np.argmin((rows - cell[0]) ** 2 + (cols - cell[1]) ** 2)
+    return (int(rows[k]), int(cols[k]))
 
 
 def instance_centroid(mask: np.ndarray) -> tuple:

@@ -103,8 +103,7 @@ def write_pgm(path, values: np.ndarray):
     scaled = np.where(np.isfinite(values), (values - lo) / span * 255.0, 255.0).astype(int)
     with open(path, "w") as fh:
         fh.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
-        for row in scaled:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        np.savetxt(fh, scaled, fmt="%d")
 
 
 def _profile_height(spec: TerrainSpec, x: float) -> float:

@@ -183,3 +183,22 @@ def dijkstra_times(costs, source, cell_size=0.05, speed_floor=0.05):
                     dist[nr, nc] = nd
                     heapq.heappush(heap, (nd, nr, nc))
     return dist
+
+
+def nearest_free_cell(obstacles, cell):
+    """Free cell with the smallest (squared distance, row, col) key, found by
+    visiting every cell; None when no cell is free."""
+    if not obstacles[cell]:
+        return cell
+    best = None
+    best_key = None
+    rows, cols = obstacles.shape
+    for r in range(rows):
+        for c in range(cols):
+            if obstacles[r, c]:
+                continue
+            key = ((r - cell[0]) ** 2 + (c - cell[1]) ** 2, r, c)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (r, c)
+    return best

@@ -164,6 +164,16 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--noise-scale", "-1"], "noise_scale must be >= 0, not -1.0"),
+    (["--runs", "0"], "runs must be >= 1, not 0"),
+])
+def test_cli_adapt_out_of_range_value_exits_2(tmp_path, capsys, flags, message):
+    code = main(["adapt", "--terrains", "uphill_slope", "--out", str(tmp_path)] + flags)
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_cli_plan_malformed_scene_exits_2(tmp_path, capsys):
     scene = tmp_path / "no_pose.jsonl"
     scene.write_text(json.dumps({"categories": ["floor"], "M": 40}) + "\n"

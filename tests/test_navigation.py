@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fixture_text, make_gateway
-from oracles import dijkstra_times
+from oracles import dijkstra_times, nearest_free_cell
 from quadkit.errors import ExplorationComplete, ParseError, SchemaError, UnreachableError
 from quadkit.mapping import InstanceMemory, LabeledPointCloud, SemanticMap, ingest, Frame
 from quadkit.navigation import (
@@ -331,6 +331,47 @@ def test_snap_to_free_prefers_nearest_then_lexicographic():
     cm.costs[4, 4] = 1.0
     snapped = snap_to_free(cm, (4, 4))
     assert snapped == (3, 4)  # four cells at distance 1; (row, col) order breaks the tie
+
+
+def obstacle_costmap(obstacles):
+    return CostMap(costs=obstacles.astype(float), gait=np.zeros(obstacles.shape, np.int8),
+                   cell_size=0.05)
+
+
+def assert_snaps_like_oracle(obstacles, start):
+    expected = nearest_free_cell(obstacles, start)
+    if expected is None:
+        with pytest.raises(UnreachableError):
+            snap_to_free(obstacle_costmap(obstacles), start)
+        return
+    snapped = snap_to_free(obstacle_costmap(obstacles), start)
+    assert snapped == expected
+    assert all(type(v) is int for v in snapped)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_snap_to_free_matches_oracle_on_random_grids(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 24))
+    for density in (0.1, 0.5, 0.9, 0.99, 1.0):
+        grid = rng.random((m, m)) < density
+        inner = (int(rng.integers(0, m)), int(rng.integers(0, m)))
+        for r, c in (inner, (0, inner[1]), (inner[0], m - 1), (m - 1, 0), (0, 0)):
+            obstacles = grid.copy()
+            half = int(rng.integers(0, 4))  # the nearest free cells lie beyond this block
+            obstacles[max(0, r - half):r + half + 1, max(0, c - half):c + half + 1] = True
+            assert_snaps_like_oracle(obstacles, (r, c))
+
+
+@pytest.mark.parametrize("d2", [1, 2, 5, 25, 50, 65])
+def test_snap_to_free_breaks_ties_among_equidistant_cells(d2):
+    # every cell closer than sqrt(d2) is blocked, so all free cells at squared
+    # distance d2 (up to 16 of them for 65) tie for nearest
+    m = 21
+    rows, cols = np.mgrid[0:m, 0:m]
+    for start in ((10, 10), (0, 10), (10, 20), (20, 0)):
+        obstacles = (rows - start[0]) ** 2 + (cols - start[1]) ** 2 < d2
+        assert_snaps_like_oracle(obstacles, start)
 
 
 def test_exports(tmp_path):

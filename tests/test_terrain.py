@@ -15,6 +15,7 @@ from quadkit.terrain import (
     height_at,
     slope_roughness,
     terrain_by_name,
+    write_pgm,
 )
 
 PLATFORMED = (UphillSlope(), DownhillSlope(), UpsideStair(), DownsideStair())
@@ -168,3 +169,20 @@ def test_exports(tmp_path):
     assert loaded.shape == hf.heights.shape
     header = pgm.read_text().splitlines()[:3]
     assert header[0] == "P2" and header[2] == "255"
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("values, text", [
+    # scaled over the finite range [0, 4]; inf is white; fractions truncate
+    ([[0.0, 2.0, INF], [1.0, 4.0, 3.0]], "P2\n3 2\n255\n0 127 255\n63 255 191\n"),
+    # a constant grid has span 0, which falls back to 1
+    ([[-3.0, -3.0, -3.0]], "P2\n3 1\n255\n0 0 0\n"),
+    # no finite value: every cell is white
+    ([[INF, INF], [INF, INF]], "P2\n2 2\n255\n255 255\n255 255\n"),
+])
+def test_write_pgm_text(tmp_path, values, text):
+    path = tmp_path / "grid.pgm"
+    write_pgm(path, np.array(values))
+    assert path.read_text() == text

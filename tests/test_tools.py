@@ -1,0 +1,29 @@
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ASSETS = os.path.join(ROOT, "src", "quadkit", "assets")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def relative_files(root, subdirs):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for sub in subdirs for d, _, files in os.walk(os.path.join(root, sub))
+                  for f in files)
+
+
+def test_make_assets_reproduces_bundled_assets(tmp_path, capsys):
+    make_assets = load_tool("make_assets")
+    make_assets.ASSETS = str(tmp_path)
+    make_assets.main()
+    written = relative_files(tmp_path, ("scenes", "scenarios", "transcripts"))
+    assert written == relative_files(ASSETS, ("scenes", "scenarios", "transcripts"))
+    for rel in written:
+        with open(tmp_path / rel, "rb") as new, open(os.path.join(ASSETS, rel), "rb") as old:
+            assert new.read() == old.read(), rel
