@@ -36,6 +36,18 @@ class ScriptExhaustedError(QuadkitError):
         self.ordinal = ordinal
 
 
+class TranscriptMismatchError(QuadkitError):
+    """A scripted transcript entry was recorded for a different request."""
+
+    def __init__(self, template_id: str, ordinal: int, recorded: str, actual: str):
+        super().__init__(
+            f"scripted transcript entry for template '{template_id}' at ordinal {ordinal} "
+            f"was recorded for request {recorded}, not {actual}"
+        )
+        self.template_id = template_id
+        self.ordinal = ordinal
+
+
 class GatewayError(QuadkitError):
     """Transport or auth failure talking to a live chat endpoint."""
 

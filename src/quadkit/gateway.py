@@ -18,7 +18,14 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError, GatewayError, ParseError, SchemaError, ScriptExhaustedError
+from .errors import (
+    ConfigError,
+    GatewayError,
+    ParseError,
+    SchemaError,
+    ScriptExhaustedError,
+    TranscriptMismatchError,
+)
 from .locomotion import (
     GAIT_NAMES,
     GAITS,
@@ -57,7 +64,8 @@ class ScriptedProvider:
     """Replays canned responses per template id, in file order.
 
     Exhausting a template's entries raises, which catches drift between the
-    transcript and the code consuming it.
+    transcript and the code consuming it; so does an entry whose optional
+    ``request_hash`` differs from the digest of the request it answers.
     """
 
     name = "scripted"
@@ -66,7 +74,8 @@ class ScriptedProvider:
         self.model = model
         self._queues: dict = {}
         for entry in entries:
-            self._queues.setdefault(entry["template_id"], []).append(entry["response"])
+            self._queues.setdefault(entry["template_id"], []).append(
+                (entry["response"], entry.get("request_hash")))
         self._consumed: dict = {}
 
     @classmethod
@@ -84,6 +93,9 @@ class ScriptedProvider:
                 if not isinstance(entry, dict) or not {"template_id", "response"} <= entry.keys():
                     raise ConfigError(f"transcript {path}, line {n}: expected an object with "
                                       "'template_id' and 'response'")
+                if not isinstance(entry.get("request_hash", ""), str):
+                    raise ConfigError(f"transcript {path}, line {n}: 'request_hash' must be "
+                                      "a string")
                 entries.append(entry)
         return cls(entries, model=str(path))
 
@@ -94,7 +106,11 @@ class ScriptedProvider:
             ordinal = self._consumed.get(request.template_id, 0)
             if not queue:
                 raise ScriptExhaustedError(request.template_id, ordinal)
-            out.append(queue.pop(0))
+            response, recorded = queue.pop(0)
+            if recorded is not None and recorded != request.digest():
+                raise TranscriptMismatchError(request.template_id, ordinal, recorded,
+                                              request.digest())
+            out.append(response)
             self._consumed[request.template_id] = ordinal + 1
         return out
 

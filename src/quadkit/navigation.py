@@ -4,6 +4,11 @@ The local policy turns model-assigned per-category costs into an M x M cost
 map (cost 1 = impassable), solves |grad T| = 1/F with F = clamp(1 - cost,
 speed_floor, 1) by a first-order upwind fast-marching sweep on a 4-neighbor
 stencil, and extracts waypoint paths by steepest descent over 8 neighbors.
+The solver keys its heap by (t, k), with k a cell's flat row-major index in
+a grid padded with a one-cell obstacle border; k orders ties as (row, col)
+does and the update applies the same float operations in the same order, so
+its arrival fields equal the per-cell reference's
+(``tests/oracles.fmm_solve_reference``) bit for bit.
 The global policy resolves goals from instance memory and falls back to the
 geodesically nearest frontier cell.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,6 @@ from .mapping import InstanceMemory, SemanticMap, cell_to_world
 from .terrain import write_pgm
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-_NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
@@ -171,52 +176,66 @@ def build_cost_map(smap: SemanticMap, assignment: CostAssignment,
     return CostMap(costs=costs, gait=gait, cell_size=smap.cell_size, origin=smap.origin)
 
 
-def _eikonal_update(a: float, b: float, f: float) -> float:
-    """First-order upwind solution through a cell with crossing time f."""
-    if math.isinf(a):
-        return b + f
-    if math.isinf(b):
-        return a + f
-    if abs(a - b) >= f:
-        return min(a, b) + f
-    return 0.5 * (a + b + math.sqrt(2.0 * f * f - (a - b) ** 2))
+def _check_cell(cell: tuple, shape: tuple, what: str):
+    """Raise ValueError unless ``cell`` indexes the grid without wrapping."""
+    r, c = cell
+    if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+        raise ValueError(f"{what} cell {cell} is outside the {shape[0]}x{shape[1]} grid")
 
 
 def fmm_solve(costmap: CostMap, goal: tuple,
               speed_floor: float = NavConfig.speed_floor) -> ArrivalField:
     """Fast-marching arrival times from every cell to the goal.
 
-    Obstacle cells (cost >= 1) never enter the queue and stay at +inf.
+    Obstacle cells (cost >= 1) never enter the queue and stay at +inf. A goal
+    outside the grid or on an obstacle raises ValueError.
     """
-    obstacles = costmap.obstacle_mask
-    gr, gc = goal
-    if obstacles[gr, gc]:
-        raise ValueError(f"goal cell {goal} is impassable")
     m, n = costmap.costs.shape
-    speed = np.clip(1.0 - costmap.costs, speed_floor, 1.0)
-    tau = costmap.cell_size / speed
-    times = np.full((m, n), np.inf)
-    done = np.zeros((m, n), dtype=bool)
-    times[gr, gc] = 0.0
-    heap = [(0.0, gr, gc)]
+    _check_cell(goal, (m, n), "goal")
+    obstacles = costmap.obstacle_mask
+    if obstacles[goal[0], goal[1]]:
+        raise ValueError(f"goal cell {goal} is impassable")
+    w = n + 2
+    tau = array("d")  # frombytes takes a byte-format buffer, hence the uint8 view
+    tau.frombytes(np.pad(costmap.cell_size / np.clip(1.0 - costmap.costs, speed_floor, 1.0),
+                         1, constant_values=np.inf).view(np.uint8))
+    blocked = bytearray(np.pad(obstacles, 1, constant_values=True))
+    times = array("d", [math.inf]) * ((m + 2) * w)
+    inf = math.inf
+    sqrt = math.sqrt
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    goal_k = (int(goal[0]) + 1) * w + int(goal[1]) + 1
+    times[goal_k] = 0.0
+    heap = [(0.0, goal_k)]
     while heap:
-        t, r, c = heapq.heappop(heap)
-        if done[r, c]:
+        k = heappop(heap)[1]
+        if blocked[k]:
             continue
-        done[r, c] = True
-        for dr, dc in _NEIGHBORS_4:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < m and 0 <= nc < n) or done[nr, nc] or obstacles[nr, nc]:
+        blocked[k] = 1
+        for nk in (k + w, k - w, k + 1, k - 1):
+            if blocked[nk]:
                 continue
-            a = min(times[nr, nc - 1] if nc > 0 else np.inf,
-                    times[nr, nc + 1] if nc < n - 1 else np.inf)
-            b = min(times[nr - 1, nc] if nr > 0 else np.inf,
-                    times[nr + 1, nc] if nr < m - 1 else np.inf)
-            new_t = _eikonal_update(a, b, tau[nr, nc])
-            if new_t < times[nr, nc]:
-                times[nr, nc] = new_t
-                heapq.heappush(heap, (new_t, nr, nc))
-    return ArrivalField(times=times, goal=goal, cell_size=costmap.cell_size)
+            # ``y if y < x else x`` is ``min(x, y)`` as CPython evaluates it,
+            # ties keeping x, without the cost of a builtin call.
+            x, y = times[nk - 1], times[nk + 1]
+            a = y if y < x else x
+            x, y = times[nk - w], times[nk + w]
+            b = y if y < x else x
+            f = tau[nk]
+            if a == inf:
+                new_t = b + f
+            elif b == inf:
+                new_t = a + f
+            elif abs(a - b) >= f:
+                new_t = (b if b < a else a) + f
+            else:
+                new_t = 0.5 * (a + b + sqrt(2.0 * f * f - (a - b) ** 2))
+            if new_t < times[nk]:
+                times[nk] = new_t
+                heappush(heap, (new_t, nk))
+    field = np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1].copy()
+    return ArrivalField(times=field, goal=goal, cell_size=costmap.cell_size)
 
 
 def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
@@ -229,6 +248,7 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
     """
     times = field.times
     m, n = times.shape
+    _check_cell(start, (m, n), "start")
     r, c = start
     if not math.isfinite(times[r, c]):
         raise UnreachableError(f"start cell {start} cannot reach the goal")

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from quadkit.config import NavConfig
+from quadkit.navigation import ArrivalField
 from quadkit.rewards import StepSample, _phase_terms, r_velocity_xy, r_velocity_yaw
 from quadkit.surrogate import Trajectory
 
@@ -183,6 +185,52 @@ def dijkstra_times(costs, source, cell_size=0.05, speed_floor=0.05):
                     dist[nr, nc] = nd
                     heapq.heappush(heap, (nd, nr, nc))
     return dist
+
+
+def _eikonal_update(a, b, f):
+    """First-order upwind solution through a cell with crossing time f."""
+    if math.isinf(a):
+        return b + f
+    if math.isinf(b):
+        return a + f
+    if abs(a - b) >= f:
+        return min(a, b) + f
+    return 0.5 * (a + b + math.sqrt(2.0 * f * f - (a - b) ** 2))
+
+
+def fmm_solve_reference(costmap, goal, speed_floor=NavConfig.speed_floor):
+    """Fast marching on the unpadded (M, N) grid, reading numpy scalars, with
+    heap key (t, row, col): the kernel ``navigation.fmm_solve`` must match it
+    bit for bit."""
+    obstacles = costmap.obstacle_mask
+    gr, gc = goal
+    if obstacles[gr, gc]:
+        raise ValueError(f"goal cell {goal} is impassable")
+    m, n = costmap.costs.shape
+    speed = np.clip(1.0 - costmap.costs, speed_floor, 1.0)
+    tau = costmap.cell_size / speed
+    times = np.full((m, n), np.inf)
+    done = np.zeros((m, n), dtype=bool)
+    times[gr, gc] = 0.0
+    heap = [(0.0, gr, gc)]
+    while heap:
+        t, r, c = heapq.heappop(heap)
+        if done[r, c]:
+            continue
+        done[r, c] = True
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < m and 0 <= nc < n) or done[nr, nc] or obstacles[nr, nc]:
+                continue
+            a = min(times[nr, nc - 1] if nc > 0 else np.inf,
+                    times[nr, nc + 1] if nc < n - 1 else np.inf)
+            b = min(times[nr - 1, nc] if nr > 0 else np.inf,
+                    times[nr + 1, nc] if nr < m - 1 else np.inf)
+            new_t = _eikonal_update(a, b, tau[nr, nc])
+            if new_t < times[nr, nc]:
+                times[nr, nc] = new_t
+                heapq.heappush(heap, (new_t, nr, nc))
+    return ArrivalField(times=times, goal=goal, cell_size=costmap.cell_size)
 
 
 def nearest_free_cell(obstacles, cell):

@@ -187,6 +187,21 @@ def test_cli_plan_malformed_scene_exits_2(tmp_path, capsys):
     assert "no_pose.jsonl" in err and "line 2" in err
 
 
+def test_cli_plan_transcript_hash_mismatch_exits_2(tmp_path, capsys):
+    lines = open(asset_path("transcripts", "plan_band.jsonl")).read().splitlines()
+    entries = [json.loads(line) for line in lines if line.strip()]
+    entries[0]["request_hash"] = "000000000000"
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code = main(["plan", "--scene", asset_path("scenes", "band_free.jsonl"),
+                 "--instruction", "Go to the chair", "--transcript", str(transcript),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    template = entries[0]["template_id"]
+    assert f"error: scripted transcript entry for template '{template}' at ordinal 0" in err
+
+
 def test_cmd_task_rejects_bad_scenario_files(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

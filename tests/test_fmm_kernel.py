@@ -1,0 +1,153 @@
+"""The flat-array fast-marching kernel against the per-cell reference solver.
+
+Every comparison is ``np.array_equal``: the kernel must reproduce the
+reference's arrival times bit for bit, +inf cells included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import fmm_solve_reference
+from quadkit.bench import asset_path
+from quadkit.config import ToolkitConfig
+from quadkit.gateway import Gateway, ScriptedProvider
+from quadkit.mapping import load_scene
+from quadkit.navigation import CostMap, assign_costs, build_cost_map, extract_path, fmm_solve
+from quadkit.tasks import World
+
+
+def costmap_of(costs, cell_size=0.05):
+    costs = np.asarray(costs, dtype=float)
+    return CostMap(costs=costs, gait=np.zeros(costs.shape, np.int8), cell_size=cell_size)
+
+
+def random_costs(rng, shape, obstacle_share=0.15):
+    costs = rng.choice([0.0, 0.3, 0.5, 0.8, 0.999], size=shape)
+    costs = np.where(rng.random(shape) < 0.5, rng.random(shape), costs)
+    costs[rng.random(shape) < obstacle_share] = 1.0
+    return costs
+
+
+def assert_matches_reference(cm, goal, speed_floor=0.05):
+    kernel = fmm_solve(cm, goal, speed_floor)
+    reference = fmm_solve_reference(cm, goal, speed_floor)
+    assert kernel.times.dtype == np.float64
+    assert kernel.times.shape == cm.costs.shape
+    assert np.array_equal(kernel.times, reference.times)
+    assert kernel.goal == goal
+    assert kernel.cell_size == cm.cell_size
+    return kernel.times
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 12), (12, 5), (17, 3)])
+def test_kernel_matches_reference_on_any_shape(shape):
+    rng = np.random.default_rng(sum(shape))
+    costs = random_costs(rng, shape)
+    goal = (shape[0] // 2, shape[1] // 2)
+    costs[goal] = 0.0
+    assert_matches_reference(costmap_of(costs), goal)
+
+
+def test_kernel_matches_reference_with_goal_on_every_edge_and_corner():
+    rng = np.random.default_rng(7)
+    m, n = 9, 13
+    costs = random_costs(rng, (m, n))
+    goals = [(0, 0), (0, n - 1), (m - 1, 0), (m - 1, n - 1),
+             (0, 6), (m - 1, 6), (4, 0), (4, n - 1)]
+    for goal in goals:
+        grid = costs.copy()
+        grid[goal] = 0.0
+        assert_matches_reference(costmap_of(grid), goal)
+
+
+def test_kernel_leaves_enclosed_pockets_unreachable():
+    costs = np.full((15, 15), 0.2)
+    costs[4:11, 4] = costs[4:11, 10] = 1.0
+    costs[4, 4:11] = costs[10, 4:11] = 1.0
+    pocket = np.zeros(costs.shape, dtype=bool)
+    pocket[5:10, 5:10] = True
+    outside = ~pocket & (costs < 1.0)
+    from_outside = assert_matches_reference(costmap_of(costs), (0, 14))
+    assert np.all(np.isinf(from_outside[pocket]))
+    assert np.all(np.isfinite(from_outside[outside]))
+    from_inside = assert_matches_reference(costmap_of(costs), (7, 7))
+    assert np.all(np.isinf(from_inside[outside]))
+    assert np.all(np.isfinite(from_inside[pocket]))
+
+
+@pytest.mark.parametrize("cost", [0.0, 0.5, 0.999, 1.0])
+def test_kernel_matches_reference_on_each_cost_level(cost):
+    rng = np.random.default_rng(int(cost * 1000))
+    costs = np.where(rng.random((20, 20)) < 0.4, cost, rng.choice([0.0, 0.5, 0.999, 1.0],
+                                                                   size=(20, 20)))
+    costs[3, 5] = 0.0
+    assert_matches_reference(costmap_of(costs), (3, 5))
+
+
+@pytest.mark.parametrize("speed_floor", [0.05, 0.2, 0.6])
+def test_kernel_matches_reference_where_speed_floor_clamps(speed_floor):
+    rng = np.random.default_rng(11)
+    costs = rng.uniform(0.7, 0.9999, size=(18, 14))
+    costs[9, 7] = 0.0
+    assert np.any(1.0 - costs < speed_floor)  # the clamp is exercised
+    assert_matches_reference(costmap_of(costs), (9, 7), speed_floor)
+
+
+@pytest.mark.parametrize("cell_size", [0.05, 0.1, 0.25])
+def test_kernel_matches_reference_at_each_cell_size(cell_size):
+    rng = np.random.default_rng(23)
+    costs = random_costs(rng, (30, 30))
+    costs[0, 29] = 0.0
+    assert_matches_reference(costmap_of(costs, cell_size), (0, 29))
+
+
+def test_kernel_matches_reference_on_a_random_160_grid():
+    rng = np.random.default_rng(160)
+    costs = random_costs(rng, (160, 160), obstacle_share=0.10)
+    costs[80, 80] = 0.0
+    assert_matches_reference(costmap_of(costs), (80, 80))
+
+
+def test_kernel_matches_reference_on_bundled_long_horizon_cost_map():
+    world = World(load_scene(asset_path("scenes", "long_horizon.jsonl")), ToolkitConfig())
+    world.ingest_pending()
+    gateway = Gateway(ScriptedProvider.from_file(asset_path("transcripts", "long_horizon.jsonl")))
+    # The bundled scenario's config sets cost_mode "continuous".
+    assignment = assign_costs("Go to the blue clothes.", world.smap.categories, gateway,
+                              mode="continuous")
+    cm = build_cost_map(world.smap, assignment)
+    assert cm.m == 160
+    times = assert_matches_reference(cm, world.pose_cell())
+    assert np.count_nonzero(np.isfinite(times)) > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       m=st.integers(1, 10), n=st.integers(1, 10),
+       cell_size=st.sampled_from([0.05, 0.1, 0.25, 0.37]),
+       speed_floor=st.floats(0.01, 1.0))
+def test_kernel_matches_reference_on_small_random_grids(data, m, n, cell_size, speed_floor):
+    level = st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0]), st.floats(0.0, 1.0))
+    costs = np.array(data.draw(st.lists(level, min_size=m * n, max_size=m * n))).reshape(m, n)
+    goal = (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1)))
+    costs[goal] = min(costs[goal], 0.999)
+    assert_matches_reference(costmap_of(costs, cell_size), goal, speed_floor)
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 5)])
+def test_fmm_solve_rejects_cells_outside_the_grid(cell):
+    cm = costmap_of(np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=rf"goal cell \({cell[0]}, {cell[1]}\) is outside "
+                                         r"the 4x5 grid"):
+        fmm_solve(cm, cell)
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 5)])
+def test_extract_path_rejects_starts_outside_the_grid(cell):
+    cm = costmap_of(np.zeros((4, 5)))
+    field = fmm_solve(cm, (3, 0))
+    with pytest.raises(ValueError, match=rf"start cell \({cell[0]}, {cell[1]}\) is outside "
+                                         r"the 4x5 grid"):
+        extract_path(field, cell, cm)

@@ -4,7 +4,13 @@ import math
 import pytest
 
 from conftest import fixture_text, make_gateway
-from quadkit.errors import ConfigError, ParseError, SchemaError, ScriptExhaustedError
+from quadkit.errors import (
+    ConfigError,
+    ParseError,
+    SchemaError,
+    ScriptExhaustedError,
+    TranscriptMismatchError,
+)
 from quadkit.gateway import (
     ChatRequest,
     Gateway,
@@ -54,11 +60,29 @@ def test_transcript_log_replays_losslessly(tmp_path):
     assert all("request_hash" in r for r in records)
 
 
+def test_replay_of_reordered_requests_raises_on_request_hash(tmp_path):
+    log = tmp_path / "log.jsonl"
+    gw = make_gateway([("auto", "alpha"), ("auto", "beta"), ("locate_levels", "gamma")],
+                      log_path=str(log))
+    gw.complete(ChatRequest("auto", "", "p1"))
+    gw.complete(ChatRequest("auto", "", "p2"))
+    gw.complete(ChatRequest("locate_levels", "", "p3"))
+    replay = Gateway(ScriptedProvider.from_file(log))
+    assert replay.complete(ChatRequest("locate_levels", "", "p3")) == ["gamma"]
+    with pytest.raises(TranscriptMismatchError) as err:
+        replay.complete(ChatRequest("auto", "", "p2"))
+    assert err.value.template_id == "auto"
+    assert err.value.ordinal == 0
+    assert "'auto' at ordinal 0" in str(err.value)
+    assert ChatRequest("auto", "", "p1").digest() in str(err.value)
+
+
 @pytest.mark.parametrize("text, line, what", [
     ('{"template_id": "auto", "response": "ok"}\nnot json\n', 2, "Expecting value"),
     ('\n[1, 2]\n', 2, "expected an object"),
     ('{"response": "ok"}\n', 1, "'template_id'"),
     ('{"template_id": "cost_map"}\n', 1, "'response'"),
+    ('{"template_id": "auto", "response": "ok", "request_hash": 7}\n', 1, "'request_hash'"),
 ])
 def test_transcript_malformed_line_raises_config_error(tmp_path, text, line, what):
     path = tmp_path / "t.jsonl"

@@ -440,6 +440,10 @@ def test_plan_to_target_reports_the_failing_step():
     goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (5, 5))
     assert goal is not None and field is not None and plan is None
     assert "cannot reach" in error
+    # a start outside the grid fails at the path step instead of wrapping
+    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (-1, 5))
+    assert field is not None and plan is None
+    assert error == "start cell (-1, 5) is outside the 40x40 grid"
     # no goal at all: a fully explored map without the category has no frontier
     goal, field, plan, error = plan_to_target("sofa", memory, smap, cm, (5, 5))
     assert (goal, field, plan) == (None, None, None)
