@@ -124,14 +124,26 @@ def _majority(votes):
     return value if count >= 2 else None
 
 
+def locate_request(terrain_description: str) -> ChatRequest:
+    """The level-location request: three sampled replies."""
+    user = load_template("locate_levels").format(terrain_description=terrain_description)
+    return ChatRequest("locate_levels", "", user, SAMPLING_TEMPERATURE, 3)
+
+
+def direct_request(terrain_description: str, with_prior: bool = False) -> ChatRequest:
+    """The direct numeric-prediction request: three sampled replies."""
+    template_id = "auto_prior" if with_prior else "auto"
+    user = load_template(template_id).format(terrain_description=terrain_description)
+    return ChatRequest(template_id, "", user, SAMPLING_TEMPERATURE, 3)
+
+
 def locate_ranges(terrain_description: str, gateway: Gateway) -> LevelSelection:
     """Vote parameter levels: 3 sampled replies, per-parameter majority.
 
     A three-way split triggers one re-query; parameters still split take the
     middle ordinal of their three votes (gait falls back to trotting).
     """
-    user = load_template("locate_levels").format(terrain_description=terrain_description)
-    request = ChatRequest("locate_levels", "", user, SAMPLING_TEMPERATURE, 3)
+    request = locate_request(terrain_description)
     votes = complete_and_parse(gateway, request, parse_levels)
     fields = list(PROMPT_PARAM_ORDER) + ["gait"]
     decided = {}
@@ -162,10 +174,8 @@ def direct_params(terrain_description: str, gateway: Gateway,
 
     Each candidate is clamped into the global ranges before averaging.
     """
-    template_id = "auto_prior" if with_prior else "auto"
-    user = load_template(template_id).format(terrain_description=terrain_description)
-    request = ChatRequest(template_id, "", user, SAMPLING_TEMPERATURE, 3)
-    candidates = complete_and_parse(gateway, request, parse_numeric_params)
+    candidates = complete_and_parse(gateway, direct_request(terrain_description, with_prior),
+                                    parse_numeric_params)
     means = {
         name: sum(getattr(c, name) for c in candidates) / len(candidates)
         for name in PARAMETERS
@@ -238,21 +248,30 @@ def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
                             terrain=terrain.name, candidates=candidates)
 
 
-def determining_pick(selection: LevelSelection, gateway: Gateway,
-                     terrain_description: str, ranges=None) -> BehaviorParams:
-    """Ask the model to choose directly among the five interval midpoints per
-    parameter; assembled without any simulation."""
-    options = {
-        name: [level_midpoint(name, lvl, ranges) for lvl in range(5)]
-        for name in PARAMETERS
-    }
+def _midpoint_options(ranges=None) -> dict:
+    """The five interval midpoints per parameter that the picker chooses among."""
+    return {name: [level_midpoint(name, lvl, ranges) for lvl in range(5)]
+            for name in PARAMETERS}
+
+
+def determining_request(terrain_description: str, ranges=None) -> ChatRequest:
+    """The midpoint-picking request: one reply at the parsing temperature."""
+    options = _midpoint_options(ranges)
     lines = []
     for name in PROMPT_PARAM_ORDER:
         opts = ", ".join(f"{v:g}" for v in options[name])
         lines.append(f"{_PROMPT_LABELS[name]}: {opts}")
     user = load_template("determining").format(
         options_block="\n".join(lines), terrain_description=terrain_description)
-    request = ChatRequest("determining", "", user, PARSE_TEMPERATURE, 1)
+    return ChatRequest("determining", "", user, PARSE_TEMPERATURE, 1)
+
+
+def determining_pick(selection: LevelSelection, gateway: Gateway,
+                     terrain_description: str, ranges=None) -> BehaviorParams:
+    """Ask the model to choose directly among the five interval midpoints per
+    parameter; assembled without any simulation."""
+    options = _midpoint_options(ranges)
+    request = determining_request(terrain_description, ranges)
 
     def parse_pick(text):
         values = parse_numeric_values(text)

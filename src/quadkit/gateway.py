@@ -321,7 +321,8 @@ def parse_cost_json(text: str, mode: str = "binary"):
     block = extract_json_block(text)
     try:
         data = json.loads(block)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError also covers integers past the int-string digit limit.
         raise ParseError(f"invalid JSON: {err}", what="json") from None
     issues = []
     target = data.get("target_object")
@@ -336,6 +337,7 @@ def parse_cost_json(text: str, mode: str = "binary"):
         issues.append("terrain: must be a list")
         raw_terrain = []
     for i, entry in enumerate(raw_terrain):
+        flagged = len(issues)
         if not isinstance(entry, dict):
             issues.append(f"terrain[{i}]: not an object")
             continue
@@ -351,7 +353,7 @@ def parse_cost_json(text: str, mode: str = "binary"):
                 if cost not in (0, 1):
                     issues.append(f"terrain[{i}]: cost {cost} outside {{0, 1}}")
             else:
-                if not isinstance(cost, (int, float)) or not (0.0 <= float(cost) <= 1.0):
+                if not isinstance(cost, (int, float)) or not (0 <= cost <= 1):
                     issues.append(f"terrain[{i}]: cost {cost} outside [0, 1]")
         if "gait" not in entry:
             issues.append(f"terrain[{i}]: missing 'gait'")
@@ -360,7 +362,7 @@ def parse_cost_json(text: str, mode: str = "binary"):
             gait = entry["gait"]
             if gait not in (0, 1):
                 issues.append(f"terrain[{i}]: gait {gait} outside {{0, 1}}")
-        if etype and cost is not None and gait is not None:
+        if len(issues) == flagged:
             terrain_entries.append(TerrainCost(type=etype, cost=float(cost), gait=int(gait)))
     if issues:
         raise SchemaError(issues)

@@ -9,6 +9,7 @@ simulate-and-select adaptation loop exercisable with a known optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ SWING_SPEED_FACTOR = 2.0
 RHO = 0.5
 # Efficiency multiplier when the gait preset does not match the ideal.
 GAIT_MISMATCH_FACTOR = 0.8
+# Episode noises and gait schedules kept per process. Every candidate of one
+# select_best shares the seed, and a default adapt run (5 terrains x 3
+# variants) has 13 eval/adapt seeds per terrain and 13 (gait, frequency)
+# schedules in all, so 16 entries keep each reused within a terrain.
+_CACHE_SIZE = 16
 
 
 @dataclass
@@ -91,7 +97,13 @@ IDEAL_PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated episode: per-step arrays (feet FR, FL, RR, RL) plus provenance."""
+    """Simulated episode: per-step arrays (feet FR, FL, RR, RL) plus provenance.
+
+    ``simulate`` returns ``v_xy``, ``w_z``, ``foot_force`` and ``foot_speed``
+    as new arrays per call. ``phase`` is shared by every episode with the same
+    gait, step frequency, ``dt`` and length, and is read-only: writing into it
+    raises ``ValueError``.
+    """
 
     v_xy: np.ndarray  # (n, 2) achieved planar velocity, m/s
     w_z: np.ndarray  # (n,) achieved yaw rate, rad/s
@@ -135,6 +147,38 @@ def efficiency(params: BehaviorParams, ideal: IdealProfile) -> float:
     return e
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _episode_noise(seed: int, noise_scale: float, steps: int) -> tuple:
+    """Seeded (noise_v, noise_w) of one episode: read-only, shared by every
+    candidate simulated under the same seed."""
+    if noise_scale > 0:
+        rng = np.random.default_rng(seed)
+        noise_v = rng.normal(0.0, noise_scale, steps)
+        noise_w = rng.normal(0.0, noise_scale, steps)
+    else:
+        noise_v = np.zeros(steps)
+        noise_w = np.zeros(steps)
+    return _read_only(noise_v, noise_w)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _gait_schedule(gait, step_frequency: float, dt: float, steps: int) -> tuple:
+    """Read-only (phase, contact, load) of a gait at a step frequency: the
+    cycle fraction, (n, 4) stance flags and the load per stance foot."""
+    phase = np.mod(np.arange(steps) * (step_frequency * dt), 1.0)
+    contact = desired_contacts(gait, phase)
+    n_stance = contact.sum(axis=1)
+    # A step with no stance foot (pronking, second half-cycle) carries no load.
+    load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(steps), where=n_stance > 0)
+    return _read_only(phase, contact, load)
+
+
 def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
              cfg: SimConfig) -> Trajectory:
     """Roll out one episode against the response model.
@@ -142,31 +186,23 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     Achieved planar velocity is the command scaled by efficiency plus seeded
     noise, capped so it never exceeds the command speed. Contact forces and
     foot slips are deterministic functions of efficiency so the phase terms
-    stay exact at zero noise.
+    stay exact at zero noise. The noise and the gait schedule depend only on
+    the seed and the gait timing, so they are computed once per key and
+    shared read-only (``SimConfig`` is mutable: the key is its values now).
     """
     cfg.validate()
     cmd.validate()
     e = efficiency(params, ideal_profile(terrain))
-    n = cfg.steps
-    if cfg.noise_scale > 0:
-        rng = np.random.default_rng(cfg.seed)
-        noise_v = rng.normal(0.0, cfg.noise_scale, n)
-        noise_w = rng.normal(0.0, cfg.noise_scale, n)
-    else:
-        noise_v = np.zeros(n)
-        noise_w = np.zeros(n)
+    noise_v, noise_w = _episode_noise(cfg.seed, cfg.noise_scale, cfg.steps)
+    phase, contact, load = _gait_schedule(params.gait, params.step_frequency, cfg.dt,
+                                          cfg.steps)
     mult = np.clip(e + noise_v, -1.0, 1.0)
-    phase = np.mod(np.arange(n) * (params.step_frequency * cfg.dt), 1.0)
-    contact = desired_contacts(params.gait, phase)
-    n_stance = contact.sum(axis=1)
-    # A step with no stance foot (pronking, second half-cycle) carries no load.
-    load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(n), where=n_stance > 0)
 
     spurious = (1.0 - e) * SPURIOUS_FORCE_N
     slip = (1.0 - e) * SLIP_SCALE
     swing_speed = SWING_SPEED_FACTOR * math.hypot(cmd.vx, cmd.vy) * e
 
-    return Trajectory(v_xy=np.stack([cmd.vx * mult, cmd.vy * mult], axis=1),
+    return Trajectory(v_xy=np.multiply.outer(mult, (cmd.vx, cmd.vy)),
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
                       foot_speed=np.where(contact, slip, swing_speed), phase=phase,

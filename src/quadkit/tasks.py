@@ -318,31 +318,34 @@ def decompose(instruction: str, library: SkillLibrary, gateway: Gateway) -> list
     user = load_template("decompose").format(
         skill_docs=library.docs_text(), instruction=instruction)
     request = ChatRequest("decompose", "", user, PARSE_TEMPERATURE, 1)
+    return complete_and_parse(gateway, request,
+                              lambda text: parse_subgoals(text, library))[0]
 
-    def parse(text: str) -> list:
-        block = extract_json_block(text, "[", "]")
-        try:
-            data = json.loads(block)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"invalid JSON array: {err}", what="json") from None
-        subgoals = []
-        for i, item in enumerate(data):
-            if not isinstance(item, dict) or "skill" not in item:
-                raise ParseError(f"subgoal {i} missing 'skill'", what=str(i))
-            name = item["skill"]
-            if name not in library:
-                raise ParseError(f"unknown skill '{name}' in subgoal {i}; valid skill "
-                                 f"names: {', '.join(library.names())}", what=name)
-            subgoals.append(Subgoal(
-                description=item.get("description", name),
-                skill_name=name,
-                args=dict(item.get("args", {})),
-            ))
-        if not subgoals:
-            raise ParseError("empty subgoal list", what="plan")
-        return subgoals
 
-    return complete_and_parse(gateway, request, parse)[0]
+def parse_subgoals(text: str, library: SkillLibrary) -> list:
+    """Parse a decomposition reply: the first JSON array of subgoal objects,
+    each naming a library skill."""
+    block = extract_json_block(text, "[", "]")
+    try:
+        data = json.loads(block)
+    except (ValueError, RecursionError) as err:
+        raise ParseError(f"invalid JSON array: {err}", what="json") from None
+    subgoals = []
+    for i, item in enumerate(data):
+        if not isinstance(item, dict) or "skill" not in item:
+            raise ParseError(f"subgoal {i} missing 'skill'", what=str(i))
+        name = item["skill"]
+        if not isinstance(name, str) or name not in library:
+            raise ParseError(f"unknown skill '{name}' in subgoal {i}; valid skill "
+                             f"names: {', '.join(library.names())}", what=str(name))
+        args = item.get("args", {})
+        if not isinstance(args, dict):
+            raise ParseError(f"subgoal {i}: 'args' must be an object", what=str(i))
+        subgoals.append(Subgoal(description=item.get("description", name),
+                                skill_name=name, args=dict(args)))
+    if not subgoals:
+        raise ParseError("empty subgoal list", what="plan")
+    return subgoals
 
 
 def retrieve_skill(subgoal: Subgoal, library: SkillLibrary):

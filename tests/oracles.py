@@ -10,9 +10,18 @@ import math
 import numpy as np
 
 from quadkit.config import NavConfig
+from quadkit.locomotion import desired_contacts
 from quadkit.navigation import ArrivalField
 from quadkit.rewards import StepSample, _phase_terms, r_velocity_xy, r_velocity_yaw
-from quadkit.surrogate import Trajectory
+from quadkit.surrogate import (
+    BODY_WEIGHT_N,
+    SLIP_SCALE,
+    SPURIOUS_FORCE_N,
+    SWING_SPEED_FACTOR,
+    Trajectory,
+    efficiency,
+    ideal_profile,
+)
 
 
 def gait_phase_table(t, offsets):
@@ -67,6 +76,37 @@ def episode_percent_steps(samples, cmd, gait, cfg):
         den[2] += 4.0 if cfg.flat_phase_max else sw_n
         den[3] += 4.0 if cfg.flat_phase_max else st_n
     return tuple(100.0 * a / d if d > 0 else 100.0 for a, d in zip(acc, den))
+
+
+def simulate_reference(terrain, params, cmd, cfg):
+    """``surrogate.simulate`` with nothing shared between calls: the seeded
+    noise and the gait schedule are recomputed on every call."""
+    cfg.validate()
+    cmd.validate()
+    e = efficiency(params, ideal_profile(terrain))
+    n = cfg.steps
+    if cfg.noise_scale > 0:
+        rng = np.random.default_rng(cfg.seed)
+        noise_v = rng.normal(0.0, cfg.noise_scale, n)
+        noise_w = rng.normal(0.0, cfg.noise_scale, n)
+    else:
+        noise_v = np.zeros(n)
+        noise_w = np.zeros(n)
+    mult = np.clip(e + noise_v, -1.0, 1.0)
+    phase = np.mod(np.arange(n) * (params.step_frequency * cfg.dt), 1.0)
+    contact = desired_contacts(params.gait, phase)
+    n_stance = contact.sum(axis=1)
+    load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(n), where=n_stance > 0)
+
+    spurious = (1.0 - e) * SPURIOUS_FORCE_N
+    slip = (1.0 - e) * SLIP_SCALE
+    swing_speed = SWING_SPEED_FACTOR * math.hypot(cmd.vx, cmd.vy) * e
+
+    return Trajectory(v_xy=np.stack([cmd.vx * mult, cmd.vy * mult], axis=1),
+                      w_z=cmd.wz * e + noise_w,
+                      foot_force=np.where(contact, load[:, None], spurious),
+                      foot_speed=np.where(contact, slip, swing_speed), phase=phase,
+                      terrain_name=terrain.name, params=params, cmd=cmd, seed=cfg.seed)
 
 
 def bilinear_oracle(heights, resolution, origin, x, y):

@@ -202,6 +202,17 @@ def test_cli_plan_transcript_hash_mismatch_exits_2(tmp_path, capsys):
     assert f"error: scripted transcript entry for template '{template}' at ordinal 0" in err
 
 
+def test_cli_adapt_reordered_terrains_exit_2(tmp_path, capsys):
+    # The bundled transcript's replies are hashed to the requests of the
+    # default terrain order; another order must not score others' replies.
+    code = main(["adapt", "--terrains", "uneven_ground,uphill_slope", "--runs", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: scripted transcript entry for template 'auto' at ordinal 0" in err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
 def test_cmd_task_rejects_bad_scenario_files(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadkit.locomotion import GAITS, LEVEL_RANGES, PARAMETERS, BehaviorParams, CommandVector, Level
+from oracles import simulate_reference
+from quadkit.locomotion import (
+    GAITS,
+    GLOBAL_RANGES,
+    LEVEL_RANGES,
+    PARAMETERS,
+    BehaviorParams,
+    CommandVector,
+    Level,
+)
 from quadkit.rewards import episode_percent, episode_velocity_percent
 from quadkit.surrogate import (
     GAIT_MISMATCH_FACTOR,
@@ -155,3 +166,106 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         simulate(UphillSlope(), ideal_params(UphillSlope()),
                  CommandVector(3.0, 0.0, 0.0), SimConfig())
+
+
+def assert_matches_reference(terrain, params, cmd, cfg):
+    """simulate equals the uncached reference bit for bit, on a miss and on a hit."""
+    expected = simulate_reference(terrain, params, cmd, cfg)
+    for _ in range(2):
+        traj = simulate(terrain, params, cmd, cfg)
+        for key in TRAJECTORY_ARRAYS:
+            assert np.array_equal(getattr(traj, key), getattr(expected, key)), key
+            assert getattr(traj, key).dtype == getattr(expected, key).dtype, key
+        assert (traj.terrain_name, traj.params, traj.cmd, traj.seed) == (
+            expected.terrain_name, expected.params, expected.cmd, expected.seed)
+
+
+@pytest.mark.parametrize("gait", sorted(GAITS))
+@pytest.mark.parametrize("noise_scale", [0.0, 0.05])
+@pytest.mark.parametrize("steps,dt", [(250, 0.02), (1, 0.02), (97, 0.013)])
+def test_simulate_matches_reference_every_gait(gait, noise_scale, steps, dt):
+    terrain = UphillSlope()
+    values = ideal_params(terrain).continuous()
+    values["step_frequency"] = 2.7
+    params = BehaviorParams(gait=GAITS[gait], **values)
+    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale, seed=11)
+    assert_matches_reference(terrain, params, CommandVector(0.8, -0.3, 0.4), cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terrain=st.sampled_from(sorted(IDEAL_PROFILES)),
+       gait=st.sampled_from(sorted(GAITS)),
+       fractions=st.tuples(*[st.floats(0.0, 1.0)] * len(PARAMETERS)),
+       seed=st.integers(0, 2 ** 63 - 1),
+       steps=st.integers(1, 300),
+       dt=st.floats(1e-3, 0.1),
+       noise_scale=st.sampled_from([0.0, 0.01, 0.05, 0.4]),
+       cmd=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_simulate_matches_reference_property(terrain, gait, fractions, seed, steps, dt,
+                                             noise_scale, cmd):
+    values = {}
+    for name, f in zip(PARAMETERS, fractions):
+        lo, hi = GLOBAL_RANGES[name]
+        values[name] = lo + f * (hi - lo)
+    params = BehaviorParams(gait=GAITS[gait], **values)
+    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale, seed=seed)
+    assert_matches_reference(terrain_by_name(terrain), params, CommandVector(*cmd), cfg)
+
+
+def test_interleaved_seeds_get_their_own_noise():
+    terrain = UnevenGround()
+    params = ideal_params(terrain)
+    for seed in (301, 302, 301, 302, 301):
+        assert_matches_reference(terrain, params, CMD, SimConfig(seed=seed))
+    a = simulate(terrain, params, CMD, SimConfig(seed=301))
+    b = simulate(terrain, params, CMD, SimConfig(seed=302))
+    assert not np.array_equal(a.w_z, b.w_z)
+
+
+def test_mutated_sim_config_gets_fresh_noise():
+    terrain = UnevenGround()
+    params = ideal_params(terrain)
+    cfg = SimConfig(seed=401)
+    first = simulate(terrain, params, CMD, cfg)
+    cfg.seed = 402
+    second = simulate(terrain, params, CMD, cfg)
+    assert not np.array_equal(first.w_z, second.w_z)
+    assert second.seed == 402
+    assert_matches_reference(terrain, params, CMD, cfg)
+    cfg.noise_scale = 0.0
+    assert_matches_reference(terrain, params, CMD, cfg)
+    assert np.all(simulate(terrain, params, CMD, cfg).w_z == 0.0)
+    cfg.steps, cfg.dt = 40, 0.031
+    assert_matches_reference(terrain, params, CMD, cfg)
+
+
+def test_mutated_sim_config_is_validated_on_every_call():
+    terrain = UnevenGround()
+    params = ideal_params(terrain)
+    cfg = SimConfig(seed=403)
+    simulate(terrain, params, CMD, cfg)
+    cfg.noise_scale = -0.1
+    with pytest.raises(ValueError, match="noise_scale"):
+        simulate(terrain, params, CMD, cfg)
+    cfg.noise_scale, cfg.steps = 0.05, 0
+    with pytest.raises(ValueError, match="steps"):
+        simulate(terrain, params, CMD, cfg)
+
+
+def test_shared_phase_is_read_only():
+    terrain = UphillSlope()
+    traj = simulate(terrain, ideal_params(terrain), CMD, SimConfig(seed=7))
+    with pytest.raises(ValueError):
+        traj.phase[0] = 0.5
+
+
+def test_per_candidate_arrays_are_new_per_call():
+    terrain = UphillSlope()
+    params = ideal_params(terrain)
+    a = simulate(terrain, params, CMD, SimConfig(seed=9))
+    b = simulate(terrain, params, CMD, SimConfig(seed=9))
+    for key in ("v_xy", "w_z", "foot_force", "foot_speed"):
+        assert not np.shares_memory(getattr(a, key), getattr(b, key)), key
+        assert getattr(a, key).flags.writeable, key
+    a.w_z[0] += 1.0
+    assert_matches_reference(terrain, params, CMD, SimConfig(seed=9))

@@ -11,7 +11,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from quadkit.adaptation import TERRAIN_DESCRIPTIONS
+from quadkit.adaptation import (
+    TERRAIN_DESCRIPTIONS,
+    determining_request,
+    direct_request,
+    locate_request,
+)
 from quadkit.locomotion import PROMPT_PARAM_ORDER, level_midpoint, level_name
 from quadkit.mapping import Frame, LabeledPointCloud, Scene, save_scene
 from quadkit.surrogate import IDEAL_PROFILES
@@ -103,19 +108,25 @@ def determining_reply(terrain: str) -> str:
 
 def write_benchmark_transcript():
     """Entries for the default benchmark invocation: per terrain, 3 auto
-    replies, 6 level-location replies (sampling + determining), 1 pick."""
+    replies, 6 level-location replies (sampling + determining), 1 pick.
+    Each entry carries the digest of the request it answers, so a replay
+    that sends another request (say, terrains in another order) fails."""
     entries = []
-    for terrain in TERRAIN_DESCRIPTIONS:
+    for terrain, description in TERRAIN_DESCRIPTIONS.items():
         profile = IDEAL_PROFILES[terrain]
+        auto = direct_request(description).digest()
         for reply in auto_candidates(terrain):
-            entries.append(("auto", reply))
+            entries.append(("auto", auto, reply))
+        located = locate_request(description).digest()
         for _ in range(6):
-            entries.append(("locate_levels", level_reply(profile)))
-        entries.append(("determining", determining_reply(terrain)))
+            entries.append(("locate_levels", located, level_reply(profile)))
+        entries.append(("determining", determining_request(description).digest(),
+                        determining_reply(terrain)))
     path = os.path.join(ASSETS, "transcripts", "benchmark.jsonl")
     with open(path, "w") as fh:
-        for template_id, response in entries:
-            fh.write(json.dumps({"template_id": template_id, "response": response}) + "\n")
+        for template_id, request_hash, response in entries:
+            fh.write(json.dumps({"template_id": template_id, "request_hash": request_hash,
+                                 "response": response}) + "\n")
     print(f"wrote {path} ({len(entries)} entries)")
 
 
