@@ -41,7 +41,7 @@ print("\npacing instead of trotting:", efficiency(paced, ideal_profile(terrain))
 for label, params in (("ideal", base), ("height two levels high",
                                         BehaviorParams(gait=base.gait, **dict(
                                             base.continuous(), body_height=0.35)))):
-    traj = simulate(terrain, params, cmd, SimConfig(noise_scale=0.0, seed=0))
+    traj = simulate(terrain, params, cmd, SimConfig(noise_scale=0.0))
     report = episode_percent(traj, cmd, params.gait)
     print(f"  {label:24s} -> episode percents "
           f"{tuple(round(v, 2) for v in report.as_tuple())}")

@@ -14,6 +14,7 @@ from .locomotion import (
     FootId,
     GaitOffsets,
     Level,
+    LevelSelection,
     desired_contact,
     foot_phases,
     level_range,
@@ -30,7 +31,7 @@ from .rewards import (
     r_velocity_xy,
     r_velocity_yaw,
 )
-from .surrogate import IdealProfile, SimConfig, Trajectory, efficiency, ideal_profile, simulate
+from .surrogate import SimConfig, Trajectory, efficiency, ideal_profile, simulate
 from .terrain import (
     DownhillSlope,
     DownsideStair,
@@ -48,11 +49,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ToolkitConfig", "load_config", "derive_seed",
-    "BehaviorParams", "CommandVector", "FootId", "GaitOffsets", "Level", "GAITS",
+    "BehaviorParams", "CommandVector", "FootId", "GaitOffsets", "Level", "LevelSelection",
+    "GAITS",
     "foot_phases", "timing_reference", "desired_contact", "level_range", "sample_grid",
     "RewardConfig", "StepSample", "EpisodeReport", "episode_percent",
     "r_velocity_xy", "r_velocity_yaw", "r_swing_force", "r_stance_velocity",
-    "SimConfig", "IdealProfile", "Trajectory", "simulate", "efficiency", "ideal_profile",
+    "SimConfig", "Trajectory", "simulate", "efficiency", "ideal_profile",
     "Heightfield", "UphillSlope", "DownhillSlope", "UpsideStair", "DownsideStair",
     "UnevenGround", "build", "height_at", "slope_roughness", "terrain_by_name",
     "__version__",

@@ -39,6 +39,7 @@ from .locomotion import (
     BehaviorParams,
     CommandVector,
     Level,
+    LevelSelection,
     gait_name,
     level_midpoint,
     level_range,
@@ -66,7 +67,7 @@ TERRAIN_DESCRIPTIONS = {
                      "minimum height is 0 cm.",
 }
 
-_PROMPT_LABELS = {
+PROMPT_LABELS = {
     "body_height": "body height",
     "step_frequency": "stepping frequency",
     "swing_height": "foot swing height",
@@ -84,28 +85,9 @@ class MethodVariant:
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant '{self.kind}'; valid: {', '.join(VARIANT_KINDS)}")
+            raise ConfigError(f"unknown variant '{self.kind}'; valid: {', '.join(VARIANT_KINDS)}")
         if self.kind == "manual" and not self.params_file:
-            raise ValueError("manual variant requires a params file")
-
-
-@dataclass(frozen=True)
-class LevelSelection:
-    """Complete per-parameter level choice plus a gait preset name."""
-
-    body_height: Level
-    step_frequency: Level
-    body_pitch: Level
-    stance_width: Level
-    swing_height: Level
-    gait: str
-
-    def __post_init__(self):
-        if self.gait not in GAITS:
-            raise ValueError(f"unknown gait preset '{self.gait}'")
-
-    def level(self, parameter: str) -> Level:
-        return getattr(self, parameter)
+            raise ConfigError("manual variant requires a params file")
 
 
 @dataclass
@@ -228,8 +210,10 @@ def _selection_key(percent: float, cand: BehaviorParams):
 
 
 def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
-                sim_cfg: SimConfig, reward_cfg: RewardConfig | None = None) -> AdaptationResult:
-    """Simulate every candidate and return the xy-velocity argmax."""
+                sim_cfg: SimConfig, reward_cfg: RewardConfig | None = None,
+                seed: int = 0) -> AdaptationResult:
+    """Simulate every candidate under one episode ``seed`` and return the
+    xy-velocity argmax."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
@@ -237,7 +221,7 @@ def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
     best = None
     best_key = None
     for cand in candidates:
-        traj = simulate(terrain, cand, cmd, sim_cfg)
+        traj = simulate(terrain, cand, cmd, sim_cfg, seed)
         pct = episode_velocity_percent(traj, cmd, reward_cfg)
         percents.append(pct)
         key = _selection_key(pct, cand)
@@ -260,7 +244,7 @@ def determining_request(terrain_description: str, ranges=None) -> ChatRequest:
     lines = []
     for name in PROMPT_PARAM_ORDER:
         opts = ", ".join(f"{v:g}" for v in options[name])
-        lines.append(f"{_PROMPT_LABELS[name]}: {opts}")
+        lines.append(f"{PROMPT_LABELS[name]}: {opts}")
     user = load_template("determining").format(
         options_block="\n".join(lines), terrain_description=terrain_description)
     return ChatRequest("determining", "", user, PARSE_TEMPERATURE, 1)
@@ -316,26 +300,21 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
           cfg: ToolkitConfig, seed: int = 0) -> AdaptationResult:
     """Run one adaptation for (variant, terrain) and return the chosen params."""
     description = TERRAIN_DESCRIPTIONS.get(terrain.name, f"There is {terrain.name}.")
-    sim_cfg = SimConfig(cfg.sim.steps, cfg.sim.dt, cfg.sim.noise_scale, seed)
     if variant.kind == "auto_lss_sampling":
         selection = locate_ranges(description, gateway)
         candidates = candidate_grid(selection, cfg.lss.candidate_cap,
                                     cfg.lss.grid_gaits, cfg.level_ranges)
-        result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg, cfg.reward)
+        result = select_best(candidates, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seed)
         result.variant = variant.kind
         return result
     if variant.kind == "manual":
         params = manual_params(variant.params_file)
-    elif variant.kind == "auto":
-        params = direct_params(description, gateway, with_prior=False)
-    elif variant.kind == "auto_prior":
-        params = direct_params(description, gateway, with_prior=True)
     elif variant.kind == "auto_lss_determining":
         selection = locate_ranges(description, gateway)
         params = determining_pick(selection, gateway, description, cfg.level_ranges)
     else:
-        raise ValueError(f"unknown variant kind '{variant.kind}'")
-    traj = simulate(terrain, params, BENCHMARK_COMMAND, sim_cfg)
+        params = direct_params(description, gateway, with_prior=variant.kind == "auto_prior")
+    traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim, seed)
     pct = episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
     return AdaptationResult(params=params, candidate_percents=[pct], variant=variant.kind,
                             terrain=terrain.name, candidates=[params])
@@ -361,15 +340,14 @@ def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
         raise ValueError("runs must be >= 1")
     rows = []
     for terrain_name in terrains:
-        spec = terrain_by_name(terrain_name, **cfg.terrain_overrides.get(terrain_name, {}))
+        spec = terrain_by_name(terrain_name)
         for variant in variants:
             result = adapt(variant, spec, gateway, cfg,
                            seed=derive_seed(root_seed, "adapt", terrain_name, variant.kind))
             reports = []
             for run in range(runs):
-                eval_cfg = SimConfig(cfg.sim.steps, cfg.sim.dt, cfg.sim.noise_scale,
-                                     seed=derive_seed(root_seed, "eval", terrain_name, run))
-                traj = simulate(spec, result.params, BENCHMARK_COMMAND, eval_cfg)
+                traj = simulate(spec, result.params, BENCHMARK_COMMAND, cfg.sim,
+                                derive_seed(root_seed, "eval", terrain_name, run))
                 reports.append(episode_percent(traj, BENCHMARK_COMMAND, result.params.gait,
                                                cfg.reward))
             avg = EpisodeReport(*[
@@ -394,9 +372,8 @@ def random_baseline_percent(terrain: TerrainSpec, n: int, cfg: ToolkitConfig,
         }
         gait = GAIT_NAMES[int(rng.integers(len(GAIT_NAMES)))]
         params = BehaviorParams(gait=GAITS[gait], **values)
-        sim_cfg = SimConfig(cfg.sim.steps, cfg.sim.dt, cfg.sim.noise_scale,
-                            seed=derive_seed(root_seed, "baseline", terrain.name, i))
-        traj = simulate(terrain, params, BENCHMARK_COMMAND, sim_cfg)
+        traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim,
+                        derive_seed(root_seed, "baseline", terrain.name, i))
         total += episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
     return total / n
 

@@ -73,23 +73,19 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
     """Run the adaptation benchmark and emit a per-(terrain, variant) CSV."""
     cfg = load_config(config_path)
     if noise_scale is not None:
-        if noise_scale < 0:
-            raise ConfigError(f"noise_scale must be >= 0, not {noise_scale}")
         cfg.sim.noise_scale = noise_scale
+        try:
+            cfg.sim.validate()
+        except ValueError as err:
+            raise ConfigError(f"{err}, not {noise_scale}") from None
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, not {runs}")
     unknown = [t for t in terrains if t not in TERRAIN_TYPES]
     if unknown:
         raise ConfigError(
             f"unknown terrain(s) {', '.join(unknown)}; valid: {', '.join(TERRAIN_TYPES)}")
-    variant_objs = []
-    for kind in variants:
-        if kind == "manual":
-            if not manual_params_file:
-                raise ConfigError("manual variant requires a params file")
-            variant_objs.append(MethodVariant(kind, manual_params_file))
-        else:
-            variant_objs.append(MethodVariant(kind))
+    variant_objs = [MethodVariant(kind, manual_params_file if kind == "manual" else None)
+                    for kind in variants]
     if transcript is None and provider == "scripted":
         transcript = asset_path("transcripts", "benchmark.jsonl")
     gateway = make_gateway(provider, transcript)
@@ -173,7 +169,11 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
 def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out",
              provider: str = "scripted", transcript=None):
     """Run a bundled scenario: decompose, execute, evaluate, and write the trace."""
-    with open(scenario_path) as fh:
+    try:
+        fh = open(scenario_path)
+    except OSError as err:
+        raise ConfigError(f"cannot read scenario {scenario_path}: {err}") from None
+    with fh:
         try:
             scenario = json.load(fh)
         except ValueError as err:

@@ -1,8 +1,7 @@
 """Toolkit configuration: compiled-in defaults plus a JSON config file loader.
 
 One file configures the level-range table, reward sigmas, simulation, LSS
-search, mapping, and navigation settings, and optional terrain parameter
-overrides.
+search, mapping, and navigation settings.
 """
 
 from __future__ import annotations
@@ -10,13 +9,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .locomotion import LEVEL_RANGES, PARAMETERS
 from .rewards import RewardConfig
 from .surrogate import SimConfig
-from .terrain import TERRAIN_TYPES
 
 
 @dataclass
@@ -48,7 +47,6 @@ class ToolkitConfig:
     lss: LssConfig = field(default_factory=LssConfig)
     mapping: MappingConfig = field(default_factory=MappingConfig)
     nav: NavConfig = field(default_factory=NavConfig)
-    terrain_overrides: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -61,8 +59,6 @@ def _checked_values(cls, data: dict, section: str) -> dict:
     for key, value in data.items():
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}' in section '{section}'")
-        if isinstance(value, list):
-            value = tuple(value)
         # Exact types, so a bool never passes for a number; an int is a valid float.
         expected = type(defaults[key])
         if not (type(value) is expected or (expected, type(value)) == (float, int)):
@@ -80,7 +76,7 @@ def _object(value, what: str) -> dict:
 
 def _is_interval(iv) -> bool:
     return (isinstance(iv, (list, tuple)) and len(iv) == 2
-            and all(type(v) in (int, float) for v in iv))
+            and all(type(v) in (int, float) and math.isfinite(v) for v in iv))
 
 
 def _level_ranges(value, current: dict) -> dict:
@@ -90,7 +86,7 @@ def _level_ranges(value, current: dict) -> dict:
             raise ConfigError(f"unknown parameter '{name}' in level_ranges")
         if not (isinstance(intervals, (list, tuple)) and len(intervals) == 5
                 and all(_is_interval(iv) for iv in intervals)):
-            raise ConfigError(f"level_ranges.{name} must be 5 [lo, hi] number pairs")
+            raise ConfigError(f"level_ranges.{name} must be 5 [lo, hi] finite number pairs")
         for i, (lo, hi) in enumerate(intervals):
             if hi < lo:
                 raise ConfigError(f"level_ranges.{name}[{i}] is inverted")
@@ -98,16 +94,6 @@ def _level_ranges(value, current: dict) -> dict:
                 raise ConfigError(f"level_ranges.{name} intervals must be contiguous")
         merged[name] = [tuple(iv) for iv in intervals]
     return merged
-
-
-def _terrain_overrides(value) -> dict:
-    overrides = {}
-    for name, fields in _object(value, "terrain_overrides").items():
-        if name not in TERRAIN_TYPES:
-            raise ConfigError(f"unknown terrain '{name}' in terrain_overrides")
-        section = f"terrain_overrides.{name}"
-        overrides[name] = _checked_values(TERRAIN_TYPES[name], _object(fields, section), section)
-    return overrides
 
 
 def load_config(path=None) -> ToolkitConfig:
@@ -150,8 +136,6 @@ def _merge(cfg: ToolkitConfig, data):
                 setattr(section, name, v)
         elif key == "level_ranges":
             cfg.level_ranges = _level_ranges(value, cfg.level_ranges)
-        elif key == "terrain_overrides":
-            cfg.terrain_overrides = _terrain_overrides(value)
         else:
             raise ConfigError(f"unknown top-level key '{key}'")
     if cfg.nav.cost_mode not in ("binary", "continuous"):

@@ -82,7 +82,11 @@ class ScriptedProvider:
     def from_file(cls, path) -> "ScriptedProvider":
         """Read a transcript; a malformed line raises ConfigError naming the file and line."""
         entries = []
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as err:
+            raise ConfigError(f"cannot read transcript {path}: {err}") from None
+        with fh:
             for n, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

@@ -154,6 +154,25 @@ class BehaviorParams:
         return {name: getattr(self, name) for name in PARAMETERS}
 
 
+@dataclass(frozen=True)
+class LevelSelection:
+    """Complete per-parameter level choice plus a gait preset name."""
+
+    body_height: Level
+    step_frequency: Level
+    body_pitch: Level
+    stance_width: Level
+    swing_height: Level
+    gait: str
+
+    def __post_init__(self):
+        if self.gait not in GAITS:
+            raise ValueError(f"unknown gait preset '{self.gait}'")
+
+    def level(self, parameter: str) -> Level:
+        return getattr(self, parameter)
+
+
 def level_names(parameter: str) -> tuple:
     """Display names for the five levels of a parameter."""
     return PITCH_LEVEL_NAMES if parameter == "body_pitch" else MAGNITUDE_LEVEL_NAMES

@@ -331,7 +331,11 @@ def load_scene(path) -> Scene:
 
     A malformed file raises ConfigError naming the path and the 1-based line.
     """
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError(f"cannot read scene file {path}: {err}") from None
+    with fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ConfigError(f"scene file {path} is empty")

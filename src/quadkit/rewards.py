@@ -18,6 +18,9 @@ import numpy as np
 
 from .locomotion import CommandVector, GaitOffsets, desired_contact, desired_contacts
 
+# Per-term maxima of the scalar training-style reward (xy, yaw, swing, stance).
+SCALAR_WEIGHTS = (1.0, 1.0, 0.08, 0.08)
+
 
 @dataclass
 class RewardConfig:
@@ -25,8 +28,6 @@ class RewardConfig:
     sigma_wz: float = 0.25
     sigma_cf: float = 100.0
     sigma_cv: float = 0.25
-    # Per-term maxima used only when composing the scalar training-style reward.
-    weights: tuple = (1.0, 1.0, 0.08, 0.08)
     # Audit mode: score the stance term over the commanded-swing feet too.
     swing_selector_on_stance: bool = False
     # Normalize phase terms by a flat 4 feet instead of the realized selection count.
@@ -36,6 +37,8 @@ class RewardConfig:
         for name in ("sigma_vxy", "sigma_wz", "sigma_cf", "sigma_cv"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         return self
 
 
@@ -120,8 +123,8 @@ def r_stance_velocity(sample: StepSample, gait: GaitOffsets, cfg: RewardConfig) 
 def scalar_reward(sample: StepSample, cmd: CommandVector, gait: GaitOffsets,
                   cfg: RewardConfig) -> float:
     """Single training-style reward: each term normalized to [0, 1], then scaled
-    so its maximum equals the configured per-term weight."""
-    w = cfg.weights
+    so its maximum equals its weight in ``SCALAR_WEIGHTS``."""
+    w = SCALAR_WEIGHTS
     sw_sum, sw_n, st_sum, st_n = _phase_terms(sample, gait, cfg)
     total = w[0] * r_velocity_xy(sample, cmd, cfg)
     total += w[1] * r_velocity_yaw(sample, cmd, cfg)

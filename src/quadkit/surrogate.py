@@ -22,6 +22,7 @@ from .locomotion import (
     BehaviorParams,
     CommandVector,
     Level,
+    LevelSelection,
     desired_contacts,
     gait_name,
 )
@@ -51,7 +52,6 @@ class SimConfig:
     steps: int = 250
     dt: float = 0.02
     noise_scale: float = 0.05
-    seed: int = 0
 
     def validate(self) -> "SimConfig":
         if self.steps < 1:
@@ -60,38 +60,26 @@ class SimConfig:
             raise ValueError("noise_scale must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        for name in ("noise_scale", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         return self
-
-
-@dataclass(frozen=True)
-class IdealProfile:
-    """Ideal ordinal level per continuous parameter plus the ideal gait preset."""
-
-    body_height: Level
-    step_frequency: Level
-    body_pitch: Level
-    stance_width: Level
-    swing_height: Level
-    gait: str
-
-    def level(self, parameter: str) -> Level:
-        return getattr(self, parameter)
 
 
 # Per-terrain optima. The uphill row follows the expert level choices used in
 # the level-location prompt's worked example; the other rows are authored to
 # give every terrain a plausible, documented optimum.
 IDEAL_PROFILES = {
-    "uphill_slope": IdealProfile(Level.LOW, Level.HIGH, Level.HIGH, Level.MEDIUM, Level.HIGH,
-                                 "trotting"),
-    "downhill_slope": IdealProfile(Level.LOW, Level.LOW, Level.LOW, Level.HIGH, Level.MEDIUM,
+    "uphill_slope": LevelSelection(Level.LOW, Level.HIGH, Level.HIGH, Level.MEDIUM, Level.HIGH,
                                    "trotting"),
-    "upside_stair": IdealProfile(Level.LOW, Level.LOW, Level.HIGH, Level.MEDIUM, Level.VERY_HIGH,
-                                 "trotting"),
-    "downside_stair": IdealProfile(Level.LOW, Level.LOW, Level.LOW, Level.HIGH, Level.HIGH,
-                                   "trotting"),
-    "uneven_ground": IdealProfile(Level.LOW, Level.MEDIUM, Level.MEDIUM, Level.HIGH, Level.HIGH,
-                                  "trotting"),
+    "downhill_slope": LevelSelection(Level.LOW, Level.LOW, Level.LOW, Level.HIGH, Level.MEDIUM,
+                                     "trotting"),
+    "upside_stair": LevelSelection(Level.LOW, Level.LOW, Level.HIGH, Level.MEDIUM,
+                                   Level.VERY_HIGH, "trotting"),
+    "downside_stair": LevelSelection(Level.LOW, Level.LOW, Level.LOW, Level.HIGH, Level.HIGH,
+                                     "trotting"),
+    "uneven_ground": LevelSelection(Level.LOW, Level.MEDIUM, Level.MEDIUM, Level.HIGH,
+                                    Level.HIGH, "trotting"),
 }
 
 
@@ -119,7 +107,7 @@ class Trajectory:
         return len(self.phase)
 
 
-def ideal_profile(terrain: TerrainSpec) -> IdealProfile:
+def ideal_profile(terrain: TerrainSpec) -> LevelSelection:
     try:
         return IDEAL_PROFILES[terrain.name]
     except KeyError:
@@ -133,7 +121,7 @@ def _interval_distance(value: float, interval: tuple) -> float:
     return d / (hi - lo)
 
 
-def efficiency(params: BehaviorParams, ideal: IdealProfile) -> float:
+def efficiency(params: BehaviorParams, ideal: LevelSelection) -> float:
     """Tracking efficiency in (0, 1]: product of per-parameter Gaussian factors
     of the normalized distance to the ideal interval, times a gait factor."""
     params.validate()
@@ -180,20 +168,20 @@ def _gait_schedule(gait, step_frequency: float, dt: float, steps: int) -> tuple:
 
 
 def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
-             cfg: SimConfig) -> Trajectory:
+             cfg: SimConfig, seed: int = 0) -> Trajectory:
     """Roll out one episode against the response model.
 
-    Achieved planar velocity is the command scaled by efficiency plus seeded
-    noise, capped so it never exceeds the command speed. Contact forces and
-    foot slips are deterministic functions of efficiency so the phase terms
-    stay exact at zero noise. The noise and the gait schedule depend only on
+    Achieved planar velocity is the command scaled by efficiency plus noise
+    drawn from ``seed``, capped so it never exceeds the command speed.
+    Contact forces and foot slips are deterministic functions of efficiency
+    so the phase terms stay exact at zero noise. The noise and the gait schedule depend only on
     the seed and the gait timing, so they are computed once per key and
     shared read-only (``SimConfig`` is mutable: the key is its values now).
     """
     cfg.validate()
     cmd.validate()
     e = efficiency(params, ideal_profile(terrain))
-    noise_v, noise_w = _episode_noise(cfg.seed, cfg.noise_scale, cfg.steps)
+    noise_v, noise_w = _episode_noise(seed, cfg.noise_scale, cfg.steps)
     phase, contact, load = _gait_schedule(params.gait, params.step_frequency, cfg.dt,
                                           cfg.steps)
     mult = np.clip(e + noise_v, -1.0, 1.0)
@@ -206,7 +194,7 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
                       foot_speed=np.where(contact, slip, swing_speed), phase=phase,
-                      terrain_name=terrain.name, params=params, cmd=cmd, seed=cfg.seed)
+                      terrain_name=terrain.name, params=params, cmd=cmd, seed=seed)
 
 
 def ideal_params(terrain: TerrainSpec) -> BehaviorParams:
@@ -219,14 +207,14 @@ def ideal_params(terrain: TerrainSpec) -> BehaviorParams:
     return BehaviorParams(gait=GAITS[prof.gait], **vals)
 
 
-def describe_profile(profile: IdealProfile) -> str:
+def describe_profile(profile: LevelSelection) -> str:
     parts = [f"{name}={profile.level(name).name.lower()}" for name in PARAMETERS]
     parts.append(f"gait={profile.gait}")
     return ", ".join(parts)
 
 
 __all__ = [
-    "SimConfig", "IdealProfile", "IDEAL_PROFILES", "Trajectory",
+    "SimConfig", "IDEAL_PROFILES", "Trajectory",
     "ideal_profile", "efficiency", "simulate", "ideal_params",
     "BODY_WEIGHT_N", "SPURIOUS_FORCE_N", "SLIP_SCALE", "RHO",
     "GAIT_MISMATCH_FACTOR", "describe_profile", "gait_name",

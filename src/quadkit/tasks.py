@@ -26,7 +26,6 @@ from .gateway import (
 )
 from .mapping import Frame, InstanceMemory, LabeledPointCloud, Scene, ingest
 from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
-from .surrogate import SimConfig
 from .terrain import terrain_by_name
 
 MAX_EXPLORE_LEGS = 50
@@ -254,9 +253,8 @@ def _skill_switch_gait(world, gateway, terrain_description: str) -> SkillOutcome
     candidates = candidate_grid(selection, world.cfg.lss.candidate_cap,
                                 world.cfg.lss.grid_gaits, world.cfg.level_ranges)
     terrain = resolve_terrain(terrain_description)
-    sim_cfg = SimConfig(world.cfg.sim.steps, world.cfg.sim.dt, world.cfg.sim.noise_scale,
-                        seed=derive_seed(world.root_seed, "switch_gait", terrain.name))
-    result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg, world.cfg.reward)
+    result = select_best(candidates, terrain, BENCHMARK_COMMAND, world.cfg.sim, world.cfg.reward,
+                         derive_seed(world.root_seed, "switch_gait", terrain.name))
     world.params = result.params
     return SkillOutcome(ok=True, check="state",
                         detail=f"adapted {len(candidates)} candidates on {terrain.name}")

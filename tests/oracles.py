@@ -78,7 +78,7 @@ def episode_percent_steps(samples, cmd, gait, cfg):
     return tuple(100.0 * a / d if d > 0 else 100.0 for a, d in zip(acc, den))
 
 
-def simulate_reference(terrain, params, cmd, cfg):
+def simulate_reference(terrain, params, cmd, cfg, seed):
     """``surrogate.simulate`` with nothing shared between calls: the seeded
     noise and the gait schedule are recomputed on every call."""
     cfg.validate()
@@ -86,7 +86,7 @@ def simulate_reference(terrain, params, cmd, cfg):
     e = efficiency(params, ideal_profile(terrain))
     n = cfg.steps
     if cfg.noise_scale > 0:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         noise_v = rng.normal(0.0, cfg.noise_scale, n)
         noise_w = rng.normal(0.0, cfg.noise_scale, n)
     else:
@@ -106,7 +106,7 @@ def simulate_reference(terrain, params, cmd, cfg):
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
                       foot_speed=np.where(contact, slip, swing_speed), phase=phase,
-                      terrain_name=terrain.name, params=params, cmd=cmd, seed=cfg.seed)
+                      terrain_name=terrain.name, params=params, cmd=cmd, seed=seed)
 
 
 def bilinear_oracle(heights, resolution, origin, x, y):

@@ -136,11 +136,11 @@ def test_criterion_3_lss_oracle_equivalence():
         candidates = candidate_grid(selection)
         assert len(candidates) <= 1024
         terrain = terrain_by_name("uphill_slope")
-        sim_cfg = SimConfig(noise_scale=0.0, seed=0)
-        result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg)
+        sim_cfg = SimConfig(noise_scale=0.0)
+        result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg, seed=0)
         scored = []
         for cand in candidates:
-            traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg)
+            traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg, 0)
             scored.append((episode_velocity_percent(traj, BENCHMARK_COMMAND), cand))
         best_pct = max(p for p, _ in scored)
         pool = [c for p, c in scored if p == best_pct]
@@ -156,9 +156,8 @@ def test_criterion_3_lss_oracle_equivalence():
 def test_criterion_4_trend_reproduction():
     with criterion(4, "sampling beats determining and random baselines", 300.0):
         cfg = ToolkitConfig()
-        terrains = list(cfg.terrain_overrides) or [
-            "uphill_slope", "downhill_slope", "upside_stair", "downside_stair",
-            "uneven_ground"]
+        terrains = ["uphill_slope", "downhill_slope", "upside_stair", "downside_stair",
+                    "uneven_ground"]
         from quadkit.gateway import ScriptedProvider, Gateway
         gateway = Gateway(ScriptedProvider.from_file(
             asset_path("transcripts", "benchmark.jsonl")))

@@ -167,6 +167,10 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--noise-scale", "-1"], "noise_scale must be >= 0, not -1.0"),
     (["--runs", "0"], "runs must be >= 1, not 0"),
+    (["--noise-scale", "nan"], "noise_scale must be finite, not nan"),
+    (["--noise-scale", "inf"], "noise_scale must be finite, not inf"),
+    (["--variants", "auto,bogus"], "unknown variant 'bogus'"),
+    (["--variants", "manual"], "manual variant requires a params file"),
 ])
 def test_cli_adapt_out_of_range_value_exits_2(tmp_path, capsys, flags, message):
     code = main(["adapt", "--terrains", "uphill_slope", "--out", str(tmp_path)] + flags)
@@ -272,6 +276,23 @@ def test_cli_task_invalid_scenario_exits_2(tmp_path, capsys, text):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "bad_scenario.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--scene", "{missing}", "--instruction", "Go to the chair",
+     "--transcript", asset_path("transcripts", "plan_band.jsonl")],
+    ["plan", "--scene", asset_path("scenes", "band.jsonl"), "--instruction",
+     "Go to the chair", "--transcript", "{missing}"],
+    ["adapt", "--terrains", "uphill_slope", "--transcript", "{missing}"],
+    ["task", "--scenario", "{missing}"],
+], ids=["plan-scene", "plan-transcript", "adapt-transcript", "task-scenario"])
+def test_cli_missing_input_file_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    code = main([arg.format(missing=missing) for arg in argv]
+                + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and missing in err
 
 
 def test_cli_plan_malformed_transcript_exits_2(tmp_path, capsys):

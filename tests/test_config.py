@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -37,7 +38,6 @@ def test_load_config_merges_sections(tmp_path):
         "nav": {"cost_mode": "continuous"},
         "level_ranges": {"body_height": [[0.1, 0.2], [0.2, 0.25], [0.25, 0.3],
                                          [0.3, 0.4], [0.4, 0.45]]},
-        "terrain_overrides": {"uneven_ground": {"seed": 9}},
     }))
     cfg = load_config(path)
     assert cfg.sim.noise_scale == 0.0
@@ -47,7 +47,6 @@ def test_load_config_merges_sections(tmp_path):
     assert cfg.nav.cost_mode == "continuous"
     assert cfg.level_ranges["body_height"][1] == (0.2, 0.25)
     assert cfg.level_ranges["step_frequency"] == list(LEVEL_RANGES["step_frequency"])
-    assert cfg.terrain_overrides == {"uneven_ground": {"seed": 9}}
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -93,7 +92,8 @@ def test_keyword_defaults_read_the_config():
     ("mapping", "dilation_p", 2.5),
     ("mapping", "dilation_p", "3"),
     ("lss", "grid_gaits", 1),
-    ("reward", "weights", 1.0),
+    ("reward", "sigma_vxy", "0.25"),
+    ("reward", "flat_phase_max", 0),
     ("nav", "cost_mode", 1),
 ])
 def test_load_config_rejects_wrong_value_types(tmp_path, section, key, value):
@@ -107,15 +107,14 @@ def test_load_config_rejects_wrong_value_types(tmp_path, section, key, value):
     ("sim", "dt", 1),  # an int is a valid float
     ("sim", "steps", 100),
     ("lss", "grid_gaits", True),
-    ("reward", "weights", [1, 1, 0.1, 0.1]),
+    ("reward", "sigma_cf", 50),
     ("nav", "cost_mode", "continuous"),
 ])
 def test_load_config_accepts_matching_value_types(tmp_path, section, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({section: {key: value}}))
     cfg = load_config(path)
-    expected = tuple(value) if isinstance(value, list) else value
-    assert getattr(getattr(cfg, section), key) == expected
+    assert getattr(getattr(cfg, section), key) == value
 
 
 def test_load_config_rejects_unknown_cost_mode(tmp_path):
@@ -149,20 +148,29 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= a < 2 ** 63
 
 
+# terrain_overrides, sim.seed and reward.weights were settings that no command
+# read; each is an unknown key now.
 MALFORMED_CONFIGS = [
     ([1], "top level"),
     ({"level_ranges": [1]}, "level_ranges"),
     ({"level_ranges": {"bogus": []}}, "'bogus'"),
     ({"level_ranges": {"body_height": [[0.1, 0.2]]}}, "level_ranges.body_height"),
     ({"terrain_overrides": [1]}, "terrain_overrides"),
-    ({"terrain_overrides": {"uphill_slope": 3}}, "terrain_overrides.uphill_slope"),
-    ({"terrain_overrides": {"uphill_slope": {"bogus": 1}}}, "'bogus'"),
-    ({"terrain_overrides": {"lava": {}}}, "'lava'"),
-    ({"terrain_overrides": {"uneven_ground": {"seed": 1.5}}},
-     "terrain_overrides.uneven_ground.seed"),
+    ({"sim": {"seed": 12345}}, "'seed'"),
+    ({"sim": {"bogus": 1}}, "'bogus'"),
+    ({"lava": {}}, "'lava'"),
+    ({"reward": {"weights": [9, 9, 9, 9]}}, "'weights'"),
     ({"sim": {"steps": 0}}, "sim.steps"),
     ({"sim": {"dt": 0}}, "sim.dt"),
     ({"reward": {"sigma_vxy": 0}}, "reward.sigma_vxy"),
+    ({"terrain_overrides": {"uphill_slope": {"slope": -0.4}}}, "'terrain_overrides'"),
+    ({"sim": {"dt": math.nan}}, "sim.dt must be finite"),
+    ({"sim": {"noise_scale": math.inf}}, "sim.noise_scale must be finite"),
+    ({"reward": {"sigma_vxy": math.nan}}, "reward.sigma_vxy must be finite"),
+    ({"reward": {"sigma_cf": math.inf}}, "reward.sigma_cf must be finite"),
+    # every comparison with a NaN bound is false, so sampling it would never end
+    ({"level_ranges": {"body_height": [[0.1, 0.15], [math.nan, 0.2], [0.2, 0.3],
+                                       [0.3, 0.4], [0.4, 0.45]]}}, "level_ranges.body_height"),
 ]
 
 
@@ -184,15 +192,6 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, data, key):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "bad_cfg.json" in err and key in err
-
-
-def test_terrain_overrides_are_checked_and_kept(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"terrain_overrides": {"uphill_slope": {"slope": -0.2},
-                                                      "uneven_ground": {"seed": 4}}}))
-    cfg = load_config(path)
-    assert cfg.terrain_overrides == {"uphill_slope": {"slope": -0.2},
-                                     "uneven_ground": {"seed": 4}}
 
 
 def test_apply_config_data_names_its_source():

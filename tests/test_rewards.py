@@ -206,7 +206,7 @@ def test_episode_arrays_match_per_step_oracle(gait_name_, on_stance, flat):
     params = BehaviorParams(gait=GAITS[gait_name_], **dict(base, body_height=0.3))
     for noise in (0.05, 0.4):
         for seed in (0, 7, 123):
-            traj = simulate(terrain, params, cmd, SimConfig(noise_scale=noise, seed=seed))
+            traj = simulate(terrain, params, cmd, SimConfig(noise_scale=noise), seed)
             # scored against every gait, not only the simulated one
             for other in GAITS.values():
                 assert_matches_step_oracle(traj, cmd, other, cfg)
@@ -218,7 +218,7 @@ def test_pronking_steps_without_stance_match_oracle(on_stance, flat):
     pronk = GAITS["pronking"]
     params = BehaviorParams(gait=pronk, **dict(ideal_params(UphillSlope()).continuous(),
                                                body_height=0.3))
-    traj = simulate(UphillSlope(), params, CMD, SimConfig(noise_scale=0.4, seed=3))
+    traj = simulate(UphillSlope(), params, CMD, SimConfig(noise_scale=0.4), 3)
     no_stance = ~desired_contacts(pronk, traj.phase).any(axis=1)
     assert no_stance.any() and not no_stance.all()
     assert_matches_step_oracle(traj, CMD, pronk, cfg)

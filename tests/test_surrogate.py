@@ -86,7 +86,7 @@ def test_efficiency_gait_mismatch_factor():
 def test_ideal_zero_noise_tracks_exactly():
     terrain = UphillSlope()
     params = ideal_params(terrain)
-    traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.0, seed=0))
+    traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.0), 0)
     assert len(traj) == 250
     assert np.all(traj.v_xy == (1.0, 0.0))
     assert np.all(traj.w_z == 0.0)
@@ -99,9 +99,9 @@ def test_ideal_zero_noise_tracks_exactly():
 def test_same_seed_reproduces_trajectory():
     terrain = UnevenGround()
     params = ideal_params(terrain)
-    a = simulate(terrain, params, CMD, SimConfig(seed=123))
-    b = simulate(terrain, params, CMD, SimConfig(seed=123))
-    c = simulate(terrain, params, CMD, SimConfig(seed=124))
+    a = simulate(terrain, params, CMD, SimConfig(), 123)
+    b = simulate(terrain, params, CMD, SimConfig(), 123)
+    c = simulate(terrain, params, CMD, SimConfig(), 124)
     assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in TRAJECTORY_ARRAYS)
     assert not all(np.array_equal(getattr(a, k), getattr(c, k)) for k in TRAJECTORY_ARRAYS)
 
@@ -109,7 +109,7 @@ def test_same_seed_reproduces_trajectory():
 def test_speed_cap():
     terrain = UphillSlope()
     params = ideal_params(terrain)
-    traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.4, seed=5))
+    traj = simulate(terrain, params, CMD, SimConfig(noise_scale=0.4), 5)
     cmd_speed = math.hypot(CMD.vx, CMD.vy)
     assert np.all(np.hypot(traj.v_xy[:, 0], traj.v_xy[:, 1]) <= cmd_speed + 1e-12)
 
@@ -117,14 +117,14 @@ def test_speed_cap():
 def test_phase_advances_by_frequency_dt():
     terrain = UphillSlope()
     params = ideal_params(terrain)
-    cfg = SimConfig(noise_scale=0.0, seed=0)
-    traj = simulate(terrain, params, CMD, cfg)
+    cfg = SimConfig(noise_scale=0.0)
+    traj = simulate(terrain, params, CMD, cfg, 0)
     step = params.step_frequency * cfg.dt
     assert np.all(np.abs(np.diff(traj.phase) % 1.0 - step % 1.0) < 1e-9)
 
 
 def test_ordinal_monotonicity_at_zero_noise():
-    cfg = SimConfig(noise_scale=0.0, seed=0)
+    cfg = SimConfig(noise_scale=0.0)
     for name in ("uphill_slope", "downhill_slope", "uneven_ground"):
         terrain = terrain_by_name(name)
         prof = ideal_profile(terrain)
@@ -141,20 +141,20 @@ def test_ordinal_monotonicity_at_zero_noise():
                     values = base.continuous()
                     values[param] = (lo + hi) / 2
                     candidate = BehaviorParams(gait=base.gait, **values)
-                    traj = simulate(terrain, candidate, CMD, cfg)
+                    traj = simulate(terrain, candidate, CMD, cfg, 0)
                     percents.append(episode_velocity_percent(traj, CMD))
                 assert all(a >= b - 1e-9 for a, b in zip(percents, percents[1:]))
 
 
 def test_degraded_params_score_lower():
     terrain = UphillSlope()
-    cfg = SimConfig(noise_scale=0.0, seed=0)
+    cfg = SimConfig(noise_scale=0.0)
     good = ideal_params(terrain)
     values = good.continuous()
     values["body_height"] = 0.35  # two levels above the ideal "low"
     bad = BehaviorParams(gait=good.gait, **values)
-    good_pct = episode_velocity_percent(simulate(terrain, good, CMD, cfg), CMD)
-    bad_pct = episode_velocity_percent(simulate(terrain, bad, CMD, cfg), CMD)
+    good_pct = episode_velocity_percent(simulate(terrain, good, CMD, cfg, 0), CMD)
+    bad_pct = episode_velocity_percent(simulate(terrain, bad, CMD, cfg, 0), CMD)
     assert good_pct > bad_pct
 
 
@@ -168,11 +168,11 @@ def test_sim_config_validation():
                  CommandVector(3.0, 0.0, 0.0), SimConfig())
 
 
-def assert_matches_reference(terrain, params, cmd, cfg):
+def assert_matches_reference(terrain, params, cmd, cfg, seed):
     """simulate equals the uncached reference bit for bit, on a miss and on a hit."""
-    expected = simulate_reference(terrain, params, cmd, cfg)
+    expected = simulate_reference(terrain, params, cmd, cfg, seed)
     for _ in range(2):
-        traj = simulate(terrain, params, cmd, cfg)
+        traj = simulate(terrain, params, cmd, cfg, seed)
         for key in TRAJECTORY_ARRAYS:
             assert np.array_equal(getattr(traj, key), getattr(expected, key)), key
             assert getattr(traj, key).dtype == getattr(expected, key).dtype, key
@@ -188,8 +188,8 @@ def test_simulate_matches_reference_every_gait(gait, noise_scale, steps, dt):
     values = ideal_params(terrain).continuous()
     values["step_frequency"] = 2.7
     params = BehaviorParams(gait=GAITS[gait], **values)
-    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale, seed=11)
-    assert_matches_reference(terrain, params, CommandVector(0.8, -0.3, 0.4), cfg)
+    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
+    assert_matches_reference(terrain, params, CommandVector(0.8, -0.3, 0.4), cfg, 11)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,53 +208,52 @@ def test_simulate_matches_reference_property(terrain, gait, fractions, seed, ste
         lo, hi = GLOBAL_RANGES[name]
         values[name] = lo + f * (hi - lo)
     params = BehaviorParams(gait=GAITS[gait], **values)
-    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale, seed=seed)
-    assert_matches_reference(terrain_by_name(terrain), params, CommandVector(*cmd), cfg)
+    cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
+    assert_matches_reference(terrain_by_name(terrain), params, CommandVector(*cmd), cfg, seed)
 
 
 def test_interleaved_seeds_get_their_own_noise():
     terrain = UnevenGround()
     params = ideal_params(terrain)
     for seed in (301, 302, 301, 302, 301):
-        assert_matches_reference(terrain, params, CMD, SimConfig(seed=seed))
-    a = simulate(terrain, params, CMD, SimConfig(seed=301))
-    b = simulate(terrain, params, CMD, SimConfig(seed=302))
+        assert_matches_reference(terrain, params, CMD, SimConfig(), seed)
+    a = simulate(terrain, params, CMD, SimConfig(), 301)
+    b = simulate(terrain, params, CMD, SimConfig(), 302)
     assert not np.array_equal(a.w_z, b.w_z)
 
 
 def test_mutated_sim_config_gets_fresh_noise():
     terrain = UnevenGround()
     params = ideal_params(terrain)
-    cfg = SimConfig(seed=401)
-    first = simulate(terrain, params, CMD, cfg)
-    cfg.seed = 402
-    second = simulate(terrain, params, CMD, cfg)
+    cfg = SimConfig()
+    first = simulate(terrain, params, CMD, cfg, 401)
+    second = simulate(terrain, params, CMD, cfg, 402)
     assert not np.array_equal(first.w_z, second.w_z)
     assert second.seed == 402
-    assert_matches_reference(terrain, params, CMD, cfg)
+    assert_matches_reference(terrain, params, CMD, cfg, 402)
     cfg.noise_scale = 0.0
-    assert_matches_reference(terrain, params, CMD, cfg)
-    assert np.all(simulate(terrain, params, CMD, cfg).w_z == 0.0)
+    assert_matches_reference(terrain, params, CMD, cfg, 402)
+    assert np.all(simulate(terrain, params, CMD, cfg, 402).w_z == 0.0)
     cfg.steps, cfg.dt = 40, 0.031
-    assert_matches_reference(terrain, params, CMD, cfg)
+    assert_matches_reference(terrain, params, CMD, cfg, 402)
 
 
 def test_mutated_sim_config_is_validated_on_every_call():
     terrain = UnevenGround()
     params = ideal_params(terrain)
-    cfg = SimConfig(seed=403)
-    simulate(terrain, params, CMD, cfg)
+    cfg = SimConfig()
+    simulate(terrain, params, CMD, cfg, 403)
     cfg.noise_scale = -0.1
     with pytest.raises(ValueError, match="noise_scale"):
-        simulate(terrain, params, CMD, cfg)
+        simulate(terrain, params, CMD, cfg, 403)
     cfg.noise_scale, cfg.steps = 0.05, 0
     with pytest.raises(ValueError, match="steps"):
-        simulate(terrain, params, CMD, cfg)
+        simulate(terrain, params, CMD, cfg, 403)
 
 
 def test_shared_phase_is_read_only():
     terrain = UphillSlope()
-    traj = simulate(terrain, ideal_params(terrain), CMD, SimConfig(seed=7))
+    traj = simulate(terrain, ideal_params(terrain), CMD, SimConfig(), 7)
     with pytest.raises(ValueError):
         traj.phase[0] = 0.5
 
@@ -262,10 +261,10 @@ def test_shared_phase_is_read_only():
 def test_per_candidate_arrays_are_new_per_call():
     terrain = UphillSlope()
     params = ideal_params(terrain)
-    a = simulate(terrain, params, CMD, SimConfig(seed=9))
-    b = simulate(terrain, params, CMD, SimConfig(seed=9))
+    a = simulate(terrain, params, CMD, SimConfig(), 9)
+    b = simulate(terrain, params, CMD, SimConfig(), 9)
     for key in ("v_xy", "w_z", "foot_force", "foot_speed"):
         assert not np.shares_memory(getattr(a, key), getattr(b, key)), key
         assert getattr(a, key).flags.writeable, key
     a.w_z[0] += 1.0
-    assert_matches_reference(terrain, params, CMD, SimConfig(seed=9))
+    assert_matches_reference(terrain, params, CMD, SimConfig(), 9)

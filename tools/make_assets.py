@@ -12,6 +12,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from quadkit.adaptation import (
+    PROMPT_LABELS,
     TERRAIN_DESCRIPTIONS,
     determining_request,
     direct_request,
@@ -22,14 +23,6 @@ from quadkit.mapping import Frame, LabeledPointCloud, Scene, save_scene
 from quadkit.surrogate import IDEAL_PROFILES
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "quadkit", "assets")
-
-PROMPT_LABELS = {
-    "body_height": "body height",
-    "step_frequency": "stepping frequency",
-    "swing_height": "foot swing height",
-    "body_pitch": "body pitch",
-    "stance_width": "foot stance width",
-}
 
 LEVEL_QUESTIONS = {
     "body_height": "What is the proper body height for this environment?",
