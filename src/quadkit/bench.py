@@ -12,6 +12,7 @@ from importlib import resources
 
 from .adaptation import (
     TERRAIN_DESCRIPTIONS,
+    VARIANT_KINDS,
     MethodVariant,
     rows_to_csv,
     run_benchmark,
@@ -80,6 +81,10 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
             raise ConfigError(f"{err}, not {noise_scale}") from None
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, not {runs}")
+    if not terrains:
+        raise ConfigError(f"no terrain given; valid: {', '.join(TERRAIN_TYPES)}")
+    if not variants:
+        raise ConfigError(f"no variant given; valid: {', '.join(VARIANT_KINDS)}")
     unknown = [t for t in terrains if t not in TERRAIN_TYPES]
     if unknown:
         raise ConfigError(
@@ -140,7 +145,8 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     start = smap.world_to_cell(scene.start_pose[0], scene.start_pose[1])
     target = assignment.target_object
     goal, field, plan, error = plan_to_target(target, memory, smap, costmap, start,
-                                              scene.start_pose[2], cfg.nav.speed_floor)
+                                              scene.start_pose[2], cfg.nav.speed_floor,
+                                              full_field=True)
     result = {"target": target, "goal_cell": list(goal) if goal is not None else None,
               "reached": False, "distance_m": None, "no_cost": no_cost}
     if error is not None:

@@ -9,6 +9,11 @@ a grid padded with a one-cell obstacle border; k orders ties as (row, col)
 does and the update applies the same float operations in the same order, so
 its arrival fields equal the per-cell reference's
 (``tests/oracles.fmm_solve_reference``) bit for bit.
+Cells freeze in non-decreasing arrival time, so a solve may stop early: given
+a ``stop_at`` mask it ends once the first mask cell and every queued cell of
+that same time are frozen. Frozen cells then hold their full-solve times and
+the cells it did not freeze hold +inf. Frontier choice stops at the first
+frontier, and path descent at the start, because neither reads a later cell.
 The global policy resolves goals from instance memory and falls back to the
 geodesically nearest frontier cell.
 """
@@ -86,7 +91,8 @@ class CostMap:
 
 @dataclass
 class ArrivalField:
-    """Arrival times toward a goal; unreachable cells hold +inf."""
+    """Arrival times toward a goal; unreachable cells, and cells the solve did
+    not freeze, hold +inf."""
 
     times: np.ndarray
     goal: tuple
@@ -183,24 +189,45 @@ def _check_cell(cell: tuple, shape: tuple, what: str):
         raise ValueError(f"{what} cell {cell} is outside the {shape[0]}x{shape[1]} grid")
 
 
+def _check_passable(costmap: CostMap, cell: tuple, what: str):
+    """Raise ValueError unless ``cell`` is a passable cell of the grid."""
+    _check_cell(cell, costmap.costs.shape, what)
+    if costmap.obstacle_mask[cell[0], cell[1]]:
+        raise ValueError(f"{what} cell {cell} is impassable")
+
+
 def fmm_solve(costmap: CostMap, goal: tuple,
-              speed_floor: float = NavConfig.speed_floor) -> ArrivalField:
+              speed_floor: float = NavConfig.speed_floor,
+              stop_at: np.ndarray | None = None) -> ArrivalField:
     """Fast-marching arrival times from every cell to the goal.
 
     Obstacle cells (cost >= 1) never enter the queue and stay at +inf. A goal
     outside the grid or on an obstacle raises ValueError.
+
+    ``stop_at`` is an optional boolean mask of the grid's shape. The solve
+    then ends once it has frozen the first mask cell and every queued cell of
+    that same arrival time; the cells it did not freeze hold +inf. A mask
+    with no reachable cell gives the full solve.
     """
     m, n = costmap.costs.shape
-    _check_cell(goal, (m, n), "goal")
-    obstacles = costmap.obstacle_mask
-    if obstacles[goal[0], goal[1]]:
-        raise ValueError(f"goal cell {goal} is impassable")
+    _check_passable(costmap, goal, "goal")
     w = n + 2
+    size = (m + 2) * w
     tau = array("d")  # frombytes takes a byte-format buffer, hence the uint8 view
     tau.frombytes(np.pad(costmap.cell_size / np.clip(1.0 - costmap.costs, speed_floor, 1.0),
                          1, constant_values=np.inf).view(np.uint8))
-    blocked = bytearray(np.pad(obstacles, 1, constant_values=True))
-    times = array("d", [math.inf]) * ((m + 2) * w)
+    # Index ``size``, one past the padded grid, is the drain sentinel: never
+    # blocked and always a stop cell, so popping it ends the solve.
+    blocked = bytearray(np.pad(costmap.obstacle_mask, 1, constant_values=True))
+    blocked.append(0)
+    if stop_at is None:
+        stop = bytearray(size)
+    else:
+        if np.shape(stop_at) != (m, n):
+            raise ValueError(f"stop_at has shape {np.shape(stop_at)}, not {(m, n)}")
+        stop = bytearray(np.pad(np.asarray(stop_at, dtype=bool), 1))
+    stop.append(1)
+    times = array("d", [math.inf]) * size
     inf = math.inf
     sqrt = math.sqrt
     heappop = heapq.heappop
@@ -213,6 +240,12 @@ def fmm_solve(costmap: CostMap, goal: tuple,
         if blocked[k]:
             continue
         blocked[k] = 1
+        if stop[k]:
+            if k == size:
+                break
+            # The sentinel's key (t, size) sorts after every other entry of
+            # time t, so the cells of this time still freeze before it pops.
+            heappush(heap, (times[k], size))
         for nk in (k + w, k - w, k + 1, k - 1):
             if blocked[nk]:
                 continue
@@ -234,7 +267,10 @@ def fmm_solve(costmap: CostMap, goal: tuple,
             if new_t < times[nk]:
                 times[nk] = new_t
                 heappush(heap, (new_t, nk))
-    field = np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1].copy()
+    # A cell the solve did not freeze may hold a queued time; it reads +inf.
+    frozen = np.frombuffer(blocked, dtype=np.uint8, count=size).reshape(m + 2, w)
+    field = np.where(frozen[1:-1, 1:-1], np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1],
+                     inf)
     return ArrivalField(times=field, goal=goal, cell_size=costmap.cell_size)
 
 
@@ -295,11 +331,18 @@ def frontier_goal(smap: SemanticMap, costmap: CostMap, start: tuple,
                   speed_floor: float = NavConfig.speed_floor) -> tuple:
     """Frontier cell with minimum arrival time from the start; ties resolve
     lexicographically by (row, col). Raises ExplorationComplete when no
-    reachable frontier remains."""
+    reachable frontier remains, and ValueError when the start is off the grid
+    or impassable.
+
+    The solve stops at the first frontier it freezes, after the frontiers of
+    that same time; later frontiers read +inf and are skipped."""
     frontiers = frontier_cells(smap, costmap)
     if not frontiers:
         raise ExplorationComplete("no frontier cells remain")
-    field = fmm_solve(costmap, start, speed_floor)
+    _check_passable(costmap, start, "start")
+    stop_at = np.zeros(costmap.costs.shape, dtype=bool)
+    stop_at[tuple(zip(*frontiers))] = True
+    field = fmm_solve(costmap, start, speed_floor, stop_at)
     best = None
     best_key = None
     for cell in frontiers:
@@ -354,16 +397,26 @@ def global_goal(goal, memory: InstanceMemory, smap: SemanticMap, costmap: CostMa
 
 def plan_to_target(target, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,
                    start: tuple, initial_yaw: float = 0.0,
-                   speed_floor: float = NavConfig.speed_floor) -> tuple:
+                   speed_floor: float = NavConfig.speed_floor,
+                   full_field: bool = False) -> tuple:
     """Global goal, its arrival field, and the descent path from ``start``.
 
     Returns ``(goal, field, plan, error)``. When a step fails, its output and
-    those after it are None and ``error`` holds the step's message.
+    those after it are None and ``error`` holds the step's message. Descent
+    reads only cells that arrive before ``start``, so the solve stops once
+    ``start`` is frozen and later cells hold +inf; ``full_field`` solves the
+    whole grid instead.
     """
     goal = field = None
     try:
         goal = global_goal(target, memory, smap, costmap, start, speed_floor)
-        field = fmm_solve(costmap, goal, speed_floor)
+        stop_at = None
+        if not full_field:
+            stop_at = np.zeros(costmap.costs.shape, dtype=bool)
+            r, c = start  # a start off the grid stops nothing; descent reports it
+            if 0 <= r < stop_at.shape[0] and 0 <= c < stop_at.shape[1]:
+                stop_at[r, c] = True
+        field = fmm_solve(costmap, goal, speed_floor, stop_at)
         plan = extract_path(field, start, costmap, initial_yaw=initial_yaw)
     except (ExplorationComplete, UnreachableError, ValueError) as err:
         return goal, field, None, str(err)

@@ -178,6 +178,20 @@ def test_cli_adapt_out_of_range_value_exits_2(tmp_path, capsys, flags, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--terrains", ""], "no terrain given"),
+    (["--terrains", ","], "no terrain given"),
+    (["--variants", ""], "no variant given"),
+    (["--variants", ","], "no variant given"),
+])
+def test_cli_adapt_empty_list_exits_2(tmp_path, capsys, flags, message):
+    code = main(["adapt", "--terrains", "uphill_slope", "--runs", "1",
+                 "--out", str(tmp_path)] + flags)
+    assert code == 2
+    assert f"error: {message}; valid: " in capsys.readouterr().err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
 def test_cli_plan_malformed_scene_exits_2(tmp_path, capsys):
     scene = tmp_path / "no_pose.jsonl"
     scene.write_text(json.dumps({"categories": ["floor"], "M": 40}) + "\n"

@@ -1,7 +1,10 @@
 """The flat-array fast-marching kernel against the per-cell reference solver.
 
 Every comparison is ``np.array_equal``: the kernel must reproduce the
-reference's arrival times bit for bit, +inf cells included.
+reference's arrival times bit for bit, +inf cells included. A solve that stops
+early (``stop_at``) must reproduce them on every cell it froze, freeze exactly
+the cells at or below its first stop cell's time, and leave frontier choice
+and path descent as the full field gives them.
 """
 
 import numpy as np
@@ -12,9 +15,18 @@ from hypothesis import strategies as st
 from oracles import fmm_solve_reference
 from quadkit.bench import asset_path
 from quadkit.config import ToolkitConfig
+from quadkit.errors import ExplorationComplete, UnreachableError
 from quadkit.gateway import Gateway, ScriptedProvider
-from quadkit.mapping import load_scene
-from quadkit.navigation import CostMap, assign_costs, build_cost_map, extract_path, fmm_solve
+from quadkit.mapping import SemanticMap, load_scene
+from quadkit.navigation import (
+    CostMap,
+    assign_costs,
+    build_cost_map,
+    extract_path,
+    fmm_solve,
+    frontier_cells,
+    frontier_goal,
+)
 from quadkit.tasks import World
 
 
@@ -151,3 +163,119 @@ def test_extract_path_rejects_starts_outside_the_grid(cell):
     with pytest.raises(ValueError, match=rf"start cell \({cell[0]}, {cell[1]}\) is outside "
                                          r"the 4x5 grid"):
         extract_path(field, cell, cm)
+
+
+@st.composite
+def cost_grids(draw, square=False):
+    """Random costs, a uniform-cost map with one obstacle wall (gapped or not),
+    or a plain uniform-cost map. Uniform costs give exactly tied arrival times."""
+    m = draw(st.integers(1, 12))
+    n = m if square else draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "wall", "uniform"]))
+    if kind == "random":
+        level = st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0]), st.floats(0.0, 1.0))
+        return np.array(draw(st.lists(level, min_size=m * n, max_size=m * n))).reshape(m, n)
+    costs = np.full((m, n), draw(st.sampled_from([0.0, 0.3, 0.5, 0.999])))
+    if kind == "wall":
+        if draw(st.booleans()):
+            costs[draw(st.integers(0, m - 1)), :] = 1.0
+        else:
+            costs[:, draw(st.integers(0, n - 1))] = 1.0
+        for cell in draw(st.lists(cells_of((m, n)), max_size=2)):
+            costs[cell] = 0.0
+    return costs
+
+
+def cells_of(shape):
+    return st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+
+
+def passable_cell(data, costs):
+    cell = data.draw(cells_of(costs.shape))
+    costs[cell] = min(costs[cell], 0.999)
+    return cell
+
+
+def mask_of(shape, cells):
+    mask = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
+
+
+def assert_stops_after_first_stop_cell(cm, goal, stop_at, speed_floor=0.05):
+    times = fmm_solve(cm, goal, speed_floor, stop_at).times
+    reference = fmm_solve_reference(cm, goal, speed_floor).times
+    frozen = np.isfinite(times)
+    assert np.array_equal(times[frozen], reference[frozen])
+    first = reference[stop_at].min(initial=np.inf)
+    # every cell at or below the first stop cell's time, ties included, and no other
+    assert np.array_equal(frozen, np.isfinite(reference) & (reference <= first))
+    return times
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), speed_floor=st.sampled_from([0.05, 0.3]))
+def test_stop_at_field_is_the_reference_up_to_the_first_stop_cell(data, speed_floor):
+    costs = data.draw(cost_grids())
+    goal = passable_cell(data, costs)
+    stop_at = mask_of(costs.shape, data.draw(st.lists(cells_of(costs.shape), max_size=4)))
+    assert_stops_after_first_stop_cell(costmap_of(costs), goal, stop_at, speed_floor)
+
+
+def test_stop_at_freezes_the_stop_cells_equal_time_peers():
+    # (4, 3), (4, 5) and (5, 4) tie with the stop cell (3, 4) and pop after it.
+    cm = costmap_of(np.zeros((9, 9)))
+    times = assert_stops_after_first_stop_cell(cm, (4, 4), mask_of((9, 9), [(3, 4)]))
+    assert np.count_nonzero(np.isfinite(times)) == 5
+
+
+def test_stop_at_must_match_the_grid_shape():
+    with pytest.raises(ValueError, match=r"stop_at has shape \(4, 4\), not \(4, 5\)"):
+        fmm_solve(costmap_of(np.zeros((4, 5))), (0, 0), stop_at=np.zeros((4, 4), dtype=bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_frontier_goal_is_the_full_field_minimum(data):
+    costs = data.draw(cost_grids(square=True))
+    m = costs.shape[0]
+    start = passable_cell(data, costs)
+    smap = SemanticMap(["floor"], m=m)
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    explored = smap.grid[smap.explored_channel]
+    explored[r0:r1, c0:c1] = 1
+    for cell in data.draw(st.lists(cells_of((m, m)), max_size=3)):
+        explored[cell] = 0
+    cm = costmap_of(costs)
+    times = fmm_solve_reference(cm, start).times
+    reachable = [cell for cell in frontier_cells(smap, cm) if np.isfinite(times[cell])]
+    if not reachable:
+        with pytest.raises(ExplorationComplete):
+            frontier_goal(smap, cm, start)
+        return
+    oracle = min(reachable, key=lambda cell: (times[cell], cell[0], cell[1]))
+    assert frontier_goal(smap, cm, start) == oracle
+
+
+def descend(field, start, cm, yaw):
+    try:
+        plan = extract_path(field, start, cm, initial_yaw=yaw)
+    except UnreachableError as err:
+        return str(err)
+    return plan.cells, plan.gait_flags, plan.actions
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), yaw=st.floats(-3.0, 3.0))
+def test_extract_path_on_the_stop_at_start_field_equals_the_full_field(data, yaw):
+    costs = data.draw(cost_grids())
+    goal = passable_cell(data, costs)
+    start = data.draw(cells_of(costs.shape))
+    gait = np.array(data.draw(st.lists(st.integers(0, 1), min_size=costs.size,
+                                       max_size=costs.size)), dtype=np.int8)
+    cm = CostMap(costs=costs, gait=gait.reshape(costs.shape), cell_size=0.05)
+    full = fmm_solve(cm, goal)
+    stopped = fmm_solve(cm, goal, stop_at=mask_of(costs.shape, [start]))
+    assert descend(stopped, start, cm, yaw) == descend(full, start, cm, yaw)

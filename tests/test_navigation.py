@@ -278,6 +278,21 @@ def test_frontier_exploration_complete():
         frontier_goal(smap, cm, (5, 5))
 
 
+def test_frontier_goal_names_a_bad_start_cell():
+    smap = SemanticMap(["floor", "chair"], m=20)
+    smap.grid[smap.explored_channel][5:15, 5:15] = 1
+    cm = uniform_costmap(m=20)
+    cm.costs[10, 10] = 1.0
+    with pytest.raises(ValueError, match=r"^start cell \(10, 10\) is impassable$"):
+        frontier_goal(smap, cm, (10, 10))
+    with pytest.raises(ValueError, match=r"^start cell \(20, 3\) is outside the 20x20 grid$"):
+        frontier_goal(smap, cm, (20, 3))
+    # plan_to_target reports the frontier step's message as its error
+    goal, field, plan, error = plan_to_target("chair", InstanceMemory(p=2), smap, cm, (10, 10))
+    assert (goal, field, plan) == (None, None, None)
+    assert error == "start cell (10, 10) is impassable"
+
+
 def test_global_goal_memory_hit_and_snap():
     smap = explored_map(("floor", "chair"), m=40)
     memory = InstanceMemory(p=2)
