@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .config import ToolkitConfig, derive_seed
+from .config import LssConfig, ToolkitConfig, derive_seed
 from .errors import ConfigError, ParseError
 from .gateway import (
     PARSE_TEMPERATURE,
@@ -95,8 +95,6 @@ class AdaptationResult:
     params: BehaviorParams
     candidate_percents: list
     variant: str
-    terrain: str
-    transcript_ref: str = ""
     candidates: list = field(default_factory=list)
 
 
@@ -183,8 +181,8 @@ def _thin_axes(axes, cap: int):
     return axes
 
 
-def candidate_grid(selection: LevelSelection, cap: int = 4096,
-                   include_gaits: bool = False, ranges=None) -> list:
+def candidate_grid(selection: LevelSelection, cap: int = LssConfig.candidate_cap,
+                   include_gaits: bool = LssConfig.grid_gaits, ranges=None) -> list:
     """Cartesian product of the per-parameter sample grids over the selected
     level intervals. The gait is fixed to the selection unless
     ``include_gaits`` adds all four presets as a grid axis."""
@@ -229,7 +227,17 @@ def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
             best_key = key
             best = cand
     return AdaptationResult(params=best, candidate_percents=percents, variant="",
-                            terrain=terrain.name, candidates=candidates)
+                            candidates=candidates)
+
+
+def locate_simulate_select(terrain_description: str, terrain: TerrainSpec, gateway: Gateway,
+                           cfg: ToolkitConfig, seed: int) -> AdaptationResult:
+    """The paper's loop: vote level ranges, grid-sample them, simulate every
+    candidate on ``terrain`` under episode ``seed`` and keep the best."""
+    selection = locate_ranges(terrain_description, gateway)
+    candidates = candidate_grid(selection, cfg.lss.candidate_cap, cfg.lss.grid_gaits,
+                                cfg.level_ranges)
+    return select_best(candidates, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seed)
 
 
 def _midpoint_options(ranges=None) -> dict:
@@ -301,10 +309,7 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
     """Run one adaptation for (variant, terrain) and return the chosen params."""
     description = TERRAIN_DESCRIPTIONS.get(terrain.name, f"There is {terrain.name}.")
     if variant.kind == "auto_lss_sampling":
-        selection = locate_ranges(description, gateway)
-        candidates = candidate_grid(selection, cfg.lss.candidate_cap,
-                                    cfg.lss.grid_gaits, cfg.level_ranges)
-        result = select_best(candidates, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seed)
+        result = locate_simulate_select(description, terrain, gateway, cfg, seed)
         result.variant = variant.kind
         return result
     if variant.kind == "manual":
@@ -317,7 +322,7 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
     traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim, seed)
     pct = episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
     return AdaptationResult(params=params, candidate_percents=[pct], variant=variant.kind,
-                            terrain=terrain.name, candidates=[params])
+                            candidates=[params])
 
 
 @dataclass

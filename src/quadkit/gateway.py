@@ -3,8 +3,9 @@ deterministic scripted transcript, plus the reply parsers shared by the
 adaptation, navigation, and task pipelines.
 
 Scripted mode replays canned responses keyed by (template id, call ordinal),
-which makes every downstream pipeline bit-reproducible. Every exchange is
-appended to a transcript log that can itself be replayed.
+which makes every downstream pipeline bit-reproducible. A gateway given a
+``log_path`` appends each exchange to a transcript log that can itself be
+replayed; the ``quadkit`` commands pass none, so a CLI run logs nothing.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class LiveProvider:
 
 
 class Gateway:
-    """Provider wrapper that logs every exchange to an append-only transcript."""
+    """Provider wrapper that logs every exchange to an append-only transcript
+    when given a ``log_path``."""
 
     def __init__(self, provider, log_path=None):
         self.provider = provider

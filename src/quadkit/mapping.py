@@ -326,6 +326,34 @@ def _pose(value) -> tuple:
     return pose
 
 
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _scene_header(rec: dict) -> Scene:
+    """The frameless Scene a header record describes; a bad field raises
+    ValueError naming it."""
+    categories = rec["categories"]
+    if not (isinstance(categories, list) and categories
+            and all(isinstance(name, str) for name in categories)
+            and len(set(categories)) == len(categories)):
+        raise ValueError(f"categories must be a non-empty list of distinct strings, "
+                         f"not {categories!r}")
+    m = rec.get("M", 480)
+    if type(m) is not int or m <= 0:
+        raise ValueError(f"M must be a positive integer, not {m!r}")
+    cell_size = rec.get("cell_size", 0.05)
+    if not (_finite_number(cell_size) and cell_size > 0):
+        raise ValueError(f"cell_size must be a finite number > 0, not {cell_size!r}")
+    origin = rec.get("origin", [0.0, 0.0])
+    if not (isinstance(origin, list) and len(origin) == 2
+            and all(_finite_number(v) for v in origin)):
+        raise ValueError(f"origin must be two finite numbers, not {origin!r}")
+    return Scene(categories=categories, m=m, cell_size=float(cell_size), frames=[],
+                 start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0))),
+                 origin=tuple(origin))
+
+
 def load_scene(path) -> Scene:
     """Read a line-delimited scene file: a header object followed by frames.
 
@@ -346,14 +374,7 @@ def load_scene(path) -> Scene:
             if not isinstance(rec, dict):
                 raise ValueError("expected a JSON object")
             if scene is None:
-                scene = Scene(
-                    categories=list(rec["categories"]),
-                    m=int(rec.get("M", 480)),
-                    cell_size=float(rec.get("cell_size", 0.05)),
-                    frames=[],
-                    start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0))),
-                    origin=tuple(rec.get("origin", (0.0, 0.0))),
-                )
+                scene = _scene_header(rec)
             else:
                 cloud = LabeledPointCloud(points=rec.get("points", []))
                 scene.frames.append(Frame(index=len(scene.frames), pose=_pose(rec["pose"]),

@@ -317,14 +317,11 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
     return PathPlan(waypoints=waypoints, gait_flags=gait_flags, actions=actions)
 
 
-def frontier_cells(smap: SemanticMap, costmap: CostMap) -> list:
-    """Explored, passable cells 8-adjacent to unexplored space, in (row, col) order."""
+def frontier_cells(smap: SemanticMap, costmap: CostMap) -> np.ndarray:
+    """Mask of the explored, passable cells 8-adjacent to unexplored space."""
     explored = smap.explored_mask()
-    unexplored = ~explored
-    near_unknown = ndimage.binary_dilation(unexplored, structure=_EIGHT_CONNECTED)
-    frontier = explored & near_unknown & ~costmap.obstacle_mask
-    rows, cols = np.where(frontier)
-    return list(zip(rows.tolist(), cols.tolist()))
+    near_unknown = ndimage.binary_dilation(~explored, structure=_EIGHT_CONNECTED)
+    return explored & near_unknown & ~costmap.obstacle_mask
 
 
 def frontier_goal(smap: SemanticMap, costmap: CostMap, start: tuple,
@@ -335,27 +332,17 @@ def frontier_goal(smap: SemanticMap, costmap: CostMap, start: tuple,
     or impassable.
 
     The solve stops at the first frontier it freezes, after the frontiers of
-    that same time; later frontiers read +inf and are skipped."""
-    frontiers = frontier_cells(smap, costmap)
-    if not frontiers:
+    that same time; later frontiers read +inf. The row-major argmin is the
+    (t, row, col) minimum."""
+    frontier = frontier_cells(smap, costmap)
+    if not frontier.any():
         raise ExplorationComplete("no frontier cells remain")
     _check_passable(costmap, start, "start")
-    stop_at = np.zeros(costmap.costs.shape, dtype=bool)
-    stop_at[tuple(zip(*frontiers))] = True
-    field = fmm_solve(costmap, start, speed_floor, stop_at)
-    best = None
-    best_key = None
-    for cell in frontiers:
-        t = field.times[cell]
-        if not math.isfinite(t):
-            continue
-        key = (t, cell[0], cell[1])
-        if best_key is None or key < best_key:
-            best_key = key
-            best = cell
-    if best is None:
+    times = np.where(frontier, fmm_solve(costmap, start, speed_floor, frontier).times, np.inf)
+    k = int(np.argmin(times))
+    if times.flat[k] == np.inf:
         raise ExplorationComplete("no reachable frontier cells remain")
-    return best
+    return divmod(k, times.shape[1])
 
 
 def snap_to_free(costmap: CostMap, cell: tuple) -> tuple:

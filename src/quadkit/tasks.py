@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .adaptation import BENCHMARK_COMMAND, candidate_grid, locate_ranges, select_best
+from .adaptation import locate_simulate_select
 from .config import ToolkitConfig, derive_seed
 from .errors import ParseError, QuadkitError, SchemaError
 from .gateway import (
@@ -133,15 +133,14 @@ class ExecutionTrace:
 class World:
     """Mutable episode state: map, memory, agent pose/state, pending frames."""
 
-    def __init__(self, scene: Scene, cfg: ToolkitConfig | None = None,
-                 library: "SkillLibrary | None" = None, root_seed: int = 0):
+    def __init__(self, scene: Scene, cfg: ToolkitConfig | None = None, root_seed: int = 0):
         self.cfg = cfg or ToolkitConfig()
         self.scene = scene
         self.smap = scene.build_map()
         self.memory = InstanceMemory(p=self.cfg.mapping.dilation_p)
         self.pose = tuple(scene.start_pose)
         self.state = AgentState()
-        self.library = library or default_library()
+        self.library = default_library()
         self.params = None
         self.clock = 0
         self.root_seed = root_seed
@@ -249,15 +248,12 @@ def _skill_sit_next_to(world, gateway, target: str) -> SkillOutcome:
 
 
 def _skill_switch_gait(world, gateway, terrain_description: str) -> SkillOutcome:
-    selection = locate_ranges(terrain_description, gateway)
-    candidates = candidate_grid(selection, world.cfg.lss.candidate_cap,
-                                world.cfg.lss.grid_gaits, world.cfg.level_ranges)
     terrain = resolve_terrain(terrain_description)
-    result = select_best(candidates, terrain, BENCHMARK_COMMAND, world.cfg.sim, world.cfg.reward,
-                         derive_seed(world.root_seed, "switch_gait", terrain.name))
+    result = locate_simulate_select(terrain_description, terrain, gateway, world.cfg,
+                                    derive_seed(world.root_seed, "switch_gait", terrain.name))
     world.params = result.params
     return SkillOutcome(ok=True, check="state",
-                        detail=f"adapted {len(candidates)} candidates on {terrain.name}")
+                        detail=f"adapted {len(result.candidates)} candidates on {terrain.name}")
 
 
 def _posture_skill(posture: str):
@@ -398,17 +394,11 @@ def parse_verdict(text: str) -> str:
     raise ParseError(f"expected SUCCESS or FAILURE, got {text.strip()[:40]!r}", what="verdict")
 
 
-def execute(plan, world: World, gateway: Gateway, replan_hook=None) -> ExecutionTrace:
-    """Run subgoals in order; halt on the first failure, leaving the rest pending.
-
-    ``replan_hook(plan, index, world)`` may return replacement subgoals for the
-    failed tail; it is off by default, keeping the executor auditable.
-    """
-    plan_list = list(plan)
+def execute(plan, world: World, gateway: Gateway) -> ExecutionTrace:
+    """Run subgoals in order; halt on the first failure, leaving the rest pending."""
+    plan = list(plan)
     records = []
-    i = 0
-    while i < len(plan_list):
-        subgoal = plan_list[i]
+    for i, subgoal in enumerate(plan):
         subgoal.status = "running"
         t_start = world.clock
         try:
@@ -430,10 +420,6 @@ def execute(plan, world: World, gateway: Gateway, replan_hook=None) -> Execution
             map_hash=world.snapshot_hash(),
         ))
         if verdict == "failed":
-            replacement = replan_hook(plan_list, i, world) if replan_hook else None
-            if not replacement:
-                break
-            plan_list[i + 1:] = list(replacement)
-        i += 1
-    task_complete = all(sg.status == "succeeded" for sg in plan_list)
+            break
+    task_complete = all(sg.status == "succeeded" for sg in plan)
     return ExecutionTrace(records=records, task_complete=task_complete)

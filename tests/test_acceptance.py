@@ -321,7 +321,7 @@ def test_criterion_8_frontier_selection():
         accepted = 0
         while accepted < 20:
             smap, cm, start = _frontier_map(rng)
-            frontiers = frontier_cells(smap, cm)
+            frontiers = cells_of(frontier_cells(smap, cm))
             if not frontiers or cm.obstacle_mask[start]:
                 continue
             oracle = dijkstra_times(cm.costs, start)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from quadkit.adaptation import candidate_grid
 from quadkit.cli import main
 from quadkit.config import ToolkitConfig, apply_config_data, derive_seed, load_config
 from quadkit.errors import ConfigError
@@ -81,6 +82,8 @@ def test_keyword_defaults_read_the_config():
         assert default(fn, "sensor_range") == cfg.mapping.sensor_range
         assert default(fn, "max_height") == cfg.mapping.max_point_height
     assert InstanceMemory().p == cfg.mapping.dilation_p
+    assert default(candidate_grid, "cap") == cfg.lss.candidate_cap
+    assert default(candidate_grid, "include_gaits") == cfg.lss.grid_gaits
 
 
 @pytest.mark.parametrize("section, key, value", [

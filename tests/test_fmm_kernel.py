@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fmm_solve_reference
+from oracles import cells_of, fmm_solve_reference
 from quadkit.bench import asset_path
 from quadkit.config import ToolkitConfig
 from quadkit.errors import ExplorationComplete, UnreachableError
@@ -181,17 +181,17 @@ def cost_grids(draw, square=False):
             costs[draw(st.integers(0, m - 1)), :] = 1.0
         else:
             costs[:, draw(st.integers(0, n - 1))] = 1.0
-        for cell in draw(st.lists(cells_of((m, n)), max_size=2)):
+        for cell in draw(st.lists(grid_cells((m, n)), max_size=2)):
             costs[cell] = 0.0
     return costs
 
 
-def cells_of(shape):
+def grid_cells(shape):
     return st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
 
 
 def passable_cell(data, costs):
-    cell = data.draw(cells_of(costs.shape))
+    cell = data.draw(grid_cells(costs.shape))
     costs[cell] = min(costs[cell], 0.999)
     return cell
 
@@ -219,7 +219,7 @@ def assert_stops_after_first_stop_cell(cm, goal, stop_at, speed_floor=0.05):
 def test_stop_at_field_is_the_reference_up_to_the_first_stop_cell(data, speed_floor):
     costs = data.draw(cost_grids())
     goal = passable_cell(data, costs)
-    stop_at = mask_of(costs.shape, data.draw(st.lists(cells_of(costs.shape), max_size=4)))
+    stop_at = mask_of(costs.shape, data.draw(st.lists(grid_cells(costs.shape), max_size=4)))
     assert_stops_after_first_stop_cell(costmap_of(costs), goal, stop_at, speed_floor)
 
 
@@ -246,11 +246,12 @@ def test_frontier_goal_is_the_full_field_minimum(data):
     c0, c1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
     explored = smap.grid[smap.explored_channel]
     explored[r0:r1, c0:c1] = 1
-    for cell in data.draw(st.lists(cells_of((m, m)), max_size=3)):
+    for cell in data.draw(st.lists(grid_cells((m, m)), max_size=3)):
         explored[cell] = 0
     cm = costmap_of(costs)
     times = fmm_solve_reference(cm, start).times
-    reachable = [cell for cell in frontier_cells(smap, cm) if np.isfinite(times[cell])]
+    reachable = [cell for cell in cells_of(frontier_cells(smap, cm))
+                 if np.isfinite(times[cell])]
     if not reachable:
         with pytest.raises(ExplorationComplete):
             frontier_goal(smap, cm, start)
@@ -272,7 +273,7 @@ def descend(field, start, cm, yaw):
 def test_extract_path_on_the_stop_at_start_field_equals_the_full_field(data, yaw):
     costs = data.draw(cost_grids())
     goal = passable_cell(data, costs)
-    start = data.draw(cells_of(costs.shape))
+    start = data.draw(grid_cells(costs.shape))
     gait = np.array(data.draw(st.lists(st.integers(0, 1), min_size=costs.size,
                                        max_size=costs.size)), dtype=np.int8)
     cm = CostMap(costs=costs, gait=gait.reshape(costs.shape), cell_size=0.05)

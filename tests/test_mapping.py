@@ -347,6 +347,20 @@ def test_class_coverage_is_order_invariant():
      '{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 0], [0.1, 0.1, 0.1]]}\n', 3),
     ('{"categories": ["floor"]}\n{"pose": [0, 0, 0], "points": [0.1, 0.1, 0.1, 1]}\n', 2),
     ('{"categories": ["floor"]}\n{"pose": [0, 0, 0], "points": [[NaN, 0.1, 0.1, 0]]}\n', 2),
+    # A bad header field is named after its line number.
+    ('{"categories": ["floor"], "origin": "ab"}\n', "1: origin"),
+    ('{"categories": ["floor"], "origin": [1]}\n', "1: origin"),
+    ('{"categories": ["floor"], "origin": [0, NaN]}\n', "1: origin"),
+    ('{"categories": ["floor"], "M": 0}\n', "1: M"),
+    ('{"categories": ["floor"], "M": -4}\n', "1: M"),
+    ('{"categories": ["floor"], "M": 20.0}\n', "1: M"),
+    ('{"categories": ["floor"], "cell_size": 0}\n', "1: cell_size"),
+    ('{"categories": ["floor"], "cell_size": Infinity}\n', "1: cell_size"),
+    ('{"categories": ["floor"], "cell_size": "0.05"}\n', "1: cell_size"),
+    ('{"categories": "ab"}\n', "1: categories"),
+    ('{"categories": []}\n', "1: categories"),
+    ('{"categories": ["floor", 1]}\n', "1: categories"),
+    ('{"categories": ["floor", "floor"]}\n', "1: categories"),
 ])
 def test_load_scene_malformed_raises_config_error(tmp_path, text, line):
     path = tmp_path / "bad.jsonl"

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text, make_gateway
-from oracles import dijkstra_times, nearest_free_cell
+from oracles import cells_of, chebyshev_dilation, dijkstra_times, nearest_free_cell
 from quadkit.errors import ExplorationComplete, ParseError, SchemaError, UnreachableError
 from quadkit.mapping import InstanceMemory, LabeledPointCloud, SemanticMap, ingest, Frame
 from quadkit.navigation import (
@@ -229,12 +231,28 @@ def test_frontier_cells_and_goal():
     explored = smap.grid[smap.explored_channel]
     explored[5:15, 5:15] = 1
     cm = uniform_costmap(m=20)
-    cells = frontier_cells(smap, cm)
+    cells = cells_of(frontier_cells(smap, cm))
     # the frontier is the explored boundary band
     assert (5, 5) in cells and (14, 14) in cells
     assert (10, 10) not in cells
     goal = frontier_goal(smap, cm, (10, 10))
     assert goal in cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_frontier_cells_are_explored_passable_cells_next_to_unexplored_space(data):
+    m = data.draw(st.integers(1, 12))
+    masks = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
+    explored = np.array(data.draw(masks)).reshape(m, m)
+    obstacles = np.array(data.draw(masks)).reshape(m, m)
+    smap = SemanticMap(["floor"], m=m)
+    smap.grid[smap.explored_channel] = explored
+    cm = uniform_costmap(m=m)
+    cm.costs[obstacles] = 1.0
+    oracle = {cell for cell in chebyshev_dilation(cells_of(~explored), 1, m)
+              if explored[cell] and not obstacles[cell]}
+    assert cells_of(frontier_cells(smap, cm)) == oracle
 
 
 def test_frontier_goal_single_candidate():
@@ -247,7 +265,7 @@ def test_frontier_goal_single_candidate():
     assert goal in {(0, 1), (1, 0), (1, 1)}
     # exact: nearest frontier cell by arrival time, ties lexicographic
     field = fmm_solve(cm, (5, 5))
-    frontiers = frontier_cells(smap, cm)
+    frontiers = cells_of(frontier_cells(smap, cm))
     oracle = min(frontiers, key=lambda cell: (field.times[cell], cell[0], cell[1]))
     assert goal == oracle
 
@@ -264,7 +282,7 @@ def test_frontier_goal_geodesic_not_euclidean():
     start = (10, 8)
     goal = frontier_goal(smap, cm, start)
     oracle = dijkstra_times(cm.costs, start)
-    frontiers = [f for f in frontier_cells(smap, cm) if math.isfinite(oracle[f])]
+    frontiers = [f for f in cells_of(frontier_cells(smap, cm)) if math.isfinite(oracle[f])]
     nearest = min(frontiers, key=lambda cell: (oracle[cell], cell[0], cell[1]))
     # both the implementation and the oracle prefer the right-hand pocket
     assert abs(goal[1] - 18) <= 1
@@ -330,7 +348,7 @@ def test_global_goal_falls_back_to_frontier():
     memory = InstanceMemory(p=2)
     cm = uniform_costmap(m=20)
     goal = global_goal("chair", memory, smap, cm, (10, 10))
-    assert goal in frontier_cells(smap, cm)
+    assert goal in cells_of(frontier_cells(smap, cm))
 
 
 def test_global_goal_requires_explored_cells():

@@ -286,23 +286,6 @@ def test_find_explores_frontiers_then_fails_gracefully():
     assert world.smap.explored_mask().sum() > 0
 
 
-def test_execute_replan_hook_replaces_failed_tail():
-    world = make_world()
-    # navigate_to an unknown category fails; the hook swaps in a posture skill
-    gw = make_gateway([
-        ("cost_map", cost_reply("sofa", [("floor", 0, 0)])),
-        ("evaluate", "SUCCESS"),
-    ])
-
-    def hook(plan, index, w):
-        return [Subgoal("recover", "stand_up", {})]
-
-    plan = plan_of("navigate_to", "greet", args={"navigate_to": {"target": "sofa"}})
-    trace = execute(plan, world, gw, replan_hook=hook)
-    assert [r.skill_name for r in trace.records] == ["navigate_to", "stand_up"]
-    assert not trace.task_complete  # the failed subgoal still counts
-
-
 def test_world_walk_updates_pose_and_clock():
     world = make_world()
     gw = make_gateway([

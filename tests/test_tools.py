@@ -5,8 +5,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ASSETS = os.path.join(ROOT, "src", "quadkit", "assets")
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+def load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, folder, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -27,3 +27,11 @@ def test_make_assets_reproduces_bundled_assets(tmp_path, capsys):
     for rel in written:
         with open(tmp_path / rel, "rb") as new, open(os.path.join(ASSETS, rel), "rb") as old:
             assert new.read() == old.read(), rel
+
+
+def test_every_traced_function_exists():
+    # Tracer.install skips a target the program lacks, and its metrics then read 0.
+    targets, _ = load_tool("tracing", "perfbench").Tracer()._targets()
+    missing = [name for name, owner, attribute, _ in targets
+               if not callable(getattr(owner, attribute, None))]
+    assert missing == []
