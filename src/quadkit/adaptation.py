@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import LssConfig, ToolkitConfig, derive_seed
 from .errors import ConfigError, ParseError
@@ -94,8 +94,7 @@ class MethodVariant:
 class AdaptationResult:
     params: BehaviorParams
     candidate_percents: list
-    variant: str
-    candidates: list = field(default_factory=list)
+    candidates: list
 
 
 def _majority(votes):
@@ -226,8 +225,7 @@ def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
         if best_key is None or key < best_key:
             best_key = key
             best = cand
-    return AdaptationResult(params=best, candidate_percents=percents, variant="",
-                            candidates=candidates)
+    return AdaptationResult(params=best, candidate_percents=percents, candidates=candidates)
 
 
 def locate_simulate_select(terrain_description: str, terrain: TerrainSpec, gateway: Gateway,
@@ -309,9 +307,7 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
     """Run one adaptation for (variant, terrain) and return the chosen params."""
     description = TERRAIN_DESCRIPTIONS.get(terrain.name, f"There is {terrain.name}.")
     if variant.kind == "auto_lss_sampling":
-        result = locate_simulate_select(description, terrain, gateway, cfg, seed)
-        result.variant = variant.kind
-        return result
+        return locate_simulate_select(description, terrain, gateway, cfg, seed)
     if variant.kind == "manual":
         params = manual_params(variant.params_file)
     elif variant.kind == "auto_lss_determining":
@@ -321,8 +317,7 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
         params = direct_params(description, gateway, with_prior=variant.kind == "auto_prior")
     traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim, seed)
     pct = episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
-    return AdaptationResult(params=params, candidate_percents=[pct], variant=variant.kind,
-                            candidates=[params])
+    return AdaptationResult(params=params, candidate_percents=[pct], candidates=[params])
 
 
 @dataclass

@@ -21,9 +21,9 @@ from .config import apply_config_data, load_config
 from .errors import ConfigError
 from .gateway import Gateway, LiveProvider, ScriptedProvider
 from .locomotion import gait_name
-from .mapping import InstanceMemory, ingest, load_scene
+from .mapping import load_scene
 from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
-from .tasks import World, decompose, execute
+from .tasks import SKILLS, World, decompose, execute
 from .terrain import TERRAIN_TYPES
 
 DEFAULT_TERRAINS = tuple(TERRAIN_DESCRIPTIONS)
@@ -132,20 +132,18 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     gateway = make_gateway(provider, transcript)
     _prepare(out_dir)
 
-    smap = scene.build_map()
-    memory = InstanceMemory(p=cfg.mapping.dilation_p)
-    for frame in scene.frames:
-        ingest(smap, memory, frame, cfg.mapping.sensor_range, cfg.mapping.max_point_height)
+    world = World(scene, cfg, root_seed=seed)
+    world.ingest_pending()
+    smap, memory = world.smap, world.memory
 
     assignment = assign_costs(instruction, smap.categories, gateway, cfg.nav.cost_mode,
                               cfg.nav.unexplored_cost)
     costmap = build_cost_map(smap, assignment, cfg.nav.unexplored_cost, zero_costs=no_cost)
     costmap.to_pgm(os.path.join(out_dir, "costmap.pgm"))
 
-    start = smap.world_to_cell(scene.start_pose[0], scene.start_pose[1])
     target = assignment.target_object
-    goal, field, plan, error = plan_to_target(target, memory, smap, costmap, start,
-                                              scene.start_pose[2], cfg.nav.speed_floor,
+    goal, field, plan, error = plan_to_target(target, memory, smap, costmap, world.pose_cell(),
+                                              world.pose[2], cfg.nav.speed_floor,
                                               full_field=True)
     result = {"target": target, "goal_cell": list(goal) if goal is not None else None,
               "reached": False, "distance_m": None, "no_cost": no_cost}
@@ -202,7 +200,7 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
     _prepare(out_dir)
 
     world = World(scene, cfg, root_seed=seed)
-    plan = decompose(instruction, world.library, gateway)
+    plan = decompose(instruction, SKILLS, gateway)
     trace = execute(plan, world, gateway)
     trace.to_jsonl(os.path.join(out_dir, "trace.jsonl"))
     with open(os.path.join(out_dir, "verdicts.csv"), "w") as fh:

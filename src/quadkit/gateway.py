@@ -98,9 +98,10 @@ class ScriptedProvider:
                 if not isinstance(entry, dict) or not {"template_id", "response"} <= entry.keys():
                     raise ConfigError(f"transcript {path}, line {n}: expected an object with "
                                       "'template_id' and 'response'")
-                if not isinstance(entry.get("request_hash", ""), str):
-                    raise ConfigError(f"transcript {path}, line {n}: 'request_hash' must be "
-                                      "a string")
+                for key in ("template_id", "response", "request_hash"):
+                    if not isinstance(entry.get(key, ""), str):
+                        raise ConfigError(f"transcript {path}, line {n}: '{key}' must be "
+                                          "a string")
                 entries.append(entry)
         return cls(entries, model=str(path))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -33,7 +33,8 @@ PRESENCE_MARK = -1
 @dataclass(frozen=True, eq=False)
 class LabeledPointCloud:
     """World-frame points as one (N, 4) float array of (x, y, z, category_id),
-    each category id in [0, C). Any (N, 4) numeric sequence is accepted."""
+    each category id an integer in [0, C). Any (N, 4) numeric sequence is
+    accepted."""
 
     points: np.ndarray
 
@@ -50,6 +51,9 @@ class LabeledPointCloud:
         pts = pts.astype(float)
         if not np.isfinite(pts[:, :3]).all():
             raise ValueError("point coordinates must be finite")
+        fractional = pts[:, 3] != np.floor(pts[:, 3])  # NaN included
+        if fractional.any():
+            raise ValueError(f"category id {pts[fractional, 3][0]} is not an integer")
         object.__setattr__(self, "points", pts)
 
 
@@ -69,10 +73,6 @@ class Detection:
     bbox: tuple  # (frame_index, (r0, c0, r1, c1))
     class_id: int
     cells: np.ndarray  # (M, M) bool
-    dilated: np.ndarray | None = None
-
-    def with_dilation(self, p: int) -> "Detection":
-        return replace(self, dilated=dilate(self.cells, p))
 
 
 @dataclass
@@ -117,15 +117,7 @@ class SemanticMap:
         return self.num_categories + 2
 
     def world_to_cell(self, x, y) -> tuple:
-        """(row, col) of world point(s): ints for scalars, int arrays for arrays."""
-        half = self.m // 2
-        col = np.floor((np.asarray(x) - self.origin[0]) / self.cell_size).astype(np.int64) + half
-        row = np.floor((np.asarray(y) - self.origin[1]) / self.cell_size).astype(np.int64) + half
-        outside = (row < 0) | (row >= self.m) | (col < 0) | (col >= self.m)
-        if outside.any():
-            i = np.argmax(outside)  # the first point outside
-            raise ValueError(f"world point ({np.ravel(x)[i]}, {np.ravel(y)[i]}) outside map extent")
-        return (row, col) if row.ndim else (int(row), int(col))
+        return world_to_cell(x, y, self.m, self.cell_size, self.origin)
 
     def cell_to_world(self, row: int, col: int) -> tuple:
         return cell_to_world(row, col, self.m, self.cell_size, self.origin)
@@ -169,6 +161,26 @@ class InstanceMemory:
         return min(matches, key=lambda rec: rec.instance_id, default=None)
 
 
+def world_to_cell(x, y, m: int, cell_size: float, origin: tuple) -> tuple:
+    """(row, col) of world point(s) on an m x m grid centred on ``origin``: ints
+    for scalars, int arrays for arrays. A point off the grid raises ValueError."""
+    half = m // 2
+    col = np.floor((np.asarray(x) - origin[0]) / cell_size).astype(np.int64) + half
+    row = np.floor((np.asarray(y) - origin[1]) / cell_size).astype(np.int64) + half
+    outside = (row < 0) | (row >= m) | (col < 0) | (col >= m)
+    if outside.any():
+        i = np.argmax(outside)  # the first point outside
+        raise ValueError(f"world point ({np.ravel(x)[i]}, {np.ravel(y)[i]}) outside map extent")
+    return (row, col) if row.ndim else (int(row), int(col))
+
+
+def _check_category_ids(ids: np.ndarray, num_categories: int):
+    """Raise ValueError naming the first category id outside [0, num_categories)."""
+    bad = (ids < 0) | (ids >= num_categories)
+    if bad.any():
+        raise ValueError(f"category id {ids[bad][0]:g} outside [0, {num_categories})")
+
+
 def cell_to_world(row: int, col: int, m: int, cell_size: float, origin: tuple) -> tuple:
     """World (x, y) of a cell centre on an m x m grid centred on ``origin``."""
     half = m // 2
@@ -186,17 +198,17 @@ def dilate(mask: np.ndarray, p: int) -> np.ndarray:
 
 
 def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
-    """Instance with equal class and maximal overlap with the dilated cells;
-    ties resolve to the lowest instance id. None when nothing overlaps."""
-    if detection.dilated is None:
-        raise ValueError("detection has no dilation; call with_dilation first")
+    """Instance with equal class and maximal overlap with the detection's cells
+    dilated by ``memory.p``; ties resolve to the lowest instance id. None when
+    nothing overlaps."""
+    dilated = dilate(detection.cells, memory.p)
     best_id = None
     best_overlap = 0
     for iid in sorted(memory.instances):
         rec = memory.instances[iid]
         if rec.class_id != detection.class_id:
             continue
-        overlap = np.count_nonzero(detection.dilated & rec.cells)
+        overlap = np.count_nonzero(dilated & rec.cells)
         if overlap > best_overlap:
             best_overlap = overlap
             best_id = iid
@@ -253,9 +265,7 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
 
     pts = cloud.points
     cats = pts[:, 3].astype(np.int64)
-    bad = (cats < 0) | (cats >= smap.num_categories)
-    if bad.any():
-        raise ValueError(f"category id {cats[bad][0]} outside [0, {smap.num_categories})")
+    _check_category_ids(cats, smap.num_categories)
     px, py = pts[:, 0], pts[:, 1]
     z_bin = np.floor(pts[:, 2] / HEIGHT_BIN)
     ox, oy = smap.origin
@@ -292,7 +302,6 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
                                sensor_range, max_height)
     touched_ids = []
     for det in detections:
-        det = det.with_dilation(memory.p)
         iid = match_detection(det, memory)
         if iid is None:
             iid = memory.create(det)
@@ -319,10 +328,14 @@ class Scene:
         return SemanticMap(self.categories, self.m, self.cell_size, self.origin)
 
 
-def _pose(value) -> tuple:
+def _pose(value, m: int, cell_size: float, origin: tuple) -> tuple:
+    """A finite (x, y, yaw) whose (x, y) lies on the scene's map."""
     pose = tuple(float(v) for v in value)
     if len(pose) != 3:
         raise ValueError(f"pose {list(value)} is not [x, y, yaw]")
+    if not all(math.isfinite(v) for v in pose):
+        raise ValueError(f"pose {list(value)} must be finite")
+    world_to_cell(pose[0], pose[1], m, cell_size, origin)
     return pose
 
 
@@ -349,9 +362,10 @@ def _scene_header(rec: dict) -> Scene:
     if not (isinstance(origin, list) and len(origin) == 2
             and all(_finite_number(v) for v in origin)):
         raise ValueError(f"origin must be two finite numbers, not {origin!r}")
+    origin = tuple(origin)
     return Scene(categories=categories, m=m, cell_size=float(cell_size), frames=[],
-                 start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0))),
-                 origin=tuple(origin))
+                 start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0)), m, cell_size, origin),
+                 origin=origin)
 
 
 def load_scene(path) -> Scene:
@@ -377,8 +391,9 @@ def load_scene(path) -> Scene:
                 scene = _scene_header(rec)
             else:
                 cloud = LabeledPointCloud(points=rec.get("points", []))
-                scene.frames.append(Frame(index=len(scene.frames), pose=_pose(rec["pose"]),
-                                          cloud=cloud))
+                _check_category_ids(cloud.points[:, 3], len(scene.categories))
+                pose = _pose(rec["pose"], scene.m, scene.cell_size, scene.origin)
+                scene.frames.append(Frame(index=len(scene.frames), pose=pose, cloud=cloud))
         except KeyError as err:
             raise ConfigError(f"scene file {path}, line {n}: missing field {err}") from None
         except (ValueError, TypeError) as err:

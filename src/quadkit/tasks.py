@@ -1,9 +1,11 @@
-"""Long-horizon reasoning: instruction decomposition over a skill library,
+"""Long-horizon reasoning: instruction decomposition over the skill table,
 sequential execution against the synthetic world, and success evaluation.
 
-The executor halts on the first failed subgoal (remaining subgoals stay
-pending) and keeps a replayable trace with logical timestamps, so runs are
-byte-reproducible under a scripted provider.
+``SKILLS`` maps each skill name to its ``Skill``; ``skill_docs`` renders the
+table as the decomposition prompt's skill list. The executor halts on the
+first failed subgoal (remaining subgoals stay pending). Each executed
+``Subgoal`` is one row of the replayable ``ExecutionTrace``, with logical
+timestamps, so runs are byte-reproducible under a scripted provider.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class SkillOutcome:
     ok: bool
     check: str  # "geometric" or "state"
     detail: str = ""
-    distance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -56,76 +57,43 @@ class Skill:
     doc: str
 
 
-class SkillLibrary:
-    """Ordered, uniquely named skills with prompt-ready documentation."""
-
-    def __init__(self):
-        self._skills: dict = {}
-
-    def register(self, skill: Skill):
-        if skill.name in self._skills:
-            raise ValueError(f"duplicate skill name '{skill.name}'")
-        self._skills[skill.name] = skill
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._skills
-
-    def get(self, name: str) -> Skill:
-        if name not in self._skills:
-            raise KeyError(f"no skill named '{name}'")
-        return self._skills[name]
-
-    def names(self) -> list:
-        return list(self._skills)
-
-    def docs_text(self) -> str:
-        lines = []
-        for skill in self._skills.values():
-            args = ", ".join(f"{k}: {t.__name__}" for k, t in skill.params.items())
-            lines.append(f"- {skill.name}({args}): {skill.doc}")
-        return "\n".join(lines)
-
-
 @dataclass
 class Subgoal:
+    """One step of a decomposed instruction; ``execute`` fills in its outcome,
+    verdict, logical start and end time and the map hash after it."""
+
     description: str
     skill_name: str
     args: dict = field(default_factory=dict)
     status: str = "pending"
     outcome: SkillOutcome | None = None
+    t_start: int | None = field(default=None, init=False)
+    t_end: int | None = field(default=None, init=False)
+    map_hash: str | None = field(default=None, init=False)
 
-
-@dataclass
-class SubgoalRecord:
-    index: int
-    description: str
-    skill_name: str
-    args: dict
-    status: str
-    detail: str
-    t_start: int
-    t_end: int
-    map_hash: str
+    @property
+    def detail(self) -> str:
+        return self.outcome.detail if self.outcome else ""
 
 
 @dataclass
 class ExecutionTrace:
-    records: list
+    records: list  # the executed subgoals, in order
     task_complete: bool
 
     def to_jsonl(self, path):
         with open(path, "w") as fh:
-            for rec in self.records:
+            for index, sg in enumerate(self.records):
                 fh.write(json.dumps({
-                    "index": rec.index,
-                    "description": rec.description,
-                    "skill": rec.skill_name,
-                    "args": rec.args,
-                    "status": rec.status,
-                    "detail": rec.detail,
-                    "t_start": rec.t_start,
-                    "t_end": rec.t_end,
-                    "map_hash": rec.map_hash,
+                    "index": index,
+                    "description": sg.description,
+                    "skill": sg.skill_name,
+                    "args": sg.args,
+                    "status": sg.status,
+                    "detail": sg.detail,
+                    "t_start": sg.t_start,
+                    "t_end": sg.t_end,
+                    "map_hash": sg.map_hash,
                 }) + "\n")
             fh.write(json.dumps({"task_complete": self.task_complete}) + "\n")
 
@@ -140,7 +108,6 @@ class World:
         self.memory = InstanceMemory(p=self.cfg.mapping.dilation_p)
         self.pose = tuple(scene.start_pose)
         self.state = AgentState()
-        self.library = default_library()
         self.params = None
         self.clock = 0
         self.root_seed = root_seed
@@ -203,7 +170,7 @@ def _plan_and_walk(world: World, gateway: Gateway, target: str) -> SkillOutcome:
         return SkillOutcome(ok=False, check="geometric",
                             detail=f"'{target}' is not in instance memory")
     ok = distance <= world.cfg.nav.success_radius
-    return SkillOutcome(ok=ok, check="geometric", distance=distance,
+    return SkillOutcome(ok=ok, check="geometric",
                         detail=f"stopped {distance:.3f} m from the {target}")
 
 
@@ -280,28 +247,36 @@ def resolve_terrain(description: str):
     return terrain_by_name("uneven_ground")
 
 
-def default_library() -> SkillLibrary:
-    lib = SkillLibrary()
-    lib.register(Skill("sit_down", {}, _posture_skill("sitting"), "sit down on the spot"))
-    lib.register(Skill("stand_up", {}, _posture_skill("standing"), "stand up to the neutral posture"))
-    lib.register(Skill("squat_down", {}, _posture_skill("squatting"), "crouch into a squat"))
-    lib.register(Skill("greet", {}, _skill_greet, "greet the person in front of the robot"))
-    lib.register(Skill("switch_gait", {"terrain_description": str}, _skill_switch_gait,
-                       "adapt the walking parameters to the described terrain"))
-    lib.register(Skill("navigate_to", {"target": str}, _plan_and_walk,
-                       "walk to a known object or terrain region"))
-    lib.register(Skill("find", {"target": str}, _skill_find,
-                       "search the environment for an object and walk to it"))
-    lib.register(Skill("sit_next_to", {"target": str}, _skill_sit_next_to,
-                       "walk to an object and sit down next to it"))
-    return lib
+SKILLS = {skill.name: skill for skill in (
+    Skill("sit_down", {}, _posture_skill("sitting"), "sit down on the spot"),
+    Skill("stand_up", {}, _posture_skill("standing"), "stand up to the neutral posture"),
+    Skill("squat_down", {}, _posture_skill("squatting"), "crouch into a squat"),
+    Skill("greet", {}, _skill_greet, "greet the person in front of the robot"),
+    Skill("switch_gait", {"terrain_description": str}, _skill_switch_gait,
+          "adapt the walking parameters to the described terrain"),
+    Skill("navigate_to", {"target": str}, _plan_and_walk,
+          "walk to a known object or terrain region"),
+    Skill("find", {"target": str}, _skill_find,
+          "search the environment for an object and walk to it"),
+    Skill("sit_next_to", {"target": str}, _skill_sit_next_to,
+          "walk to an object and sit down next to it"),
+)}
+
+
+def skill_docs(skills: dict) -> str:
+    """One prompt line per skill: its call signature and what it does."""
+    lines = []
+    for skill in skills.values():
+        args = ", ".join(f"{k}: {t.__name__}" for k, t in skill.params.items())
+        lines.append(f"- {skill.name}({args}): {skill.doc}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Decomposition, retrieval, execution, evaluation
 
 
-def decompose(instruction: str, library: SkillLibrary, gateway: Gateway) -> list:
+def decompose(instruction: str, library: dict, gateway: Gateway) -> list:
     """Split an instruction into ordered subgoals naming library skills.
 
     Unknown skill names trigger one reprompt listing the valid names, then an
@@ -310,13 +285,13 @@ def decompose(instruction: str, library: SkillLibrary, gateway: Gateway) -> list
     if not instruction or not instruction.strip():
         raise ValueError("instruction must be non-empty")
     user = load_template("decompose").format(
-        skill_docs=library.docs_text(), instruction=instruction)
+        skill_docs=skill_docs(library), instruction=instruction)
     request = ChatRequest("decompose", "", user, PARSE_TEMPERATURE, 1)
     return complete_and_parse(gateway, request,
                               lambda text: parse_subgoals(text, library))[0]
 
 
-def parse_subgoals(text: str, library: SkillLibrary) -> list:
+def parse_subgoals(text: str, library: dict) -> list:
     """Parse a decomposition reply: the first JSON array of subgoal objects,
     each naming a library skill."""
     block = extract_json_block(text, "[", "]")
@@ -331,7 +306,7 @@ def parse_subgoals(text: str, library: SkillLibrary) -> list:
         name = item["skill"]
         if not isinstance(name, str) or name not in library:
             raise ParseError(f"unknown skill '{name}' in subgoal {i}; valid skill "
-                             f"names: {', '.join(library.names())}", what=str(name))
+                             f"names: {', '.join(library)}", what=str(name))
         args = item.get("args", {})
         if not isinstance(args, dict):
             raise ParseError(f"subgoal {i}: 'args' must be an object", what=str(i))
@@ -342,9 +317,9 @@ def parse_subgoals(text: str, library: SkillLibrary) -> list:
     return subgoals
 
 
-def retrieve_skill(subgoal: Subgoal, library: SkillLibrary):
+def retrieve_skill(subgoal: Subgoal, library: dict):
     """Exact-name lookup plus argument schema validation and binding."""
-    skill = library.get(subgoal.skill_name)
+    skill = library[subgoal.skill_name]
     expected = skill.params
     issues = []
     for key in subgoal.args:
@@ -397,29 +372,19 @@ def parse_verdict(text: str) -> str:
 def execute(plan, world: World, gateway: Gateway) -> ExecutionTrace:
     """Run subgoals in order; halt on the first failure, leaving the rest pending."""
     plan = list(plan)
-    records = []
-    for i, subgoal in enumerate(plan):
-        subgoal.status = "running"
-        t_start = world.clock
+    executed = []
+    for subgoal in plan:
+        subgoal.t_start = world.clock
         try:
-            skill, args = retrieve_skill(subgoal, world.library)
+            skill, args = retrieve_skill(subgoal, SKILLS)
             subgoal.outcome = skill.fn(world, gateway, **args)
         except QuadkitError as err:
             subgoal.outcome = SkillOutcome(ok=False, check="geometric", detail=str(err))
-        verdict = evaluate_success(subgoal, world, gateway)
-        subgoal.status = verdict
-        records.append(SubgoalRecord(
-            index=i,
-            description=subgoal.description,
-            skill_name=subgoal.skill_name,
-            args=subgoal.args,
-            status=verdict,
-            detail=subgoal.outcome.detail if subgoal.outcome else "",
-            t_start=t_start,
-            t_end=world.clock,
-            map_hash=world.snapshot_hash(),
-        ))
-        if verdict == "failed":
+        subgoal.status = evaluate_success(subgoal, world, gateway)
+        subgoal.t_end = world.clock
+        subgoal.map_hash = world.snapshot_hash()
+        executed.append(subgoal)
+        if subgoal.status == "failed":
             break
     task_complete = all(sg.status == "succeeded" for sg in plan)
-    return ExecutionTrace(records=records, task_complete=task_complete)
+    return ExecutionTrace(records=executed, task_complete=task_complete)

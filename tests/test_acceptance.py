@@ -247,9 +247,9 @@ def test_criterion_6_dilation_and_matching():
             probe_cls = int(rng.integers(0, 3))
             probe = Detection(bbox=(1, (pr, pc, pr + 1, pc + 1)),
                               class_id=probe_cls,
-                              cells=probe_cells).with_dilation(p)
+                              cells=probe_cells)
             got = match_detection(probe, memory)
-            dilated = cells_of(probe.dilated)
+            dilated = cells_of(dilate(probe_cells, p))
             overlaps = {
                 iid: len(dilated & cells_of(rec.cells))
                 for iid, rec in memory.instances.items()

@@ -328,7 +328,6 @@ def test_adapt_dispatch_manual(tmp_path):
     cfg.sim.noise_scale = 0.0
     gw = make_gateway([])
     result = adapt(MethodVariant("manual", str(path)), UphillSlope(), gw, cfg)
-    assert result.variant == "manual"
     assert result.candidate_percents == [100.0]
 
 

@@ -83,6 +83,8 @@ def test_replay_of_reordered_requests_raises_on_request_hash(tmp_path):
     ('{"response": "ok"}\n', 1, "'template_id'"),
     ('{"template_id": "cost_map"}\n', 1, "'response'"),
     ('{"template_id": "auto", "response": "ok", "request_hash": 7}\n', 1, "'request_hash'"),
+    ('{"template_id": "auto", "response": 5}\n', 1, "'response' must be a string"),
+    ('{"template_id": ["cost_map"], "response": "ok"}\n', 1, "'template_id' must be a string"),
 ])
 def test_transcript_malformed_line_raises_config_error(tmp_path, text, line, what):
     path = tmp_path / "t.jsonl"

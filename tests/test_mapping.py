@@ -31,12 +31,11 @@ def make_frame(points, pose=(0.0, 0.0, 0.0), index=0):
     return Frame(index=index, pose=pose, cloud=LabeledPointCloud(points=tuple(points)))
 
 
-def detection(cells, class_id=0, frame=0, p=0, m=100):
+def detection(cells, class_id=0, frame=0, m=100):
     rows = [c[0] for c in cells]
     cols = [c[1] for c in cells]
-    det = Detection(bbox=(frame, (min(rows), min(cols), max(rows), max(cols))),
-                    class_id=class_id, cells=mask_of(cells, m))
-    return det.with_dilation(p)
+    return Detection(bbox=(frame, (min(rows), min(cols), max(rows), max(cols))),
+                     class_id=class_id, cells=mask_of(cells, m))
 
 
 def class_coverage(memory, class_id):
@@ -151,17 +150,17 @@ def test_dilate_matches_bruteforce_oracle():
 
 def test_match_detection_semantics():
     memory = InstanceMemory(p=2)
-    det_a = detection({(10, 10), (10, 11)}, class_id=0, p=2)
+    det_a = detection({(10, 10), (10, 11)}, class_id=0)
     assert match_detection(det_a, memory) is None
     iid = memory.create(det_a)
     # same class, dilated overlap -> match
-    det_b = detection({(10, 13)}, class_id=0, p=2)
+    det_b = detection({(10, 13)}, class_id=0)
     assert match_detection(det_b, memory) == iid
     # overlap but different class -> no match
-    det_c = detection({(10, 10)}, class_id=1, p=2)
+    det_c = detection({(10, 10)}, class_id=1)
     assert match_detection(det_c, memory) is None
     # beyond the dilation radius -> no match
-    det_d = detection({(10, 20)}, class_id=0, p=2)
+    det_d = detection({(10, 20)}, class_id=0)
     assert match_detection(det_d, memory) is None
 
 
@@ -169,13 +168,13 @@ def test_match_detection_largest_overlap_then_lowest_id():
     memory = InstanceMemory(p=1)
     small = memory.create(detection({(0, 0)}, class_id=0))
     big = memory.create(detection({(5, 5), (5, 6), (5, 7)}, class_id=0))
-    probe = detection({(1, 1), (4, 5), (4, 6)}, class_id=0, p=1)
+    probe = detection({(1, 1), (4, 5), (4, 6)}, class_id=0)
     assert match_detection(probe, memory) == big
     # exact tie in overlap -> lowest instance id
     memory2 = InstanceMemory(p=1)
     first = memory2.create(detection({(0, 0)}, class_id=0))
     memory2.create(detection({(10, 10)}, class_id=0))
-    probe2 = detection({(1, 1), (9, 9)}, class_id=0, p=1)
+    probe2 = detection({(1, 1), (9, 9)}, class_id=0)
     assert match_detection(probe2, memory2) == first
 
 
@@ -184,18 +183,18 @@ def test_merge_semantics():
     iid = memory.create(detection({(5, 5), (5, 6)}, class_id=0, frame=0))
     rec = memory.instances[iid]
     # subset: cells unchanged, views grow by one
-    merge(iid, detection({(5, 5)}, class_id=0, frame=1, p=1), memory)
+    merge(iid, detection({(5, 5)}, class_id=0, frame=1), memory)
     assert cells_of(rec.cells) == {(5, 5), (5, 6)}
     assert len(rec.views) == 2
     # disjoint: cardinality grows by the detection size
-    merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2, p=1), memory)
+    merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2), memory)
     assert len(cells_of(rec.cells)) == 4
     # idempotence: merging the same detection twice equals once
     before = cells_of(rec.cells)
-    merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2, p=1), memory)
+    merge(iid, detection({(8, 8), (8, 9)}, class_id=0, frame=2), memory)
     assert cells_of(rec.cells) == before
     with pytest.raises(ValueError):
-        merge(iid, detection({(1, 1)}, class_id=1, frame=3, p=1), memory)
+        merge(iid, detection({(1, 1)}, class_id=1, frame=3), memory)
 
 
 def test_ingest_two_frames_one_instance_two_views():
@@ -347,6 +346,12 @@ def test_class_coverage_is_order_invariant():
      '{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 0], [0.1, 0.1, 0.1]]}\n', 3),
     ('{"categories": ["floor"]}\n{"pose": [0, 0, 0], "points": [0.1, 0.1, 0.1, 1]}\n', 2),
     ('{"categories": ["floor"]}\n{"pose": [0, 0, 0], "points": [[NaN, 0.1, 0.1, 0]]}\n', 2),
+    ('{"categories": ["floor"]}\n{"pose": [NaN, 0, 0], "points": [[0.1, 0.1, 0.1, 0]]}\n', 2),
+    ('{"categories": ["a", "b", "c"]}\n{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 99]]}\n',
+     2),
+    ('{"categories": ["floor"]}\n{"pose": [1000, 0, 0], "points": [[0.1, 0.1, 0.1, 0]]}\n', 2),
+    ('{"categories": ["floor"], "start_pose": [1000, 0, 0]}\n', 1),
+    ('{"categories": ["a", "b"]}\n{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 1.5]]}\n', 2),
     # A bad header field is named after its line number.
     ('{"categories": ["floor"], "origin": "ab"}\n', "1: origin"),
     ('{"categories": ["floor"], "origin": [1]}\n', "1: origin"),

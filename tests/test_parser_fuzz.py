@@ -17,9 +17,7 @@ from quadkit.gateway import (
     parse_levels,
     parse_numeric_params,
 )
-from quadkit.tasks import default_library, parse_subgoals, parse_verdict
-
-LIBRARY = default_library()
+from quadkit.tasks import SKILLS, parse_subgoals, parse_verdict
 
 TOKENS = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", ":", ".", " ", "\n", "very", "high", "low",
@@ -99,7 +97,7 @@ def test_parse_cost_json_is_total(text, mode):
 @example('[{"skill": "sit_down", "args": "ab"}]')
 @example('[{"skill": "sit_down", "args": [["target", "chair"]]}]')
 def test_decompose_parser_is_total(text):
-    assert_total(lambda t: parse_subgoals(t, LIBRARY), text)
+    assert_total(lambda t: parse_subgoals(t, SKILLS), text)
 
 
 @settings(max_examples=200, deadline=None)

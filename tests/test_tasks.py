@@ -9,17 +9,16 @@ from quadkit.errors import ParseError, SchemaError
 from quadkit.locomotion import GAITS
 from quadkit.mapping import Frame, LabeledPointCloud, Scene
 from quadkit.tasks import (
+    SKILLS,
     Subgoal,
     World,
     decompose,
-    default_library,
     evaluate_success,
     execute,
     resolve_terrain,
     retrieve_skill,
+    skill_docs,
 )
-
-LIBRARY = default_library()
 
 
 def cost_reply(target, entries=()):
@@ -57,18 +56,21 @@ def plan_of(*names, args=None):
             for n in names]
 
 
-def test_default_library_contents():
-    names = LIBRARY.names()
-    for expected in ("sit_down", "stand_up", "squat_down", "greet", "switch_gait",
-                     "navigate_to", "find", "sit_next_to"):
-        assert expected in names
-    docs = LIBRARY.docs_text()
-    assert "navigate_to(target: str)" in docs
+def test_skill_table_holds_the_readme_skills():
+    # The README's skill list; a dict key can not repeat, so this also guards
+    # against two skills sharing a name.
+    readme = ("sit_down", "stand_up", "squat_down", "greet", "switch_gait",
+              "navigate_to", "find", "sit_next_to")
+    assert sorted(SKILLS) == sorted(readme)
+    assert all(name == skill.name for name, skill in SKILLS.items())
+    lines = skill_docs(SKILLS).splitlines()
+    assert [line.split("(")[0] for line in lines] == [f"- {name}" for name in SKILLS]
+    assert "- navigate_to(target: str): " in skill_docs(SKILLS)
 
 
 def test_decompose_single_skill():
     gw = make_gateway([("decompose", '[{"skill": "sit_down", "args": {}}]')])
-    plan = decompose("sit down", LIBRARY, gw)
+    plan = decompose("sit down", SKILLS, gw)
     assert len(plan) == 1
     assert plan[0].skill_name == "sit_down"
     assert plan[0].status == "pending"
@@ -76,36 +78,36 @@ def test_decompose_single_skill():
 
 def test_decompose_rejects_empty_instruction():
     with pytest.raises(ValueError):
-        decompose("   ", LIBRARY, make_gateway([]))
+        decompose("   ", SKILLS, make_gateway([]))
 
 
 def test_decompose_reprompts_unknown_skill_then_errors():
     bad = '[{"skill": "backflip", "args": {}}]'
     good = '[{"skill": "sit_down", "args": {}}]'
     gw = make_gateway([("decompose", bad), ("decompose", good)])
-    plan = decompose("sit down", LIBRARY, gw)
+    plan = decompose("sit down", SKILLS, gw)
     assert plan[0].skill_name == "sit_down"
     gw = make_gateway([("decompose", bad), ("decompose", bad)])
     with pytest.raises(ParseError) as err:
-        decompose("sit down", LIBRARY, gw)
+        decompose("sit down", SKILLS, gw)
     assert "backflip" in str(err.value)
 
 
 def test_retrieve_skill_binds_arguments():
     skill, args = retrieve_skill(
-        Subgoal("go", "navigate_to", {"target": "blue clothes"}), LIBRARY)
+        Subgoal("go", "navigate_to", {"target": "blue clothes"}), SKILLS)
     assert skill.name == "navigate_to"
     assert args == {"target": "blue clothes"}
 
 
 def test_retrieve_skill_schema_errors():
     with pytest.raises(SchemaError) as err:
-        retrieve_skill(Subgoal("sit", "sit_down", {"extra_arg": 1}), LIBRARY)
+        retrieve_skill(Subgoal("sit", "sit_down", {"extra_arg": 1}), SKILLS)
     assert "unexpected argument" in str(err.value)
     with pytest.raises(SchemaError):
-        retrieve_skill(Subgoal("go", "navigate_to", {}), LIBRARY)
+        retrieve_skill(Subgoal("go", "navigate_to", {}), SKILLS)
     with pytest.raises(SchemaError):
-        retrieve_skill(Subgoal("go", "navigate_to", {"target": 7}), LIBRARY)
+        retrieve_skill(Subgoal("go", "navigate_to", {"target": 7}), SKILLS)
 
 
 def test_posture_plan_executes_in_order():
@@ -205,9 +207,9 @@ def test_evaluate_success_geometric_precedence():
     world = make_world()
     sg = Subgoal("go", "navigate_to", {"target": "x"})
     from quadkit.tasks import SkillOutcome
-    sg.outcome = SkillOutcome(ok=True, check="geometric", distance=0.2)
+    sg.outcome = SkillOutcome(ok=True, check="geometric")
     assert evaluate_success(sg, world, make_gateway([])) == "succeeded"
-    sg.outcome = SkillOutcome(ok=False, check="geometric", distance=1.2)
+    sg.outcome = SkillOutcome(ok=False, check="geometric")
     assert evaluate_success(sg, world, make_gateway([])) == "failed"
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 
@@ -35,3 +36,29 @@ def test_every_traced_function_exists():
     missing = [name for name, owner, attribute, _ in targets
                if not callable(getattr(owner, attribute, None))]
     assert missing == []
+
+
+def unused_imports(path):
+    """Top-level imports of one module that no name in it reads; a name listed
+    in ``__all__`` counts as read, since the module exports it."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{os.path.relpath(path, ROOT)}:{node.lineno}: {alias.asname or alias.name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read]
+
+
+def test_no_unused_top_level_imports():
+    # No linter ships with the repository; an import nothing reads is dead code.
+    package = os.path.join(ROOT, "src", "quadkit")
+    unused = [line for rel in relative_files(package, ("",)) if rel.endswith(".py")
+              for line in unused_imports(os.path.join(package, rel))]
+    assert unused == []
