@@ -8,6 +8,12 @@ Variants:
                          best by xy-velocity episode percent
   auto_lss_determining   model votes level ranges, then picks directly among
                          the interval midpoints (no simulation)
+
+``select_best`` scores a candidate grid as ``(candidates, steps)`` arrays, a
+block of candidates at a time: every candidate shares the episode seed and so
+the velocity noise.
+``surrogate.simulate`` followed by ``rewards.episode_velocity_percent`` remains
+the per-candidate reference, and each grid score equals it exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import LssConfig, ToolkitConfig, derive_seed
 from .errors import ConfigError, ParseError
@@ -34,6 +42,7 @@ from .gateway import (
 from .locomotion import (
     GAIT_NAMES,
     GAITS,
+    GLOBAL_RANGES,
     PARAMETERS,
     PROMPT_PARAM_ORDER,
     BehaviorParams,
@@ -46,11 +55,16 @@ from .locomotion import (
     sample_grid,
 )
 from .rewards import EpisodeReport, RewardConfig, episode_percent, episode_velocity_percent
-from .surrogate import SimConfig, simulate
+from .surrogate import SimConfig, _episode_noise, grid_efficiency, ideal_profile, simulate
 from .terrain import TerrainSpec, terrain_by_name
 
 # Straight-line walk at 1 m/s: the benchmark command.
 BENCHMARK_COMMAND = CommandVector(1.0, 0.0, 0.0)
+
+# select_best scores its grid in row blocks of about this many (candidate,
+# step) cells, so each of its two float64 temporaries stays near 64 KiB
+# whatever the grid size (a 4096-candidate grid would otherwise need 8 MiB each).
+_SCORE_BLOCK = 1 << 13
 
 VARIANT_KINDS = ("manual", "auto", "auto_prior", "auto_lss_sampling", "auto_lss_determining")
 
@@ -209,23 +223,47 @@ def _selection_key(percent: float, cand: BehaviorParams):
 def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
                 sim_cfg: SimConfig, reward_cfg: RewardConfig | None = None,
                 seed: int = 0) -> AdaptationResult:
-    """Simulate every candidate under one episode ``seed`` and return the
-    xy-velocity argmax."""
+    """Score every candidate under one episode ``seed`` and return the
+    xy-velocity argmax.
+
+    All candidates share the seed's velocity noise, so the grid is scored as
+    ``(candidates, steps)`` arrays, a block of rows at a time, with the same
+    float operations, in the same order, as ``simulate`` followed by
+    ``episode_velocity_percent``: each percent equals that per-candidate
+    reference exactly.
+    """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
-    percents = []
-    best = None
-    best_key = None
-    for cand in candidates:
-        traj = simulate(terrain, cand, cmd, sim_cfg, seed)
-        pct = episode_velocity_percent(traj, cmd, reward_cfg)
-        percents.append(pct)
-        key = _selection_key(pct, cand)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = cand
-    return AdaptationResult(params=best, candidate_percents=percents, candidates=candidates)
+    sim_cfg.validate()
+    cmd.validate()
+    e = grid_efficiency(candidates, ideal_profile(terrain))
+    reward_cfg = (reward_cfg or RewardConfig()).validate()
+    noise_v, _ = _episode_noise(seed, sim_cfg.noise_scale, sim_cfg.steps)
+    rows = max(1, _SCORE_BLOCK // sim_cfg.steps)
+    sums = np.empty(len(e))
+    for lo in range(0, len(e), rows):
+        # The velocity multiplier; ``mult`` then becomes the y error in place.
+        mult = np.add.outer(e[lo:lo + rows], noise_v)
+        np.clip(mult, -1.0, 1.0, out=mult)
+        dx = mult * cmd.vx
+        dx -= cmd.vx
+        mult *= cmd.vy
+        mult -= cmd.vy
+        dx *= dx
+        mult *= mult
+        dx += mult
+        np.negative(dx, out=dx)
+        dx /= reward_cfg.sigma_vxy
+        np.exp(dx, out=dx)
+        sums[lo:lo + rows] = dx.sum(axis=1)
+    percents = (100.0 * sums / sim_cfg.steps).tolist()
+    top = max(percents)
+    # _selection_key orders by percent first, so only top scorers can win.
+    best = min((i for i, p in enumerate(percents) if p == top),
+               key=lambda i: _selection_key(percents[i], candidates[i]))
+    return AdaptationResult(params=candidates[best], candidate_percents=percents,
+                            candidates=candidates)
 
 
 def locate_simulate_select(terrain_description: str, terrain: TerrainSpec, gateway: Gateway,
@@ -360,10 +398,6 @@ def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
 def random_baseline_percent(terrain: TerrainSpec, n: int, cfg: ToolkitConfig,
                             root_seed: int = 0) -> float:
     """Mean xy-velocity episode percent of n uniformly random parameter sets."""
-    import numpy as np
-
-    from .locomotion import GLOBAL_RANGES
-
     rng = np.random.default_rng(derive_seed(root_seed, "baseline", terrain.name))
     total = 0.0
     for i in range(n):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .locomotion import (
     GAITS,
+    GLOBAL_RANGES,
     LEVEL_RANGES,
     PARAMETERS,
     BehaviorParams,
@@ -40,10 +41,12 @@ SWING_SPEED_FACTOR = 2.0
 RHO = 0.5
 # Efficiency multiplier when the gait preset does not match the ideal.
 GAIT_MISMATCH_FACTOR = 0.8
-# Episode noises and gait schedules kept per process. Every candidate of one
-# select_best shares the seed, and a default adapt run (5 terrains x 3
-# variants) has 13 eval/adapt seeds per terrain and 13 (gait, frequency)
-# schedules in all, so 16 entries keep each reused within a terrain.
+# Episode noises and gait schedules kept per process. select_best scores its
+# whole grid as arrays and reads one noise per call; simulate, the
+# per-candidate reference that also runs every evaluation episode, reads
+# both. A default adapt run (5 terrains x 3 variants) has 13 eval/adapt seeds
+# per terrain and 6 (gait, frequency) schedules in all, so 16 entries keep
+# each reused within a terrain.
 _CACHE_SIZE = 16
 
 
@@ -135,6 +138,32 @@ def efficiency(params: BehaviorParams, ideal: LevelSelection) -> float:
     return e
 
 
+def grid_efficiency(candidates, ideal: LevelSelection) -> np.ndarray:
+    """``efficiency`` of every candidate in a list, as one float array.
+
+    Each parameter's factor is computed once per distinct value with the
+    scalar formula, and the factors are multiplied in ``PARAMETERS`` order, so
+    each entry equals ``efficiency`` of that candidate bit for bit. A candidate
+    outside the global ranges raises the ``ValueError`` its ``validate`` gives.
+    """
+    e = None
+    bad = np.zeros(len(candidates), dtype=bool)
+    for name in PARAMETERS:
+        values = np.array([getattr(c, name) for c in candidates], dtype=float)
+        lo, hi = GLOBAL_RANGES[name]
+        bad |= ~((lo - 1e-9 <= values) & (values <= hi + 1e-9))
+        distinct, index = np.unique(values, return_inverse=True)
+        interval = LEVEL_RANGES[name][int(ideal.level(name))]
+        table = np.array([math.exp(-((_interval_distance(v, interval) / RHO) ** 2))
+                          for v in distinct.tolist()])
+        e = table[index] if e is None else e * table[index]
+    if bad.any():
+        candidates[int(bad.argmax())].validate()
+    ideal_gait = GAITS[ideal.gait]
+    mismatch = np.array([c.gait != ideal_gait for c in candidates])
+    return np.where(mismatch, e * GAIT_MISMATCH_FACTOR, e)
+
+
 def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
@@ -177,6 +206,11 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     so the phase terms stay exact at zero noise. The noise and the gait schedule depend only on
     the seed and the gait timing, so they are computed once per key and
     shared read-only (``SimConfig`` is mutable: the key is its values now).
+
+    ``adaptation.select_best`` does not call this per candidate: it scores a
+    whole grid as arrays. This function followed by
+    ``rewards.episode_velocity_percent`` stays the per-candidate reference
+    that those scores equal exactly.
     """
     cfg.validate()
     cmd.validate()
@@ -215,7 +249,7 @@ def describe_profile(profile: LevelSelection) -> str:
 
 __all__ = [
     "SimConfig", "IDEAL_PROFILES", "Trajectory",
-    "ideal_profile", "efficiency", "simulate", "ideal_params",
+    "ideal_profile", "efficiency", "grid_efficiency", "simulate", "ideal_params",
     "BODY_WEIGHT_N", "SPURIOUS_FORCE_N", "SLIP_SCALE", "RHO",
     "GAIT_MISMATCH_FACTOR", "describe_profile", "gait_name",
 ]

@@ -319,7 +319,10 @@ def parse_subgoals(text: str, library: dict) -> list:
 
 def retrieve_skill(subgoal: Subgoal, library: dict):
     """Exact-name lookup plus argument schema validation and binding."""
-    skill = library[subgoal.skill_name]
+    skill = library.get(subgoal.skill_name)
+    if skill is None:
+        raise SchemaError([f"unknown skill '{subgoal.skill_name}' "
+                           f"(valid: {', '.join(library)})"])
     expected = skill.params
     issues = []
     for key in subgoal.args:

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text, make_gateway
 from quadkit.adaptation import (
@@ -19,6 +21,7 @@ from quadkit.adaptation import (
     random_baseline_percent,
     rows_to_csv,
     run_benchmark,
+    _selection_key,
     select_best,
 )
 from quadkit.cli import main
@@ -26,14 +29,16 @@ from quadkit.config import ToolkitConfig
 from quadkit.errors import ConfigError, ParseError
 from quadkit.gateway import parse_levels
 from quadkit.locomotion import (
+    GAIT_NAMES,
     GAITS,
     BehaviorParams,
+    CommandVector,
     Level,
     level_midpoint,
     level_name,
 )
-from quadkit.rewards import episode_velocity_percent
-from quadkit.surrogate import SimConfig, ideal_params, simulate
+from quadkit.rewards import RewardConfig, episode_velocity_percent
+from quadkit.surrogate import IDEAL_PROFILES, SimConfig, ideal_params, simulate
 from quadkit.terrain import UphillSlope, terrain_by_name
 
 UPHILL_SELECTION = LevelSelection(
@@ -235,6 +240,87 @@ def test_select_best_tie_prefers_lower_height_then_frequency():
     d = BehaviorParams(gait=base.gait, **values_d)
     result = select_best([d, c], terrain, BENCHMARK_COMMAND, SimConfig(noise_scale=0.0))
     assert result.params == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.lists(st.sampled_from(list(Level)), min_size=5, max_size=5),
+       gait=st.sampled_from(GAIT_NAMES), include_gaits=st.booleans(),
+       cap=st.sampled_from([1, 5, 64, 500, 4096]),
+       terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)),
+       seed=st.integers(0, 2**32 - 1), noise_scale=st.sampled_from([0.0, 0.05, 0.4]),
+       steps=st.integers(1, 300), dt=st.sampled_from([0.005, 0.02]),
+       sigma_vxy=st.sampled_from([0.01, 0.25, 4.0]),
+       cmd=st.sampled_from([BENCHMARK_COMMAND, CommandVector(0.6, -0.35, 0.4)]))
+def test_select_best_equals_per_candidate_simulation(levels, gait, include_gaits, cap,
+                                                     terrain_name, seed, noise_scale, steps,
+                                                     dt, sigma_vxy, cmd):
+    # The grid is scored as arrays; each percent must equal the
+    # simulate + episode_velocity_percent reference exactly, not approximately.
+    candidates = candidate_grid(LevelSelection(*levels, gait), cap, include_gaits)
+    terrain = terrain_by_name(terrain_name)
+    sim_cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
+    reward_cfg = RewardConfig(sigma_vxy=sigma_vxy)
+    result = select_best(candidates, terrain, cmd, sim_cfg, reward_cfg, seed)
+    oracle = [episode_velocity_percent(simulate(terrain, c, cmd, sim_cfg, seed), cmd,
+                                       reward_cfg) for c in candidates]
+    assert result.candidate_percents == oracle
+    assert result.candidates == candidates
+    best = min(range(len(candidates)), key=lambda i: _selection_key(oracle[i], candidates[i]))
+    assert result.params == candidates[best]
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("value", [0.6, -0.01, math.nan])
+def test_select_best_rejects_candidate_outside_global_range(value):
+    terrain = UphillSlope()
+    good = ideal_params(terrain)
+    bad = BehaviorParams(**dict(good.continuous(), stance_width=value, gait=good.gait))
+    cfg = SimConfig()
+    message = _raised(lambda: select_best([good, good, bad, good], terrain,
+                                          BENCHMARK_COMMAND, cfg))
+    assert message.startswith("stance_width=")
+    assert message == _raised(lambda: simulate(terrain, bad, BENCHMARK_COMMAND, cfg))
+
+
+def test_select_best_rejects_bad_sim_config():
+    terrain = UphillSlope()
+    cfg = SimConfig(steps=0)
+    message = _raised(lambda: select_best([ideal_params(terrain)], terrain,
+                                          BENCHMARK_COMMAND, cfg))
+    assert message == _raised(lambda: simulate(terrain, ideal_params(terrain),
+                                               BENCHMARK_COMMAND, cfg))
+    assert "steps" in message
+
+
+def test_select_best_rejects_bad_command():
+    terrain = UphillSlope()
+    cmd = CommandVector(2.5, 0.0, 0.0)
+    message = _raised(lambda: select_best([ideal_params(terrain)], terrain, cmd, SimConfig()))
+    assert message == _raised(lambda: simulate(terrain, ideal_params(terrain), cmd,
+                                               SimConfig()))
+    assert "exceeds" in message
+
+
+def test_select_best_rejects_bad_reward_config():
+    terrain = UphillSlope()
+    reward_cfg = RewardConfig(sigma_vxy=0.0)
+    message = _raised(lambda: select_best([ideal_params(terrain)], terrain,
+                                          BENCHMARK_COMMAND, SimConfig(), reward_cfg))
+    traj = simulate(terrain, ideal_params(terrain), BENCHMARK_COMMAND, SimConfig())
+    assert message == _raised(lambda: episode_velocity_percent(traj, BENCHMARK_COMMAND,
+                                                               reward_cfg))
+    assert "sigma_vxy" in message
+
+
+def test_select_best_rejects_empty_candidates():
+    message = _raised(lambda: select_best(iter(()), UphillSlope(), BENCHMARK_COMMAND,
+                                          SimConfig()))
+    assert "at least one candidate" in message
 
 
 def test_determining_pick_assembles_midpoints():

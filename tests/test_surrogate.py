@@ -13,6 +13,7 @@ from quadkit.locomotion import (
     PARAMETERS,
     BehaviorParams,
     CommandVector,
+    GaitOffsets,
     Level,
 )
 from quadkit.rewards import episode_percent, episode_velocity_percent
@@ -21,6 +22,7 @@ from quadkit.surrogate import (
     IDEAL_PROFILES,
     SimConfig,
     efficiency,
+    grid_efficiency,
     ideal_params,
     ideal_profile,
     simulate,
@@ -81,6 +83,19 @@ def test_efficiency_gait_mismatch_factor():
     paced = BehaviorParams(params.body_height, params.step_frequency, params.body_pitch,
                            params.stance_width, params.swing_height, GAITS["pacing"])
     assert efficiency(paced, ideal_profile(terrain)) == GAIT_MISMATCH_FACTOR
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)))
+def test_grid_efficiency_equals_efficiency(data, terrain_name):
+    gaits = list(GAITS.values()) + [GaitOffsets(0.25, 0.0, 0.5)]
+    values = st.fixed_dictionaries({
+        name: st.floats(*GLOBAL_RANGES[name]) for name in PARAMETERS})
+    candidates = [BehaviorParams(gait=data.draw(st.sampled_from(gaits)), **v)
+                  for v in data.draw(st.lists(values, min_size=1, max_size=20))]
+    ideal = IDEAL_PROFILES[terrain_name]
+    assert grid_efficiency(candidates, ideal).tolist() == [
+        efficiency(c, ideal) for c in candidates]
 
 
 def test_ideal_zero_noise_tracks_exactly():

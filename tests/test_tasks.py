@@ -110,6 +110,18 @@ def test_retrieve_skill_schema_errors():
         retrieve_skill(Subgoal("go", "navigate_to", {"target": 7}), SKILLS)
 
 
+def test_unknown_skill_is_a_failed_subgoal():
+    with pytest.raises(SchemaError) as err:
+        retrieve_skill(Subgoal("x", "backflip"), SKILLS)
+    assert "backflip" in str(err.value) and "navigate_to" in str(err.value)
+    plan = [Subgoal("x", "backflip"), Subgoal("sit", "sit_down")]
+    trace = execute(plan, make_world(), make_gateway([]))
+    assert not trace.task_complete
+    assert [r.status for r in trace.records] == ["failed"]
+    assert "backflip" in trace.records[0].detail
+    assert plan[1].status == "pending"
+
+
 def test_posture_plan_executes_in_order():
     world = make_world()
     gw = make_gateway([("evaluate", "SUCCESS")] * 3)
