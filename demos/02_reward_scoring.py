@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from quadkit.locomotion import GAITS, CommandVector
+from quadkit.locomotion import GAITS, CommandVector, desired_contacts
 from quadkit.rewards import (
     RewardConfig,
     StepSample,
@@ -46,7 +46,9 @@ print("stance-slip term with one 0.5 m/s slip:",
       round(r_stance_velocity(slip, trot, cfg), 6))
 
 # Episode scores divide the summed terms by the summed per-step maxima. An
-# episode is a Trajectory: one array per quantity, one row per step.
+# episode is a Trajectory: one array per quantity, one row per step. It
+# carries the stance flags its gait commanded at each step, and the phase
+# terms are scored against them, so scoring takes no gait.
 k = np.arange(250)
 v = np.where(k % 2 == 0, 1.0, 0.5)   # alternate perfect / degraded tracking
 episode = Trajectory(
@@ -54,9 +56,9 @@ episode = Trajectory(
     w_z=np.zeros(250),
     foot_force=np.zeros((250, 4)),
     foot_speed=np.zeros((250, 4)),
-    phase=(k * 3.0 * 0.02) % 1.0,
+    contact=desired_contacts(trot, (k * 3.0 * 0.02) % 1.0),
 )
-report = episode_percent(episode, cmd, trot, cfg)
+report = episode_percent(episode, cmd, cfg)
 print("\nepisode percents (vel_xy, vel_yaw, swing, stance):",
       tuple(round(v, 2) for v in report.as_tuple()))
 print("expected vel_xy percent:", round(100 * (1 + math.exp(-1)) / 2, 2))

@@ -2,7 +2,7 @@
 parameters leave each terrain's ideal level intervals, and what that does to
 episode scores."""
 
-from quadkit.locomotion import GAITS, LEVEL_RANGES, BehaviorParams, CommandVector
+from quadkit.locomotion import LEVEL_RANGES, BehaviorParams, CommandVector
 from quadkit.rewards import episode_percent
 from quadkit.surrogate import (
     SimConfig,
@@ -32,8 +32,9 @@ for level, (lo, hi) in enumerate(LEVEL_RANGES["body_height"]):
     e = efficiency(params, ideal_profile(terrain))
     print(f"  level {level} midpoint {values['body_height']:.3f} -> efficiency {e:.4f}")
 
-# A wrong gait multiplies efficiency by a flat penalty.
-paced = BehaviorParams(gait=GAITS["pacing"], **base.continuous())
+# A gait is one of the four preset names; a wrong one multiplies efficiency
+# by a flat penalty.
+paced = BehaviorParams(gait="pacing", **base.continuous())
 print("\npacing instead of trotting:", efficiency(paced, ideal_profile(terrain)))
 
 # Ideal parameters track the command exactly at zero noise; detuned ones slip
@@ -42,6 +43,7 @@ for label, params in (("ideal", base), ("height two levels high",
                                         BehaviorParams(gait=base.gait, **dict(
                                             base.continuous(), body_height=0.35)))):
     traj = simulate(terrain, params, cmd, SimConfig(noise_scale=0.0))
-    report = episode_percent(traj, cmd, params.gait)
+    # the episode carries its stance flags, so scoring it needs no gait
+    report = episode_percent(traj, cmd)
     print(f"  {label:24s} -> episode percents "
           f"{tuple(round(v, 2) for v in report.as_tuple())}")

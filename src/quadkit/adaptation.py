@@ -14,6 +14,10 @@ block of candidates at a time: every candidate shares the episode seed and so
 the velocity noise.
 ``surrogate.simulate`` followed by ``rewards.episode_velocity_percent`` remains
 the per-candidate reference, and each grid score equals it exactly.
+
+A candidate's gait is its ``GAITS`` preset name, as in a ``LevelSelection``.
+Evaluation episodes are scored by ``rewards.episode_percent`` against the
+stance flags their ``Trajectory`` was simulated with.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .locomotion import (
     CommandVector,
     Level,
     LevelSelection,
-    gait_name,
     level_midpoint,
     level_range,
     sample_grid,
@@ -173,8 +176,8 @@ def direct_params(terrain_description: str, gateway: Gateway,
         name: sum(getattr(c, name) for c in candidates) / len(candidates)
         for name in PARAMETERS
     }
-    gait = _majority([gait_name(c.gait) for c in candidates]) or "trotting"
-    return BehaviorParams(gait=GAITS[gait], **means).validate()
+    gait = _majority([c.gait for c in candidates]) or "trotting"
+    return BehaviorParams(gait=gait, **means).validate()
 
 
 def _thin_axes(axes, cap: int):
@@ -209,7 +212,7 @@ def candidate_grid(selection: LevelSelection, cap: int = LssConfig.candidate_cap
     for combo in itertools.product(*axes):
         values = dict(zip(PARAMETERS, combo))
         for g in gaits:
-            out.append(BehaviorParams(gait=GAITS[g], **values))
+            out.append(BehaviorParams(gait=g, **values))
     return out
 
 
@@ -217,7 +220,7 @@ def _selection_key(percent: float, cand: BehaviorParams):
     # Score ties resolve toward lower height, then lower frequency, then the
     # remaining parameters ascending, so selection is a total order.
     return (-percent, cand.body_height, cand.step_frequency, cand.swing_height,
-            cand.body_pitch, cand.stance_width, gait_name(cand.gait))
+            cand.body_pitch, cand.stance_width, cand.gait)
 
 
 def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
@@ -310,7 +313,7 @@ def determining_pick(selection: LevelSelection, gateway: Gateway,
         return values
 
     values = complete_and_parse(gateway, request, parse_pick)[0]
-    return BehaviorParams(gait=GAITS[selection.gait], **values)
+    return BehaviorParams(gait=selection.gait, **values)
 
 
 def manual_params(path) -> BehaviorParams:
@@ -335,7 +338,7 @@ def manual_params(path) -> BehaviorParams:
                               f"not {type(data[name]).__name__}")
         values[name] = float(data[name])
     try:
-        return BehaviorParams(gait=GAITS[gait], **values).validate()
+        return BehaviorParams(gait=gait, **values).validate()
     except ValueError as err:
         raise ConfigError(f"params file {path}: {err}") from None
 
@@ -386,8 +389,7 @@ def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
             for run in range(runs):
                 traj = simulate(spec, result.params, BENCHMARK_COMMAND, cfg.sim,
                                 derive_seed(root_seed, "eval", terrain_name, run))
-                reports.append(episode_percent(traj, BENCHMARK_COMMAND, result.params.gait,
-                                               cfg.reward))
+                reports.append(episode_percent(traj, BENCHMARK_COMMAND, cfg.reward))
             avg = EpisodeReport(*[
                 sum(r.as_tuple()[i] for r in reports) / len(reports) for i in range(4)
             ])
@@ -405,7 +407,7 @@ def random_baseline_percent(terrain: TerrainSpec, n: int, cfg: ToolkitConfig,
             name: float(rng.uniform(*GLOBAL_RANGES[name])) for name in PARAMETERS
         }
         gait = GAIT_NAMES[int(rng.integers(len(GAIT_NAMES)))]
-        params = BehaviorParams(gait=GAITS[gait], **values)
+        params = BehaviorParams(gait=gait, **values)
         traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim,
                         derive_seed(root_seed, "baseline", terrain.name, i))
         total += episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)

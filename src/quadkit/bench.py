@@ -20,7 +20,6 @@ from .adaptation import (
 from .config import apply_config_data, load_config
 from .errors import ConfigError
 from .gateway import Gateway, LiveProvider, ScriptedProvider
-from .locomotion import gait_name
 from .mapping import load_scene
 from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
 from .tasks import SKILLS, World, decompose, execute
@@ -107,7 +106,7 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
             for cand, pct in zip(row.result.candidates, row.result.candidate_percents):
                 fh.write(f"{cand.body_height:.6f},{cand.step_frequency:.6f},"
                          f"{cand.body_pitch:.6f},{cand.stance_width:.6f},"
-                         f"{cand.swing_height:.6f},{gait_name(cand.gait)},{pct:.6f}\n")
+                         f"{cand.swing_height:.6f},{cand.gait},{pct:.6f}\n")
     RunManifest(
         command="adapt", seed=seed, provider=provider, transcript=transcript,
         out_dir=out_dir, config_path=str(config_path) if config_path else None,
@@ -184,6 +183,10 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
             raise ConfigError(f"scenario {scenario_path} is not valid JSON: {err}") from None
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario {scenario_path} must hold a JSON object")
+    for key in ("instruction", "scene", "transcript"):
+        if key in scenario and not isinstance(scenario[key], str):
+            raise ConfigError(f"scenario {scenario_path}: '{key}' must be a string, "
+                              f"not {type(scenario[key]).__name__}")
     base = os.path.dirname(os.path.abspath(scenario_path))
     instruction = scenario.get("instruction", "").strip()
     if not instruction or "scene" not in scenario:

@@ -13,15 +13,32 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .locomotion import LEVEL_RANGES, PARAMETERS
+from .locomotion import GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
 from .rewards import RewardConfig
 from .surrogate import SimConfig
+
+
+def _check_range(section, name: str, low: float, high: float = math.inf,
+                 low_open: bool = False):
+    """Raise ValueError, starting with ``name``, unless the field is finite and
+    in [low, high] (or (low, high] with ``low_open``)."""
+    v = getattr(section, name)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite")
+    if v < low or v > high or (low_open and v == low):
+        bound = (f"in {'(' if low_open else '['}{low}, {high}]" if high < math.inf
+                 else f"{'>' if low_open else '>='} {low}")
+        raise ValueError(f"{name} must be {bound}, not {v}")
 
 
 @dataclass
 class LssConfig:
     candidate_cap: int = 4096
     grid_gaits: bool = False
+
+    def validate(self) -> "LssConfig":
+        _check_range(self, "candidate_cap", 1)
+        return self
 
 
 @dataclass
@@ -30,6 +47,12 @@ class MappingConfig:
     sensor_range: float = 3.0  # explored disk radius around each observation pose, m
     max_point_height: float = 2.0  # points at or above this height are ceiling clutter, m
 
+    def validate(self) -> "MappingConfig":
+        _check_range(self, "dilation_p", 0)
+        _check_range(self, "sensor_range", 0)
+        _check_range(self, "max_point_height", 0, low_open=True)
+        return self
+
 
 @dataclass
 class NavConfig:
@@ -37,6 +60,15 @@ class NavConfig:
     speed_floor: float = 0.05  # lower clamp on speed so near-impassable cells stay well-posed
     cost_mode: str = "binary"  # "binary" ({0, 1} costs) or "continuous" ([0, 1] costs)
     success_radius: float = 0.5
+
+    def validate(self) -> "NavConfig":
+        _check_range(self, "unexplored_cost", 0, 1)
+        _check_range(self, "speed_floor", 0, 1, low_open=True)
+        if self.cost_mode not in ("binary", "continuous"):
+            raise ValueError("cost_mode must be 'binary' or 'continuous', "
+                             f"not {self.cost_mode!r}")
+        _check_range(self, "success_radius", 0)
+        return self
 
 
 @dataclass
@@ -87,9 +119,14 @@ def _level_ranges(value, current: dict) -> dict:
         if not (isinstance(intervals, (list, tuple)) and len(intervals) == 5
                 and all(_is_interval(iv) for iv in intervals)):
             raise ConfigError(f"level_ranges.{name} must be 5 [lo, hi] finite number pairs")
+        glo, ghi = GLOBAL_RANGES[name]
         for i, (lo, hi) in enumerate(intervals):
             if hi < lo:
                 raise ConfigError(f"level_ranges.{name}[{i}] is inverted")
+            # the tolerance sample_grid applies to the same bounds
+            if lo < glo - 1e-9 or hi > ghi + 1e-9:
+                raise ConfigError(f"level_ranges.{name}[{i}] [{lo}, {hi}] is outside "
+                                  f"the global range [{glo}, {ghi}]")
             if i and abs(lo - intervals[i - 1][1]) > 1e-9:
                 raise ConfigError(f"level_ranges.{name} intervals must be contiguous")
         merged[name] = [tuple(iv) for iv in intervals]
@@ -138,12 +175,9 @@ def _merge(cfg: ToolkitConfig, data):
             cfg.level_ranges = _level_ranges(value, cfg.level_ranges)
         else:
             raise ConfigError(f"unknown top-level key '{key}'")
-    if cfg.nav.cost_mode not in ("binary", "continuous"):
-        raise ConfigError("nav.cost_mode must be 'binary' or 'continuous', "
-                          f"not {cfg.nav.cost_mode!r}")
-    for key in ("reward", "sim"):
+    for key, section in sections.items():
         try:
-            sections[key].validate()
+            section.validate()
         except ValueError as err:
             # validate() messages start with the offending field's name
             raise ConfigError(f"{key}.{err}") from None

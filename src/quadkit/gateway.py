@@ -285,7 +285,7 @@ def parse_numeric_params(text: str) -> BehaviorParams:
     gait = gait_match.group(1).lower()
     if gait not in GAIT_NAMES:
         raise ParseError(f"'{gait}' is not one of {', '.join(GAIT_NAMES)}", what="gait")
-    return BehaviorParams(gait=GAITS[gait], **values)
+    return BehaviorParams(gait=gait, **values)
 
 
 def extract_json_block(text: str, opener: str = "{", closer: str = "}") -> str:

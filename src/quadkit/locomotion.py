@@ -75,13 +75,6 @@ GAITS = {
 GAIT_NAMES = tuple(GAITS)
 
 
-def gait_name(gait: GaitOffsets) -> str:
-    for name, preset in GAITS.items():
-        if preset == gait:
-            return name
-    return f"custom({gait.theta1},{gait.theta2},{gait.theta3})"
-
-
 class Level(IntEnum):
     """Ordinal parameter level 0..4; display names depend on the parameter."""
 
@@ -133,14 +126,14 @@ SAMPLE_STEPS = {
 
 @dataclass(frozen=True)
 class BehaviorParams:
-    """The six adjustable locomotion knobs."""
+    """The six adjustable locomotion knobs; the gait is a ``GAITS`` preset name."""
 
     body_height: float
     step_frequency: float
     body_pitch: float
     stance_width: float
     swing_height: float
-    gait: GaitOffsets
+    gait: str
 
     def validate(self) -> "BehaviorParams":
         for name in PARAMETERS:
@@ -148,6 +141,8 @@ class BehaviorParams:
             v = getattr(self, name)
             if not (lo - 1e-9 <= v <= hi + 1e-9):
                 raise ValueError(f"{name}={v} outside global range [{lo}, {hi}]")
+        if self.gait not in GAITS:
+            raise ValueError(f"unknown gait preset '{self.gait}'")
         return self
 
     def continuous(self) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locomotion import CommandVector, GaitOffsets, desired_contact, desired_contacts
+from .locomotion import CommandVector, GaitOffsets, desired_contact
 
 # Per-term maxima of the scalar training-style reward (xy, yaw, swing, stance).
 SCALAR_WEIGHTS = (1.0, 1.0, 0.08, 0.08)
@@ -139,10 +139,10 @@ def _velocity_xy_terms(traj, cmd: CommandVector, cfg: RewardConfig) -> np.ndarra
     return np.exp(-(d * d).sum(axis=1) / cfg.sigma_vxy)
 
 
-def episode_percent(traj, cmd: CommandVector, gait: GaitOffsets,
-                    cfg: RewardConfig | None = None) -> EpisodeReport:
+def episode_percent(traj, cmd: CommandVector, cfg: RewardConfig | None = None) -> EpisodeReport:
     """Episode scores of a ``Trajectory``: 100 * (sum of term) / (sum of per-step maxima).
 
+    The phase terms select feet by the stance flags the trajectory carries.
     The per-step maximum is 1 for the velocity terms and the number of feet the
     selector picks for the phase terms (or a flat 4 with ``flat_phase_max``).
     A selector that never picks a foot yields a vacuous 100.
@@ -151,7 +151,7 @@ def episode_percent(traj, cmd: CommandVector, gait: GaitOffsets,
     if not n:
         raise ValueError("episode needs at least one sample")
     cfg = (cfg or RewardConfig()).validate()
-    swing = ~desired_contacts(gait, traj.phase)
+    swing = ~traj.contact
     stance = swing if cfg.swing_selector_on_stance else ~swing
     acc = (_velocity_xy_terms(traj, cmd, cfg).sum(),
            np.exp(-((traj.w_z - cmd.wz) ** 2) / cfg.sigma_wz).sum(),

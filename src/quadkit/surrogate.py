@@ -5,6 +5,10 @@ simulator. It is a model, not physics: each terrain has an ideal ordinal
 level per behavior parameter, and tracking quality decays smoothly with the
 distance of each parameter from its ideal level interval. That makes the
 simulate-and-select adaptation loop exercisable with a known optimum.
+
+A gait is its ``GAITS`` preset name everywhere here; only ``_gait_schedule``
+looks up its offsets, to build an episode's stance flags. A ``Trajectory``
+carries those flags, so scoring an episode needs no gait.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .locomotion import (
     Level,
     LevelSelection,
     desired_contacts,
-    gait_name,
 )
 from .terrain import TerrainSpec
 
@@ -44,7 +47,8 @@ GAIT_MISMATCH_FACTOR = 0.8
 # Episode noises and gait schedules kept per process. select_best scores its
 # whole grid as arrays and reads one noise per call; simulate, the
 # per-candidate reference that also runs every evaluation episode, reads
-# both. A default adapt run (5 terrains x 3 variants) has 13 eval/adapt seeds
+# both. A schedule is keyed on the gait preset name, step frequency, dt and
+# steps. A default adapt run (5 terrains x 3 variants) has 13 eval/adapt seeds
 # per terrain and 6 (gait, frequency) schedules in all, so 16 entries keep
 # each reused within a terrain.
 _CACHE_SIZE = 16
@@ -88,10 +92,11 @@ IDEAL_PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated episode: per-step arrays (feet FR, FL, RR, RL) plus provenance.
+    """Simulated episode: per-step arrays, feet ordered FR, FL, RR, RL.
 
     ``simulate`` returns ``v_xy``, ``w_z``, ``foot_force`` and ``foot_speed``
-    as new arrays per call. ``phase`` is shared by every episode with the same
+    as new arrays per call. ``contact`` holds the commanded stance flags the
+    episode was simulated with; it is shared by every episode with the same
     gait, step frequency, ``dt`` and length, and is read-only: writing into it
     raises ``ValueError``.
     """
@@ -100,14 +105,10 @@ class Trajectory:
     w_z: np.ndarray  # (n,) achieved yaw rate, rad/s
     foot_force: np.ndarray  # (n, 4) vertical contact force, N
     foot_speed: np.ndarray  # (n, 4) planar foot speed, m/s
-    phase: np.ndarray  # (n,) gait cycle fraction in [0, 1)
-    terrain_name: str = ""
-    params: BehaviorParams | None = None
-    cmd: CommandVector | None = None
-    seed: int = 0
+    contact: np.ndarray  # (n, 4) bool, True while a foot is commanded to stand
 
     def __len__(self):
-        return len(self.phase)
+        return len(self.w_z)
 
 
 def ideal_profile(terrain: TerrainSpec) -> LevelSelection:
@@ -133,7 +134,7 @@ def efficiency(params: BehaviorParams, ideal: LevelSelection) -> float:
         interval = LEVEL_RANGES[name][int(ideal.level(name))]
         d = _interval_distance(getattr(params, name), interval)
         e *= math.exp(-((d / RHO) ** 2))
-    if params.gait != GAITS[ideal.gait]:
+    if params.gait != ideal.gait:
         e *= GAIT_MISMATCH_FACTOR
     return e
 
@@ -144,10 +145,12 @@ def grid_efficiency(candidates, ideal: LevelSelection) -> np.ndarray:
     Each parameter's factor is computed once per distinct value with the
     scalar formula, and the factors are multiplied in ``PARAMETERS`` order, so
     each entry equals ``efficiency`` of that candidate bit for bit. A candidate
-    outside the global ranges raises the ``ValueError`` its ``validate`` gives.
+    outside the global ranges or with an unknown gait raises the
+    ``ValueError`` its ``validate`` gives.
     """
     e = None
-    bad = np.zeros(len(candidates), dtype=bool)
+    gaits = [c.gait for c in candidates]
+    bad = np.array([g not in GAITS for g in gaits], dtype=bool)
     for name in PARAMETERS:
         values = np.array([getattr(c, name) for c in candidates], dtype=float)
         lo, hi = GLOBAL_RANGES[name]
@@ -159,8 +162,7 @@ def grid_efficiency(candidates, ideal: LevelSelection) -> np.ndarray:
         e = table[index] if e is None else e * table[index]
     if bad.any():
         candidates[int(bad.argmax())].validate()
-    ideal_gait = GAITS[ideal.gait]
-    mismatch = np.array([c.gait != ideal_gait for c in candidates])
+    mismatch = np.array([g != ideal.gait for g in gaits])
     return np.where(mismatch, e * GAIT_MISMATCH_FACTOR, e)
 
 
@@ -185,15 +187,15 @@ def _episode_noise(seed: int, noise_scale: float, steps: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _gait_schedule(gait, step_frequency: float, dt: float, steps: int) -> tuple:
-    """Read-only (phase, contact, load) of a gait at a step frequency: the
-    cycle fraction, (n, 4) stance flags and the load per stance foot."""
+def _gait_schedule(gait: str, step_frequency: float, dt: float, steps: int) -> tuple:
+    """Read-only (contact, load) of a gait preset at a step frequency: the
+    (n, 4) stance flags and the load per stance foot."""
     phase = np.mod(np.arange(steps) * (step_frequency * dt), 1.0)
-    contact = desired_contacts(gait, phase)
+    contact = desired_contacts(GAITS[gait], phase)
     n_stance = contact.sum(axis=1)
     # A step with no stance foot (pronking, second half-cycle) carries no load.
     load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(steps), where=n_stance > 0)
-    return _read_only(phase, contact, load)
+    return _read_only(contact, load)
 
 
 def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
@@ -203,8 +205,9 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     Achieved planar velocity is the command scaled by efficiency plus noise
     drawn from ``seed``, capped so it never exceeds the command speed.
     Contact forces and foot slips are deterministic functions of efficiency
-    so the phase terms stay exact at zero noise. The noise and the gait schedule depend only on
-    the seed and the gait timing, so they are computed once per key and
+    so the phase terms stay exact at zero noise. The noise and the gait
+    schedule (stance flags and per-foot load) depend only on the seed and on
+    the gait preset and its timing, so they are computed once per key and
     shared read-only (``SimConfig`` is mutable: the key is its values now).
 
     ``adaptation.select_best`` does not call this per candidate: it scores a
@@ -216,8 +219,7 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     cmd.validate()
     e = efficiency(params, ideal_profile(terrain))
     noise_v, noise_w = _episode_noise(seed, cfg.noise_scale, cfg.steps)
-    phase, contact, load = _gait_schedule(params.gait, params.step_frequency, cfg.dt,
-                                          cfg.steps)
+    contact, load = _gait_schedule(params.gait, params.step_frequency, cfg.dt, cfg.steps)
     mult = np.clip(e + noise_v, -1.0, 1.0)
 
     spurious = (1.0 - e) * SPURIOUS_FORCE_N
@@ -227,8 +229,7 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     return Trajectory(v_xy=np.multiply.outer(mult, (cmd.vx, cmd.vy)),
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
-                      foot_speed=np.where(contact, slip, swing_speed), phase=phase,
-                      terrain_name=terrain.name, params=params, cmd=cmd, seed=seed)
+                      foot_speed=np.where(contact, slip, swing_speed), contact=contact)
 
 
 def ideal_params(terrain: TerrainSpec) -> BehaviorParams:
@@ -238,7 +239,7 @@ def ideal_params(terrain: TerrainSpec) -> BehaviorParams:
     for name in PARAMETERS:
         lo, hi = LEVEL_RANGES[name][int(prof.level(name))]
         vals[name] = round((lo + hi) / 2.0, 9)
-    return BehaviorParams(gait=GAITS[prof.gait], **vals)
+    return BehaviorParams(gait=prof.gait, **vals)
 
 
 def describe_profile(profile: LevelSelection) -> str:
@@ -251,5 +252,5 @@ __all__ = [
     "SimConfig", "IDEAL_PROFILES", "Trajectory",
     "ideal_profile", "efficiency", "grid_efficiency", "simulate", "ideal_params",
     "BODY_WEIGHT_N", "SPURIOUS_FORCE_N", "SLIP_SCALE", "RHO",
-    "GAIT_MISMATCH_FACTOR", "describe_profile", "gait_name",
+    "GAIT_MISMATCH_FACTOR", "describe_profile",
 ]

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from quadkit.config import NavConfig
-from quadkit.locomotion import desired_contacts
+from quadkit.locomotion import GAITS, desired_contact, desired_contacts
 from quadkit.navigation import ArrivalField
 from quadkit.rewards import StepSample, _phase_terms, r_velocity_xy, r_velocity_yaw
 from quadkit.surrogate import (
@@ -39,8 +39,9 @@ def contact_table(t, offsets, duty=0.5):
     return tuple(p < duty for p in gait_phase_table(t, offsets))
 
 
-def trajectory_of(samples):
-    """Trajectory whose per-step arrays hold the given StepSamples' values."""
+def trajectory_of(samples, gait):
+    """Trajectory whose per-step arrays hold the given StepSamples' values,
+    with the stance flags ``gait`` commands at each sample's phase."""
     samples = list(samples)
     n = len(samples)
     return Trajectory(
@@ -48,15 +49,21 @@ def trajectory_of(samples):
         w_z=np.array([s.w_z for s in samples], dtype=float),
         foot_force=np.array([s.foot_force for s in samples], dtype=float).reshape(n, 4),
         foot_speed=np.array([s.foot_speed_xy for s in samples], dtype=float).reshape(n, 4),
-        phase=np.array([s.phase_t for s in samples], dtype=float),
+        contact=np.array([desired_contact(gait, s.phase_t) for s in samples],
+                         dtype=bool).reshape(n, 4),
     )
 
 
-def samples_of(traj):
-    """One StepSample per row of a trajectory's arrays."""
+def episode_phase(params, cfg):
+    """Gait cycle fraction at each step of a simulated episode."""
+    return np.mod(np.arange(cfg.steps) * (params.step_frequency * cfg.dt), 1.0)
+
+
+def samples_of(traj, phase):
+    """One StepSample per row of a trajectory's arrays, at the given phases."""
     return [StepSample(v_xy=tuple(traj.v_xy[k]), w_z=float(traj.w_z[k]),
                        foot_force=tuple(traj.foot_force[k]),
-                       foot_speed_xy=tuple(traj.foot_speed[k]), phase_t=float(traj.phase[k]))
+                       foot_speed_xy=tuple(traj.foot_speed[k]), phase_t=float(phase[k]))
             for k in range(len(traj))]
 
 
@@ -93,8 +100,7 @@ def simulate_reference(terrain, params, cmd, cfg, seed):
         noise_v = np.zeros(n)
         noise_w = np.zeros(n)
     mult = np.clip(e + noise_v, -1.0, 1.0)
-    phase = np.mod(np.arange(n) * (params.step_frequency * cfg.dt), 1.0)
-    contact = desired_contacts(params.gait, phase)
+    contact = desired_contacts(GAITS[params.gait], episode_phase(params, cfg))
     n_stance = contact.sum(axis=1)
     load = np.divide(BODY_WEIGHT_N, n_stance, out=np.zeros(n), where=n_stance > 0)
 
@@ -105,8 +111,7 @@ def simulate_reference(terrain, params, cmd, cfg, seed):
     return Trajectory(v_xy=np.stack([cmd.vx * mult, cmd.vy * mult], axis=1),
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
-                      foot_speed=np.where(contact, slip, swing_speed), phase=phase,
-                      terrain_name=terrain.name, params=params, cmd=cmd, seed=seed)
+                      foot_speed=np.where(contact, slip, swing_speed), contact=contact)
 
 
 def bilinear_oracle(heights, resolution, origin, x, y):

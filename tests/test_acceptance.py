@@ -124,7 +124,7 @@ def test_criterion_2_reward_closed_forms():
         got = r_stance_velocity(sample(t=0.25, speed=(0.5, 0.0, 0.0, 0.0)), trot, cfg)
         assert abs(got - (math.exp(-1) + 1.0)) < 1e-12
         steps = [sample(t=(k * 3.0 * 0.02) % 1.0) for k in range(250)]
-        report = episode_percent(trajectory_of(steps), cmd, trot, cfg)
+        report = episode_percent(trajectory_of(steps, trot), cmd, cfg)
         assert report.as_tuple() == (100.0, 100.0, 100.0, 100.0)
 
 

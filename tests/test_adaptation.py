@@ -141,13 +141,13 @@ def test_direct_params_gait_majority_and_tie():
         ("auto", numeric_reply(gait="trotting")),
         ("auto", numeric_reply(gait="pacing")),
     ])
-    assert direct_params("d", gw).gait == GAITS["trotting"]
+    assert direct_params("d", gw).gait == "trotting"
     gw = make_gateway([
         ("auto", numeric_reply(gait="pronking")),
         ("auto", numeric_reply(gait="pacing")),
         ("auto", numeric_reply(gait="bounding")),
     ])
-    assert direct_params("d", gw).gait == GAITS["trotting"]
+    assert direct_params("d", gw).gait == "trotting"
 
 
 def test_direct_params_uses_prior_template():
@@ -164,7 +164,7 @@ def test_candidate_grid_counts_by_enumeration():
     # swing [0.16,0.21]/0.02 -> 4
     assert len(candidates) == 2 * 4 * 3 * 3 * 4
     assert len(set(candidates)) == len(candidates)
-    assert all(c.gait == GAITS["trotting"] for c in candidates)
+    assert all(c.gait == "trotting" for c in candidates)
     heights = {c.body_height for c in candidates}
     assert heights == {0.15, 0.2}
 
@@ -180,7 +180,7 @@ def test_candidate_grid_degenerate_intervals():
 def test_candidate_grid_gait_axis():
     candidates = candidate_grid(UPHILL_SELECTION, include_gaits=True)
     assert len(candidates) == 288 * 4
-    assert {c.gait for c in candidates} == set(GAITS.values())
+    assert {c.gait for c in candidates} == set(GAITS)
 
 
 def test_candidate_grid_cap_preserves_endpoints():
@@ -287,6 +287,17 @@ def test_select_best_rejects_candidate_outside_global_range(value):
     assert message == _raised(lambda: simulate(terrain, bad, BENCHMARK_COMMAND, cfg))
 
 
+@pytest.mark.parametrize("gait", ["galloping", "Trotting"])
+def test_select_best_rejects_candidate_with_unknown_gait(gait):
+    terrain = UphillSlope()
+    good = ideal_params(terrain)
+    bad = BehaviorParams(**dict(good.continuous(), gait=gait))
+    cfg = SimConfig()
+    message = _raised(lambda: select_best([good, bad, good], terrain, BENCHMARK_COMMAND, cfg))
+    assert message == f"unknown gait preset '{gait}'"
+    assert message == _raised(lambda: simulate(terrain, bad, BENCHMARK_COMMAND, cfg))
+
+
 def test_select_best_rejects_bad_sim_config():
     terrain = UphillSlope()
     cfg = SimConfig(steps=0)
@@ -331,7 +342,7 @@ def test_determining_pick_assembles_midpoints():
     assert params.body_height == 0.35          # "high" midpoint
     assert params.body_pitch == 0.0            # "neutral" midpoint
     assert params.step_frequency == 3.25
-    assert params.gait == GAITS["trotting"]
+    assert params.gait == "trotting"
 
 
 def test_determining_pick_rejects_non_midpoint_after_retry():
@@ -358,7 +369,7 @@ def test_manual_params_roundtrip(tmp_path):
         "body_height": 0.2, "step_frequency": 3.0, "body_pitch": 0.1,
         "stance_width": 0.3, "swing_height": 0.15, "gait": "bounding"}))
     params = manual_params(path)
-    assert params.gait == GAITS["bounding"]
+    assert params.gait == "bounding"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "body_height": 0.99, "step_frequency": 3.0, "body_pitch": 0.1,

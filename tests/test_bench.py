@@ -238,7 +238,7 @@ def test_cmd_task_rejects_bad_scenario_files(tmp_path):
         cmd_task(str(empty), out_dir=str(tmp_path / "out"))
     no_transcript = tmp_path / "nt.json"
     no_transcript.write_text(json.dumps({"instruction": "sit", "scene": "missing.jsonl"}))
-    with pytest.raises((ConfigError, OSError)):
+    with pytest.raises(ConfigError, match="missing.jsonl"):
         cmd_task(str(no_transcript), out_dir=str(tmp_path / "out2"))
 
 
@@ -282,14 +282,21 @@ def test_cmd_plan_reports_when_no_goal_exists(tmp_path):
     assert os.path.exists(tmp_path / "out" / "result.json")
 
 
-@pytest.mark.parametrize("text", ["not json", "[1]"])
-def test_cli_task_invalid_scenario_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, field", [
+    pytest.param("not json", "", id="not json"),
+    pytest.param("[1]", "", id="[1]"),
+    pytest.param('{"instruction": 5, "scene": "s.jsonl"}', "'instruction'", id="instruction-int"),
+    pytest.param('{"instruction": "sit", "scene": 7}', "'scene'", id="scene-int"),
+    pytest.param('{"instruction": "sit", "scene": "s.jsonl", "transcript": 3}', "'transcript'",
+                 id="transcript-int"),
+])
+def test_cli_task_invalid_scenario_exits_2(tmp_path, capsys, text, field):
     scenario = tmp_path / "bad_scenario.json"
     scenario.write_text(text)
     code = main(["task", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "bad_scenario.json" in err
+    assert "error:" in err and "bad_scenario.json" in err and field in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,13 @@ def test_load_config_rejects_wrong_value_types(tmp_path, section, key, value):
     ("lss", "grid_gaits", True),
     ("reward", "sigma_cf", 50),
     ("nav", "cost_mode", "continuous"),
+    # the closed ends of each checked range
+    ("nav", "speed_floor", 1),
+    ("nav", "unexplored_cost", 0),
+    ("nav", "success_radius", 0),
+    ("mapping", "dilation_p", 0),
+    ("mapping", "sensor_range", 0),
+    ("lss", "candidate_cap", 1),
 ])
 def test_load_config_accepts_matching_value_types(tmp_path, section, key, value):
     path = tmp_path / "cfg.json"
@@ -174,6 +181,22 @@ MALFORMED_CONFIGS = [
     # every comparison with a NaN bound is false, so sampling it would never end
     ({"level_ranges": {"body_height": [[0.1, 0.15], [math.nan, 0.2], [0.2, 0.3],
                                        [0.3, 0.4], [0.4, 0.45]]}}, "level_ranges.body_height"),
+    # sample_grid cannot sample an interval outside the parameter's global range
+    ({"level_ranges": {"body_height": [[0.0, 0.5], [0.5, 0.6], [0.6, 0.7],
+                                       [0.7, 0.8], [0.8, 0.9]]}}, "level_ranges.body_height[0]"),
+    ({"level_ranges": {"swing_height": [[0.03, 0.07], [0.07, 0.11], [0.11, 0.16],
+                                        [0.16, 0.21], [0.21, 0.3]]}}, "level_ranges.swing_height[4]"),
+    ({"nav": {"cost_mode": "bogus"}}, "nav.cost_mode"),
+    ({"nav": {"speed_floor": math.nan}}, "nav.speed_floor must be finite"),
+    ({"nav": {"speed_floor": 0}}, "nav.speed_floor"),
+    ({"nav": {"unexplored_cost": 1.5}}, "nav.unexplored_cost"),
+    ({"nav": {"success_radius": -0.5}}, "nav.success_radius"),
+    ({"nav": {"success_radius": math.inf}}, "nav.success_radius must be finite"),
+    ({"mapping": {"dilation_p": -1}}, "mapping.dilation_p"),
+    ({"mapping": {"sensor_range": math.nan}}, "mapping.sensor_range must be finite"),
+    ({"mapping": {"sensor_range": -1.0}}, "mapping.sensor_range"),
+    ({"mapping": {"max_point_height": 0}}, "mapping.max_point_height"),
+    ({"lss": {"candidate_cap": 0}}, "lss.candidate_cap"),
 ]
 
 

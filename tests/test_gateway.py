@@ -22,7 +22,7 @@ from quadkit.gateway import (
     parse_levels,
     parse_numeric_params,
 )
-from quadkit.locomotion import GAITS, Level
+from quadkit.locomotion import Level
 
 
 def test_scripted_provider_replays_in_order():
@@ -156,7 +156,7 @@ def test_parse_numeric_params_fixture():
     assert params.swing_height == 0.12
     assert params.body_pitch == 0.1
     assert params.stance_width == 0.25
-    assert params.gait == GAITS["trotting"]
+    assert params.gait == "trotting"
 
 
 def test_parse_numeric_params_clamps_out_of_range():

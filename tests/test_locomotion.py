@@ -234,11 +234,15 @@ def test_command_vector_validation():
 
 
 def test_behavior_params_validation():
-    params = BehaviorParams(0.25, 3.0, 0.0, 0.25, 0.1, GAITS["trotting"])
+    params = BehaviorParams(0.25, 3.0, 0.0, 0.25, 0.1, "trotting")
     params.validate()
-    bad = BehaviorParams(0.5, 3.0, 0.0, 0.25, 0.1, GAITS["trotting"])
+    bad = BehaviorParams(0.5, 3.0, 0.0, 0.25, 0.1, "trotting")
     with pytest.raises(ValueError):
         bad.validate()
+    # a gait is a preset name, not its offsets
+    for gait in ("galloping", GAITS["trotting"]):
+        with pytest.raises(ValueError, match="unknown gait preset"):
+            BehaviorParams(0.25, 3.0, 0.0, 0.25, 0.1, gait).validate()
 
 
 def test_gait_offsets_range_checked():

@@ -6,7 +6,6 @@ import pytest
 from conftest import fixture_text, make_gateway
 from quadkit.config import ToolkitConfig
 from quadkit.errors import ParseError, SchemaError
-from quadkit.locomotion import GAITS
 from quadkit.mapping import Frame, LabeledPointCloud, Scene
 from quadkit.tasks import (
     SKILLS,
@@ -203,7 +202,7 @@ def test_switch_gait_runs_adaptation():
                     world, gw)
     assert trace.task_complete
     assert world.params is not None
-    assert world.params.gait == GAITS["trotting"]
+    assert world.params.gait == "trotting"
     assert 0.15 <= world.params.body_height <= 0.2
 
 

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import importlib.util
 import os
+import pkgutil
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ASSETS = os.path.join(ROOT, "src", "quadkit", "assets")
@@ -62,3 +64,14 @@ def test_no_unused_top_level_imports():
     unused = [line for rel in relative_files(package, ("",)) if rel.endswith(".py")
               for line in unused_imports(os.path.join(package, rel))]
     assert unused == []
+
+
+def test_every_exported_name_exists():
+    # A name left in ``__all__`` after its definition is gone breaks ``import *``.
+    import quadkit
+    modules = [quadkit] + [importlib.import_module(f"quadkit.{info.name}")
+                           for info in pkgutil.iter_modules(quadkit.__path__)
+                           if info.name != "__main__"]  # importing it runs the CLI
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
