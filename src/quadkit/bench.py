@@ -55,7 +55,7 @@ def asset_path(*parts) -> str:
 def make_gateway(provider: str, transcript=None, log_path=None) -> Gateway:
     if provider == "scripted":
         if not transcript:
-            raise ConfigError("scripted provider requires a transcript path")
+            raise ConfigError("scripted provider requires a transcript path (--transcript)")
         return Gateway(ScriptedProvider.from_file(transcript), log_path=log_path)
     if provider == "live":
         return Gateway(LiveProvider.from_env(), log_path=log_path)

@@ -9,12 +9,12 @@ from . import bench
 from .errors import QuadkitError
 
 
-def _add_common(parser):
+def _add_common(parser, transcript_default):
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument("--provider", choices=("scripted", "live"), default="scripted")
     parser.add_argument("--transcript", default=None,
-                        help="scripted transcript file (defaults to the bundled one)")
+                        help=f"scripted transcript file ({transcript_default})")
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_adapt = sub.add_parser("adapt", help="locomotion-adaptation benchmark")
-    _add_common(p_adapt)
+    _add_common(p_adapt, "defaults to the bundled benchmark transcript")
     p_adapt.add_argument("--runs", type=int, default=10)
     p_adapt.add_argument("--terrains", default=",".join(bench.DEFAULT_TERRAINS),
                          help="comma-separated terrain names")
@@ -35,14 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="params file for the manual variant")
 
     p_plan = sub.add_parser("plan", help="cost-map path planning on a scene")
-    _add_common(p_plan)
+    _add_common(p_plan, "required with --provider scripted")
     p_plan.add_argument("--scene", required=True)
     p_plan.add_argument("--instruction", required=True)
     p_plan.add_argument("--no-cost", action="store_true",
                         help="ablation: plan with all costs zeroed")
 
     p_task = sub.add_parser("task", help="long-horizon scenario execution")
-    _add_common(p_task)
+    _add_common(p_task, "defaults to the scenario's transcript")
     p_task.add_argument("--scenario", required=True)
     return parser
 

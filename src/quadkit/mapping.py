@@ -7,6 +7,10 @@ bins up to a 2 m ceiling, then summed vertically), connected components per
 category become detections, and detections merge into persistent instance
 records via dilation-overlap matching. Every region (a detection, its
 dilation, an instance) is an M x M boolean mask.
+
+Square dilations are numpy shifted ORs; scipy's ``ndimage`` is imported only
+when a frame is projected, for connected-component labeling, so commands that
+project no frame (``adapt``, ``--help``, a config error) never load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import MappingConfig
 from .errors import ConfigError
@@ -189,12 +192,29 @@ def cell_to_world(row: int, col: int, m: int, cell_size: float, origin: tuple) -
     return (x, y)
 
 
+def _square_dilation(mask: np.ndarray, p: int) -> np.ndarray:
+    """Fresh bool array: a 2-D mask dilated by p cells along rows, then along
+    columns (a (2p+1)-wide square), clipped at the grid edge. Each axis ORs in
+    the shifts 1..p both ways; a shift of the axis length or more reaches no
+    cell, so the count stops at length - 1 and any p costs at most that."""
+    src = np.asarray(mask, dtype=bool)
+    rows = src.copy()
+    for s in range(1, min(p, src.shape[0] - 1) + 1):
+        rows[s:] |= src[:-s]
+        rows[:-s] |= src[s:]
+    out = rows.copy()
+    for s in range(1, min(p, src.shape[1] - 1) + 1):
+        out[:, s:] |= rows[:, :-s]
+        out[:, :-s] |= rows[:, s:]
+    return out
+
+
 def dilate(mask: np.ndarray, p: int) -> np.ndarray:
     """Chebyshev (8-connected square) dilation of a bool mask by p cells,
     clipped at the grid edge; p=0 returns a copy."""
     if p < 0:
         raise ValueError("dilation radius must be >= 0")
-    return ndimage.maximum_filter(mask, size=2 * p + 1, mode="constant")
+    return _square_dilation(mask, p)
 
 
 def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
@@ -276,6 +296,8 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     rows, cols = smap.world_to_cell(px[keep], py[keep])
     cats = cats[keep]
     explored[rows, cols] = 1
+
+    from scipy import ndimage  # the only scipy use, kept off the start-up path
 
     detections = []
     for cat in np.unique(cats).tolist():

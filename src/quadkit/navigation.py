@@ -27,7 +27,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import NavConfig
 from .errors import ExplorationComplete, UnreachableError
@@ -39,10 +38,9 @@ from .gateway import (
     load_template,
     parse_cost_json,
 )
-from .mapping import InstanceMemory, SemanticMap, cell_to_world
+from .mapping import InstanceMemory, SemanticMap, _square_dilation, cell_to_world
 from .terrain import write_pgm
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
@@ -320,7 +318,7 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
 def frontier_cells(smap: SemanticMap, costmap: CostMap) -> np.ndarray:
     """Mask of the explored, passable cells 8-adjacent to unexplored space."""
     explored = smap.explored_mask()
-    near_unknown = ndimage.binary_dilation(~explored, structure=_EIGHT_CONNECTED)
+    near_unknown = _square_dilation(~explored, 1)  # not dilate: its calls count instance matches
     return explored & near_unknown & ~costmap.obstacle_mask
 
 

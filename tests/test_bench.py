@@ -158,6 +158,25 @@ def test_cli_plan_and_task(tmp_path, capsys):
     assert "task_complete=True" in out
 
 
+def test_cli_scripted_plan_without_transcript_names_the_flag(tmp_path, capsys):
+    code = main(["plan", "--scene", asset_path("scenes", "band_free.jsonl"),
+                 "--instruction", "Go to the chair", "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: scripted provider requires a transcript path (--transcript)" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, default", [
+    ("adapt", "(defaults to the bundled benchmark transcript)"),
+    ("plan", "(required with --provider scripted)"),
+    ("task", "(defaults to the scenario's transcript)"),
+])
+def test_cli_transcript_help_states_each_default(capsys, command, default):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"scripted transcript file {default}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_usage_error_exit_code(tmp_path, capsys):
     code = main(["adapt", "--terrains", "lava", "--out", str(tmp_path)])
     assert code == 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from oracles import cells_of, chebyshev_dilation, mask_of, union_find_clusters
 from quadkit.errors import ConfigError
@@ -146,6 +149,28 @@ def test_dilate_matches_bruteforce_oracle():
         # unclipped: the same cells on a grid padded by 3 on every side
         shifted = {(r + 3, c + 3) for (r, c) in cells}
         assert cells_of(dilate(mask_of(shifted, 46), p)) == chebyshev_dilation(shifted, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dilate_matches_oracle_and_ndimage_on_any_square_grid(data):
+    # p >= m and the 1 x 1 grid included; the result is a fresh bool array
+    m = data.draw(st.integers(1, 12))
+    p = data.draw(st.integers(0, 15))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m)))
+    mask = mask.reshape(m, m)
+    before = mask.copy()
+    out = dilate(mask, p)
+    assert out.shape == (m, m) and out.dtype == bool
+    assert cells_of(out) == chebyshev_dilation(cells_of(mask), p, m)
+    assert np.array_equal(out, ndimage.maximum_filter(mask, size=2 * p + 1, mode="constant"))
+    out ^= True
+    assert np.array_equal(mask, before)
+
+
+def test_dilate_huge_radius_equals_grid_wide_radius():
+    mask = np.random.default_rng(5).random((40, 40)) < 0.05
+    assert np.array_equal(dilate(mask, 10**9), dilate(mask, 39))
 
 
 def test_match_detection_semantics():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import fixture_text, make_gateway
 from oracles import cells_of, chebyshev_dilation, dijkstra_times, nearest_free_cell
@@ -239,6 +241,20 @@ def test_frontier_cells_and_goal():
     assert goal in cells
 
 
+def assert_frontier_matches_oracle(explored, obstacles):
+    m = len(explored)
+    smap = SemanticMap(["floor"], m=m)
+    smap.grid[smap.explored_channel] = explored
+    cm = uniform_costmap(m=m)
+    cm.costs[obstacles] = 1.0
+    oracle = {cell for cell in chebyshev_dilation(cells_of(~explored), 1, m)
+              if explored[cell] and not obstacles[cell]}
+    got = frontier_cells(smap, cm)
+    assert cells_of(got) == oracle
+    near_unknown = ndimage.binary_dilation(~explored, structure=np.ones((3, 3), dtype=bool))
+    assert np.array_equal(got, explored & near_unknown & ~obstacles)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_frontier_cells_are_explored_passable_cells_next_to_unexplored_space(data):
@@ -246,13 +262,14 @@ def test_frontier_cells_are_explored_passable_cells_next_to_unexplored_space(dat
     masks = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
     explored = np.array(data.draw(masks)).reshape(m, m)
     obstacles = np.array(data.draw(masks)).reshape(m, m)
-    smap = SemanticMap(["floor"], m=m)
-    smap.grid[smap.explored_channel] = explored
-    cm = uniform_costmap(m=m)
-    cm.costs[obstacles] = 1.0
-    oracle = {cell for cell in chebyshev_dilation(cells_of(~explored), 1, m)
-              if explored[cell] and not obstacles[cell]}
-    assert cells_of(frontier_cells(smap, cm)) == oracle
+    assert_frontier_matches_oracle(explored, obstacles)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_frontier_cells_match_oracle_on_every_tiny_grid(m):
+    for bits in itertools.product((False, True), repeat=2 * m * m):
+        grids = np.array(bits).reshape(2, m, m)
+        assert_frontier_matches_oracle(grids[0], grids[1])
 
 
 def test_frontier_goal_single_candidate():
