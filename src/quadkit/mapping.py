@@ -8,9 +8,8 @@ category become detections, and detections merge into persistent instance
 records via dilation-overlap matching. Every region (a detection, its
 dilation, an instance) is an M x M boolean mask.
 
-Square dilations are numpy shifted ORs; scipy's ``ndimage`` is imported only
-when a frame is projected, for connected-component labeling, so commands that
-project no frame (``adapt``, ``--help``, a config error) never load scipy.
+The module is numpy only: square dilations are shifted ORs, and the 8-connected
+component labeling is a union-find over the set cells (``_label_components``).
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .config import MappingConfig
 from .errors import ConfigError
 
 HEIGHT_BIN = 0.05
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 # Provisional category-channel marker written by projection before an ingest
 # assigns the owning instance id.
@@ -217,6 +214,70 @@ def dilate(mask: np.ndarray, p: int) -> np.ndarray:
     return _square_dilation(mask, p)
 
 
+def _label_components(mask: np.ndarray) -> tuple:
+    """8-connected components of a 2-D bool mask as ``(labels, slices)``, equal
+    to ``ndimage.label(mask, structure=np.ones((3, 3)))`` followed by
+    ``ndimage.find_objects``: an int32 array numbering the components 1..k in
+    the raster order of their first cell (0 off the mask), and one
+    ``(row_slice, col_slice)`` bounding box per label.
+
+    Hook-and-compress union-find (Shiloach & Vishkin 1982) over the set cells
+    only. Each set cell is joined to its E, SW, S and SE neighbours; the larger
+    root of every unjoined pair is hooked onto the smaller and pointers are
+    jumped to a fixed point, until every pair shares a root. A root never
+    points lower than itself, so it ends as its component's first cell. The
+    work grows with the set cells and the number of rounds: the sparse masks
+    of the bundled scenes label as fast as with ``ndimage`` or faster, but a
+    dense random 480 x 480 mask is slower (50% set: about 50 ms against 9 ms
+    on a 2-vCPU Xeon).
+    """
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    stride = w + 2  # padded by one cell, so no neighbour wraps or leaves the grid
+    padded = np.zeros((h + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    flat = padded.ravel()
+    cells = np.flatnonzero(flat)  # ascending, so a cell's position is its raster rank
+    if cells.size == 0:
+        return labels, []
+    firsts, seconds = [], []  # positions in ``cells`` of each joined pair's ends
+    for offset in (1, stride - 1, stride, stride + 1):  # E, SW, S, SE
+        both = flat[cells + offset]
+        firsts.append(np.flatnonzero(both))
+        seconds.append(np.searchsorted(cells, cells[both] + offset))
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    parent = np.arange(cells.size)
+    while True:
+        root_a, root_b = parent[first], parent[second]
+        apart = root_a != root_b
+        if not apart.any():
+            break
+        first, second = first[apart], second[apart]  # a joined pair stays joined
+        root_a, root_b = root_a[apart], root_b[apart]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    # roots rank in raster order, which is ndimage's numbering
+    rank = np.cumsum(parent == np.arange(cells.size), dtype=np.int32)
+    cell_labels = rank[parent]
+    rows, cols = cells // stride - 1, cells % stride - 1
+    labels[rows, cols] = cell_labels
+    k = int(rank[-1])
+    index = cell_labels - 1
+    r0, c0 = np.full(k, h), np.full(k, w)
+    r1, c1 = np.full(k, -1), np.full(k, -1)
+    np.minimum.at(r0, index, rows)
+    np.minimum.at(c0, index, cols)
+    np.maximum.at(r1, index, rows)
+    np.maximum.at(c1, index, cols)
+    slices = [(slice(a, b + 1), slice(c, d + 1))
+              for a, c, b, d in zip(r0.tolist(), c0.tolist(), r1.tolist(), c1.tolist())]
+    return labels, slices
+
+
 def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
     """Instance with equal class and maximal overlap with the detection's cells
     dilated by ``memory.p``; ties resolve to the lowest instance id. None when
@@ -297,14 +358,12 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     cats = cats[keep]
     explored[rows, cols] = 1
 
-    from scipy import ndimage  # the only scipy use, kept off the start-up path
-
     detections = []
     for cat in np.unique(cats).tolist():
         mask = np.zeros((smap.m, smap.m), dtype=bool)
         mask[rows[cats == cat], cols[cats == cat]] = True
-        labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-        for lab, (rs, cs) in enumerate(ndimage.find_objects(labels), start=1):
+        labels, slices = _label_components(mask)
+        for lab, (rs, cs) in enumerate(slices, start=1):
             bbox = (frame_index, (rs.start, cs.start, rs.stop - 1, cs.stop - 1))
             detections.append(Detection(bbox=bbox, class_id=cat, cells=labels == lab))
         channel = smap.grid[cat]

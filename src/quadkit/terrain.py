@@ -94,8 +94,15 @@ class Heightfield:
         write_pgm(path, self.heights)
 
 
+# The decimal text of each PGM gray level, indexed by the level.
+_GRAY_TEXT = np.array([str(level) for level in range(256)], dtype=object)
+
+
 def write_pgm(path, values: np.ndarray):
-    """Plain (P2) PGM with values scaled to 0..255 over the finite range."""
+    """Plain (P2) PGM with values scaled to 0..255 over the finite range.
+
+    The rows are the text ``np.savetxt(fh, scaled, fmt="%d")`` writes, built
+    by looking each level's text up in a table."""
     finite = values[np.isfinite(values)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
@@ -103,7 +110,7 @@ def write_pgm(path, values: np.ndarray):
     scaled = np.where(np.isfinite(values), (values - lo) / span * 255.0, 255.0).astype(int)
     with open(path, "w") as fh:
         fh.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
-        np.savetxt(fh, scaled, fmt="%d")
+        fh.writelines(" ".join(row) + "\n" for row in _GRAY_TEXT[scaled].tolist())
 
 
 def _profile_height(spec: TerrainSpec, x: float) -> float:

@@ -154,6 +154,35 @@ def cells_of(mask):
     return {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
 
 
+def flood_fill_labels(mask):
+    """8-connected components of a 2-D bool mask by flood fill from each
+    unlabeled set cell in raster order: (int32 labels numbered from 1, one
+    (row_slice, col_slice) bounding box per label), as ``ndimage.label`` with
+    a 3 x 3 structure and ``ndimage.find_objects`` give them."""
+    cells = np.asarray(mask, dtype=bool).tolist()
+    h, w = len(cells), len(cells[0])
+    labels = [[0] * w for _ in range(h)]
+    slices = []
+    for r in range(h):
+        for c in range(w):
+            if not cells[r][c] or labels[r][c]:
+                continue
+            lab = len(slices) + 1
+            labels[r][c] = lab
+            r0, r1, c0, c1 = r, r, c, c
+            stack = [(r, c)]
+            while stack:
+                y, x = stack.pop()
+                r0, r1, c0, c1 = min(r0, y), max(r1, y), min(c0, x), max(c1, x)
+                for ny in range(max(0, y - 1), min(h, y + 2)):
+                    for nx in range(max(0, x - 1), min(w, x + 2)):
+                        if cells[ny][nx] and not labels[ny][nx]:
+                            labels[ny][nx] = lab
+                            stack.append((ny, nx))
+            slices.append((slice(r0, r1 + 1), slice(c0, c1 + 1)))
+    return np.array(labels, dtype=np.int32).reshape(h, w), slices
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from oracles import cells_of, chebyshev_dilation, mask_of, union_find_clusters
+from oracles import (
+    cells_of,
+    chebyshev_dilation,
+    flood_fill_labels,
+    mask_of,
+    union_find_clusters,
+)
 from quadkit.errors import ConfigError
 from quadkit.mapping import (
     PRESENCE_MARK,
@@ -16,6 +22,7 @@ from quadkit.mapping import (
     LabeledPointCloud,
     Scene,
     SemanticMap,
+    _label_components,
     dilate,
     ingest,
     load_scene,
@@ -171,6 +178,33 @@ def test_dilate_matches_oracle_and_ndimage_on_any_square_grid(data):
 def test_dilate_huge_radius_equals_grid_wide_radius():
     mask = np.random.default_rng(5).random((40, 40)) < 0.05
     assert np.array_equal(dilate(mask, 10**9), dilate(mask, 39))
+
+
+def assert_labels_match_oracle_and_ndimage(mask):
+    labels, slices = _label_components(mask)
+    ref_labels, ref_slices = flood_fill_labels(mask)
+    assert labels.dtype == np.int32 and np.array_equal(labels, ref_labels)
+    assert slices == ref_slices
+    nd_labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    assert np.array_equal(labels, nd_labels)
+    assert slices == ndimage.find_objects(nd_labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=40, w=40, density=0.0, seed=0)  # all false
+@example(h=40, w=40, density=1.0, seed=0)  # all true
+@example(h=1, w=40, density=0.6, seed=1)  # a single row
+@example(h=40, w=1, density=0.6, seed=2)  # a single column
+def test_label_components_matches_flood_fill_and_ndimage(h, w, density, seed):
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    assert_labels_match_oracle_and_ndimage(mask)
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5])
+def test_label_components_dense_full_size_map(density):
+    assert_labels_match_oracle_and_ndimage(np.random.default_rng(7).random((480, 480)) < density)
 
 
 def test_match_detection_semantics():

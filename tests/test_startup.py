@@ -1,4 +1,5 @@
-"""scipy stays off the import path: only projecting a frame loads it."""
+"""quadkit runs without scipy: no command loads it, and plan and task succeed
+when it cannot be imported at all."""
 
 import json
 import os
@@ -12,43 +13,61 @@ from quadkit.bench import asset_path
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs quadkit's CLI in a fresh interpreter and reports its exit code and
-# whether scipy was loaded. An empty argv only imports the modules.
+# whether scipy was loaded. An empty argv only imports the modules. "block"
+# makes any import of scipy raise ImportError; "load" imports scipy.ndimage
+# after quadkit, which shows the probe can see a loaded scipy.
 PROBE = """
 import json, sys
-argv = json.loads(sys.argv[1])
+argv, scipy_mode = json.loads(sys.argv[1])
+if scipy_mode == "block":
+    sys.modules["scipy"] = None
 import quadkit.cli, quadkit.bench
+if scipy_mode == "load":
+    import scipy.ndimage
 code = 0
 if argv:
     try:
         code = quadkit.cli.main(argv)
     except SystemExit as stop:
         code = stop.code
-print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
+print(json.dumps({"code": code, "scipy": sys.modules.get("scipy") is not None}))
 """
 
 PLAN = ["plan", "--scene", asset_path("scenes", "band.jsonl"), "--instruction", "Go to the chair",
         "--transcript", asset_path("transcripts", "plan_band.jsonl"), "--out", "{out}"]
+TASK = ["task", "--scenario", asset_path("scenarios", "long_horizon.json"), "--out", "{out}"]
 BAD_CONFIG = ["--config", "{bad_config}"]
 
 
-@pytest.mark.parametrize("argv, code, scipy", [
-    ([], 0, False),
-    (["--help"], 0, False),
-    (["adapt", "--runs", "1", "--out", "{out}"], 0, False),
-    (["adapt", "--runs", "1", "--out", "{out}"] + BAD_CONFIG, 2, False),
-    (PLAN + BAD_CONFIG, 2, False),
-    (["task", "--scenario", asset_path("scenarios", "long_horizon.json"), "--out", "{out}"]
-     + BAD_CONFIG, 2, False),
-    # projects frames; also shows the probe can see scipy
-    (PLAN, 0, True),
-], ids=["import", "help", "adapt", "adapt-bad-config", "plan-bad-config", "task-bad-config",
-        "plan"])
-def test_only_projecting_a_frame_loads_scipy(tmp_path, argv, code, scipy):
+def run_probe(tmp_path, argv, scipy_mode=None) -> dict:
     bad_config = tmp_path / "bad_cfg.json"
     bad_config.write_text(json.dumps({"nav": {"speed_floor": 0.0}}))
     argv = [arg.format(out=tmp_path / "out", bad_config=bad_config) for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps([argv, scipy_mode])],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": code, "scipy": scipy}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),
+    (["--help"], 0),
+    (["adapt", "--runs", "1", "--out", "{out}"], 0),
+    (["adapt", "--runs", "1", "--out", "{out}"] + BAD_CONFIG, 2),
+    (PLAN + BAD_CONFIG, 2),
+    (TASK + BAD_CONFIG, 2),
+    (PLAN, 0),  # projects frames
+], ids=["import", "help", "adapt", "adapt-bad-config", "plan-bad-config", "task-bad-config",
+        "plan"])
+def test_no_command_loads_scipy(tmp_path, argv, code):
+    assert run_probe(tmp_path, argv) == {"code": code, "scipy": False}
+
+
+def test_probe_sees_a_loaded_scipy(tmp_path):
+    assert run_probe(tmp_path, [], scipy_mode="load") == {"code": 0, "scipy": True}
+
+
+@pytest.mark.parametrize("argv", [PLAN, TASK], ids=["plan", "task"])
+def test_frame_projecting_commands_run_with_scipy_blocked(tmp_path, argv):
+    assert run_probe(tmp_path, argv, scipy_mode="block") == {"code": 0, "scipy": False}

@@ -1,7 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import bilinear_oracle
 from quadkit.terrain import (
@@ -186,3 +190,20 @@ def test_write_pgm_text(tmp_path, values, text):
     path = tmp_path / "grid.pgm"
     write_pgm(path, np.array(values))
     assert path.read_text() == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(float, st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                     elements=st.floats(-1e300, 1e300) | st.sampled_from([INF, -INF, math.nan])))
+def test_write_pgm_rows_equal_savetxt(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("pgm") / "grid.pgm"
+    write_pgm(path, values)
+    finite = values[np.isfinite(values)]
+    lo = finite.min() if finite.size else 0.0
+    hi = finite.max() if finite.size else 1.0
+    span = hi - lo if hi > lo else 1.0
+    scaled = np.where(np.isfinite(values), (values - lo) / span * 255.0, 255.0).astype(int)
+    expected = io.StringIO()
+    expected.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
+    np.savetxt(expected, scaled, fmt="%d")
+    assert path.read_text() == expected.getvalue()
