@@ -9,20 +9,22 @@ Variants:
   auto_lss_determining   model votes level ranges, then picks directly among
                          the interval midpoints (no simulation)
 
-``select_best`` scores a candidate grid as ``(candidates, steps)`` arrays, a
-block of candidates at a time: every candidate shares the episode seed and so
-the velocity noise.
-``surrogate.simulate`` followed by ``rewards.episode_velocity_percent`` remains
-the per-candidate reference, and each grid score equals it exactly.
+A candidate grid is a ``CandidateTable``: an ``(N, 5)`` float array in
+``PARAMETERS`` order plus the N gait names. ``select_best`` scores it as
+``(candidates, steps)`` arrays, a block of candidates at a time (every
+candidate shares the episode seed and so the velocity noise), ranks it with
+one ``np.lexsort`` and builds only the winner as a ``BehaviorParams``. The
+direct variants score their one parameter set as a one-row table.
+``evaluate`` scores a benchmark row's evaluation episodes as one
+``(runs, steps)`` batch. ``surrogate.simulate`` followed by
+``rewards.episode_velocity_percent`` or ``rewards.episode_percent`` remains the
+per-episode reference, and every score equals it exactly.
 
 A candidate's gait is its ``GAITS`` preset name, as in a ``LevelSelection``.
-Evaluation episodes are scored by ``rewards.episode_percent`` against the
-stance flags their ``Trajectory`` was simulated with.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -50,6 +52,7 @@ from .locomotion import (
     PARAMETERS,
     PROMPT_PARAM_ORDER,
     BehaviorParams,
+    CandidateTable,
     CommandVector,
     Level,
     LevelSelection,
@@ -57,12 +60,29 @@ from .locomotion import (
     level_range,
     sample_grid,
 )
-from .rewards import EpisodeReport, RewardConfig, episode_percent, episode_velocity_percent
-from .surrogate import SimConfig, _episode_noise, grid_efficiency, ideal_profile, simulate
+from .rewards import (
+    EpisodeReport,
+    RewardConfig,
+    _phase_percents,
+    _yaw_terms,
+)
+from .surrogate import (
+    SimConfig,
+    _episode_noise,
+    _foot_arrays,
+    _gait_schedule,
+    efficiency,
+    grid_efficiency,
+    ideal_profile,
+)
 from .terrain import TerrainSpec, terrain_by_name
 
 # Straight-line walk at 1 m/s: the benchmark command.
 BENCHMARK_COMMAND = CommandVector(1.0, 0.0, 0.0)
+
+# Tie order of select_best after the percent: lower values first, then the
+# gait name.
+_TIE_ORDER = ("body_height", "step_frequency", "swing_height", "body_pitch", "stance_width")
 
 # select_best scores its grid in row blocks of about this many (candidate,
 # step) cells, so each of its two float64 temporaries stays near 64 KiB
@@ -111,7 +131,7 @@ class MethodVariant:
 class AdaptationResult:
     params: BehaviorParams
     candidate_percents: list
-    candidates: list
+    candidates: CandidateTable
 
 
 def _majority(votes):
@@ -198,75 +218,86 @@ def _thin_axes(axes, cap: int):
 
 
 def candidate_grid(selection: LevelSelection, cap: int = LssConfig.candidate_cap,
-                   include_gaits: bool = LssConfig.grid_gaits, ranges=None) -> list:
+                   include_gaits: bool = LssConfig.grid_gaits, ranges=None) -> CandidateTable:
     """Cartesian product of the per-parameter sample grids over the selected
-    level intervals. The gait is fixed to the selection unless
-    ``include_gaits`` adds all four presets as a grid axis."""
+    level intervals, as a table whose last parameter varies fastest. The gait
+    is fixed to the selection unless ``include_gaits`` adds all four presets
+    as the fastest-varying axis."""
     axes = []
     for name in PARAMETERS:
         interval = level_range(name, selection.level(name), ranges)
         axes.append(sample_grid(name, interval))
     gaits = GAIT_NAMES if include_gaits else (selection.gait,)
     axes = _thin_axes(axes, max(1, cap // len(gaits)))
-    out = []
-    for combo in itertools.product(*axes):
-        values = dict(zip(PARAMETERS, combo))
-        for g in gaits:
-            out.append(BehaviorParams(gait=g, **values))
-    return out
+    combos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(PARAMETERS))
+    return CandidateTable(np.repeat(combos, len(gaits), axis=0),
+                          np.tile(np.array(gaits, dtype=str), len(combos)))
 
 
-def _selection_key(percent: float, cand: BehaviorParams):
-    # Score ties resolve toward lower height, then lower frequency, then the
-    # remaining parameters ascending, so selection is a total order.
-    return (-percent, cand.body_height, cand.step_frequency, cand.swing_height,
-            cand.body_pitch, cand.stance_width, cand.gait)
+def _velocity_xy_sums(mult: np.ndarray, cmd: CommandVector, sigma_vxy: float) -> np.ndarray:
+    """Row sums of the xy-velocity term over ``(rows, steps)`` velocity
+    multipliers ``e + noise_v``, with the float operations of ``simulate``
+    followed by ``rewards._velocity_xy_terms``. ``mult`` is overwritten."""
+    np.clip(mult, -1.0, 1.0, out=mult)
+    dx = mult * cmd.vx
+    dx -= cmd.vx
+    # ``mult`` becomes the y error in place.
+    mult *= cmd.vy
+    mult -= cmd.vy
+    dx *= dx
+    mult *= mult
+    dx += mult
+    np.negative(dx, out=dx)
+    dx /= sigma_vxy
+    np.exp(dx, out=dx)
+    return dx.sum(axis=1)
 
 
-def select_best(candidates, terrain: TerrainSpec, cmd: CommandVector,
-                sim_cfg: SimConfig, reward_cfg: RewardConfig | None = None,
-                seed: int = 0) -> AdaptationResult:
-    """Score every candidate under one episode ``seed`` and return the
-    xy-velocity argmax.
+def _velocity_percents(candidates: CandidateTable, terrain: TerrainSpec, cmd: CommandVector,
+                       sim_cfg: SimConfig, reward_cfg: RewardConfig | None,
+                       seed: int) -> np.ndarray:
+    """xy-velocity episode percent of every candidate under one episode seed.
 
-    All candidates share the seed's velocity noise, so the grid is scored as
-    ``(candidates, steps)`` arrays, a block of rows at a time, with the same
-    float operations, in the same order, as ``simulate`` followed by
-    ``episode_velocity_percent``: each percent equals that per-candidate
-    reference exactly.
+    All candidates share the seed's velocity noise, so a percent depends on
+    the candidate only through its efficiency. Each distinct efficiency is
+    scored once, as rows of ``(rows, steps)`` arrays a block at a time, and
+    each percent equals ``simulate`` followed by ``episode_velocity_percent``
+    exactly.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("select_best needs at least one candidate")
     sim_cfg.validate()
     cmd.validate()
     e = grid_efficiency(candidates, ideal_profile(terrain))
     reward_cfg = (reward_cfg or RewardConfig()).validate()
     noise_v, _ = _episode_noise(seed, sim_cfg.noise_scale, sim_cfg.steps)
+    distinct, index = np.unique(e, return_inverse=True)
     rows = max(1, _SCORE_BLOCK // sim_cfg.steps)
-    sums = np.empty(len(e))
-    for lo in range(0, len(e), rows):
-        # The velocity multiplier; ``mult`` then becomes the y error in place.
-        mult = np.add.outer(e[lo:lo + rows], noise_v)
-        np.clip(mult, -1.0, 1.0, out=mult)
-        dx = mult * cmd.vx
-        dx -= cmd.vx
-        mult *= cmd.vy
-        mult -= cmd.vy
-        dx *= dx
-        mult *= mult
-        dx += mult
-        np.negative(dx, out=dx)
-        dx /= reward_cfg.sigma_vxy
-        np.exp(dx, out=dx)
-        sums[lo:lo + rows] = dx.sum(axis=1)
-    percents = (100.0 * sums / sim_cfg.steps).tolist()
-    top = max(percents)
-    # _selection_key orders by percent first, so only top scorers can win.
-    best = min((i for i, p in enumerate(percents) if p == top),
-               key=lambda i: _selection_key(percents[i], candidates[i]))
-    return AdaptationResult(params=candidates[best], candidate_percents=percents,
-                            candidates=candidates)
+    sums = np.empty(len(distinct))
+    for lo in range(0, len(distinct), rows):
+        sums[lo:lo + rows] = _velocity_xy_sums(np.add.outer(distinct[lo:lo + rows], noise_v),
+                                               cmd, reward_cfg.sigma_vxy)
+    return (100.0 * sums / sim_cfg.steps)[index]
+
+
+def select_best(candidates: CandidateTable, terrain: TerrainSpec, cmd: CommandVector,
+                sim_cfg: SimConfig, reward_cfg: RewardConfig | None = None,
+                seed: int = 0) -> AdaptationResult:
+    """Score every candidate under one episode ``seed`` and return the
+    xy-velocity argmax.
+
+    Ties resolve toward lower height, then lower frequency, then swing
+    height, pitch, stance width and gait name ascending, so selection is a
+    total order; one ``np.lexsort`` ranks the table. Only the winner is built
+    as a ``BehaviorParams``.
+    """
+    if not len(candidates):
+        raise ValueError("select_best needs at least one candidate")
+    percents = _velocity_percents(candidates, terrain, cmd, sim_cfg, reward_cfg, seed)
+    # lexsort's last key is the primary one, and it is stable: among equal
+    # keys the first candidate wins.
+    ties = [candidates.values[:, PARAMETERS.index(name)] for name in reversed(_TIE_ORDER)]
+    best = int(np.lexsort((candidates.gaits, *ties, -percents))[0])
+    return AdaptationResult(params=candidates.params(best),
+                            candidate_percents=percents.tolist(), candidates=candidates)
 
 
 def locate_simulate_select(terrain_description: str, terrain: TerrainSpec, gateway: Gateway,
@@ -356,9 +387,10 @@ def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
         params = determining_pick(selection, gateway, description, cfg.level_ranges)
     else:
         params = direct_params(description, gateway, with_prior=variant.kind == "auto_prior")
-    traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim, seed)
-    pct = episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
-    return AdaptationResult(params=params, candidate_percents=[pct], candidates=[params])
+    table = CandidateTable.of([params])
+    percents = _velocity_percents(table, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seed)
+    return AdaptationResult(params=params, candidate_percents=percents.tolist(),
+                            candidates=table)
 
 
 @dataclass
@@ -372,6 +404,33 @@ class BenchRow:
         return self.report.csv_row(self.terrain, self.variant)
 
 
+def evaluate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
+             sim_cfg: SimConfig, reward_cfg: RewardConfig | None, seeds) -> list:
+    """Episode reports of ``params`` on ``terrain``, one per seed, in order.
+
+    The episodes share their params and differ only in seed, so they are
+    scored as one ``(runs, steps)`` batch: the velocity terms per row of the
+    stacked noise, the phase terms, which do not depend on the seed, once.
+    Each report equals ``episode_percent(simulate(terrain, params, cmd,
+    sim_cfg, seed), cmd, reward_cfg)``, with the same float operations.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("evaluate needs at least one seed")
+    sim_cfg.validate()
+    cmd.validate()
+    e = efficiency(params, ideal_profile(terrain))
+    reward_cfg = (reward_cfg or RewardConfig()).validate()
+    noise = [_episode_noise(seed, sim_cfg.noise_scale, sim_cfg.steps) for seed in seeds]
+    contact, load = _gait_schedule(params.gait, params.step_frequency, sim_cfg.dt, sim_cfg.steps)
+    xy = _velocity_xy_sums(e + np.stack([v for v, _ in noise]), cmd, reward_cfg.sigma_vxy)
+    yaw = _yaw_terms(cmd.wz * e + np.stack([w for _, w in noise]), cmd, reward_cfg).sum(axis=1)
+    phase = _phase_percents(contact, *_foot_arrays(e, contact, load, cmd), reward_cfg)
+    n = sim_cfg.steps
+    return [EpisodeReport(v, w, *phase)
+            for v, w in zip((100.0 * xy / n).tolist(), (100.0 * yaw / n).tolist())]
+
+
 def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
                   gateway: Gateway, root_seed: int = 0) -> list:
     """Adapt once per (terrain, variant), then average evaluation episodes over
@@ -382,14 +441,11 @@ def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
     rows = []
     for terrain_name in terrains:
         spec = terrain_by_name(terrain_name)
+        seeds = [derive_seed(root_seed, "eval", terrain_name, run) for run in range(runs)]
         for variant in variants:
             result = adapt(variant, spec, gateway, cfg,
                            seed=derive_seed(root_seed, "adapt", terrain_name, variant.kind))
-            reports = []
-            for run in range(runs):
-                traj = simulate(spec, result.params, BENCHMARK_COMMAND, cfg.sim,
-                                derive_seed(root_seed, "eval", terrain_name, run))
-                reports.append(episode_percent(traj, BENCHMARK_COMMAND, cfg.reward))
+            reports = evaluate(spec, result.params, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seeds)
             avg = EpisodeReport(*[
                 sum(r.as_tuple()[i] for r in reports) / len(reports) for i in range(4)
             ])
@@ -407,10 +463,9 @@ def random_baseline_percent(terrain: TerrainSpec, n: int, cfg: ToolkitConfig,
             name: float(rng.uniform(*GLOBAL_RANGES[name])) for name in PARAMETERS
         }
         gait = GAIT_NAMES[int(rng.integers(len(GAIT_NAMES)))]
-        params = BehaviorParams(gait=gait, **values)
-        traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim,
-                        derive_seed(root_seed, "baseline", terrain.name, i))
-        total += episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
+        table = CandidateTable.of([BehaviorParams(gait=gait, **values)])
+        total += float(_velocity_percents(table, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward,
+                                          derive_seed(root_seed, "baseline", terrain.name, i))[0])
     return total / n
 
 
@@ -419,3 +474,14 @@ def rows_to_csv(rows, path):
         fh.write("terrain,method,r_vxy_pct,r_wz_pct,r_cf_pct,r_cv_pct\n")
         for row in rows:
             fh.write(row.csv_row() + "\n")
+
+
+def write_candidates(fh, result: AdaptationResult):
+    """Write a result's candidate table and percents as CSV text to ``fh``:
+    the parameters in ``PARAMETERS`` order, the gait and the percent, every
+    number with 6 decimals."""
+    table = result.candidates
+    fh.write(",".join(PARAMETERS) + ",gait,velocity_pct\n")
+    fh.writelines("%.6f,%.6f,%.6f,%.6f,%.6f,%s,%.6f\n" % (*values, gait, pct)
+                  for values, gait, pct in zip(table.values.tolist(), table.gaits.tolist(),
+                                               result.candidate_percents))

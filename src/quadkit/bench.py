@@ -16,6 +16,7 @@ from .adaptation import (
     MethodVariant,
     rows_to_csv,
     run_benchmark,
+    write_candidates,
 )
 from .config import apply_config_data, load_config
 from .errors import ConfigError
@@ -101,12 +102,7 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
     for row in rows:
         dump = os.path.join(out_dir, f"candidates_{row.terrain}_{row.variant}.csv")
         with open(dump, "w") as fh:
-            fh.write("body_height,step_frequency,body_pitch,stance_width,swing_height,"
-                     "gait,velocity_pct\n")
-            for cand, pct in zip(row.result.candidates, row.result.candidate_percents):
-                fh.write(f"{cand.body_height:.6f},{cand.step_frequency:.6f},"
-                         f"{cand.body_pitch:.6f},{cand.stance_width:.6f},"
-                         f"{cand.swing_height:.6f},{cand.gait},{pct:.6f}\n")
+            write_candidates(fh, row.result)
     RunManifest(
         command="adapt", seed=seed, provider=provider, transcript=transcript,
         out_dir=out_dir, config_path=str(config_path) if config_path else None,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .locomotion import GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
+from .locomotion import GAIT_NAMES, GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
 from .rewards import RewardConfig
 from .surrogate import SimConfig
 
@@ -37,7 +37,10 @@ class LssConfig:
     grid_gaits: bool = False
 
     def validate(self) -> "LssConfig":
-        _check_range(self, "candidate_cap", 1)
+        # Thinning keeps both ends of every sampled axis, so no grid has fewer
+        # than 2 values per parameter, times the 4 presets with grid_gaits.
+        _check_range(self, "candidate_cap",
+                     2 ** len(PARAMETERS) * (len(GAIT_NAMES) if self.grid_gaits else 1))
         return self
 
 

@@ -149,6 +149,35 @@ class BehaviorParams:
         return {name: getattr(self, name) for name in PARAMETERS}
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Candidate parameter sets as columns.
+
+    ``values`` is an ``(N, 5)`` float64 array in ``PARAMETERS`` order and
+    ``gaits`` the N ``GAITS`` preset names as a string array; row ``i`` is
+    one candidate. Nothing checks the rows: scoring them validates them.
+    """
+
+    values: np.ndarray
+    gaits: np.ndarray
+
+    @classmethod
+    def of(cls, candidates) -> "CandidateTable":
+        """The table whose rows are the given ``BehaviorParams``, in order."""
+        candidates = list(candidates)
+        values = np.array([[getattr(c, name) for name in PARAMETERS] for c in candidates],
+                          dtype=float).reshape(len(candidates), len(PARAMETERS))
+        return cls(values, np.array([c.gait for c in candidates], dtype=str))
+
+    def __len__(self):
+        return len(self.gaits)
+
+    def params(self, i: int) -> BehaviorParams:
+        """Row ``i`` as a ``BehaviorParams``."""
+        return BehaviorParams(gait=str(self.gaits[i]),
+                              **dict(zip(PARAMETERS, self.values[i].tolist())))
+
+
 @dataclass(frozen=True)
 class LevelSelection:
     """Complete per-parameter level choice plus a gait preset name."""

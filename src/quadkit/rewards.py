@@ -139,6 +139,28 @@ def _velocity_xy_terms(traj, cmd: CommandVector, cfg: RewardConfig) -> np.ndarra
     return np.exp(-(d * d).sum(axis=1) / cfg.sigma_vxy)
 
 
+def _yaw_terms(w_z: np.ndarray, cmd: CommandVector, cfg: RewardConfig) -> np.ndarray:
+    """Per-step yaw term: ``r_velocity_yaw`` over yaw rates of any shape."""
+    return np.exp(-((w_z - cmd.wz) ** 2) / cfg.sigma_wz)
+
+
+def _percent(total, den) -> float:
+    """100 * total / den, or a vacuous 100 when nothing was selected."""
+    return float(100.0 * total / den) if den > 0 else 100.0
+
+
+def _phase_percents(contact: np.ndarray, foot_force: np.ndarray, foot_speed: np.ndarray,
+                    cfg: RewardConfig) -> tuple:
+    """(swing force, stance slip) episode percents of one episode's ``(n, 4)``
+    stance flags, foot forces and foot speeds."""
+    swing = ~contact
+    stance = swing if cfg.swing_selector_on_stance else ~swing
+    n = len(contact)
+    den = (4 * n, 4 * n) if cfg.flat_phase_max else (swing.sum(), stance.sum())
+    return (_percent(np.exp(-(foot_force ** 2) / cfg.sigma_cf)[swing].sum(), den[0]),
+            _percent(np.exp(-(foot_speed ** 2) / cfg.sigma_cv)[stance].sum(), den[1]))
+
+
 def episode_percent(traj, cmd: CommandVector, cfg: RewardConfig | None = None) -> EpisodeReport:
     """Episode scores of a ``Trajectory``: 100 * (sum of term) / (sum of per-step maxima).
 
@@ -151,14 +173,9 @@ def episode_percent(traj, cmd: CommandVector, cfg: RewardConfig | None = None) -
     if not n:
         raise ValueError("episode needs at least one sample")
     cfg = (cfg or RewardConfig()).validate()
-    swing = ~traj.contact
-    stance = swing if cfg.swing_selector_on_stance else ~swing
-    acc = (_velocity_xy_terms(traj, cmd, cfg).sum(),
-           np.exp(-((traj.w_z - cmd.wz) ** 2) / cfg.sigma_wz).sum(),
-           np.exp(-(traj.foot_force ** 2) / cfg.sigma_cf)[swing].sum(),
-           np.exp(-(traj.foot_speed ** 2) / cfg.sigma_cv)[stance].sum())
-    den = (n, n, 4 * n, 4 * n) if cfg.flat_phase_max else (n, n, swing.sum(), stance.sum())
-    return EpisodeReport(*(float(100.0 * a / d) if d > 0 else 100.0 for a, d in zip(acc, den)))
+    return EpisodeReport(_percent(_velocity_xy_terms(traj, cmd, cfg).sum(), n),
+                         _percent(_yaw_terms(traj.w_z, cmd, cfg).sum(), n),
+                         *_phase_percents(traj.contact, traj.foot_force, traj.foot_speed, cfg))
 
 
 def episode_velocity_percent(traj, cmd: CommandVector,

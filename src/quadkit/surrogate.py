@@ -20,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .locomotion import (
+    GAIT_NAMES,
     GAITS,
     GLOBAL_RANGES,
     LEVEL_RANGES,
     PARAMETERS,
     BehaviorParams,
+    CandidateTable,
     CommandVector,
     Level,
     LevelSelection,
@@ -44,13 +46,14 @@ SWING_SPEED_FACTOR = 2.0
 RHO = 0.5
 # Efficiency multiplier when the gait preset does not match the ideal.
 GAIT_MISMATCH_FACTOR = 0.8
-# Episode noises and gait schedules kept per process. select_best scores its
-# whole grid as arrays and reads one noise per call; simulate, the
-# per-candidate reference that also runs every evaluation episode, reads
-# both. A schedule is keyed on the gait preset name, step frequency, dt and
-# steps. A default adapt run (5 terrains x 3 variants) has 13 eval/adapt seeds
-# per terrain and 6 (gait, frequency) schedules in all, so 16 entries keep
-# each reused within a terrain.
+# Episode noises and gait schedules kept per process. adaptation.select_best
+# scores a whole grid under one seed and reads that seed's noise;
+# adaptation.evaluate scores a row's evaluation episodes as one batch and reads
+# one schedule plus every seed's noise; simulate, the per-episode reference,
+# reads both. A schedule is keyed on the gait preset name, step frequency, dt
+# and steps. A default adapt run (5 terrains x 3 variants) has 13 eval/adapt
+# seeds per terrain and 6 (gait, frequency) schedules in all, so 16 entries
+# keep each reused within a terrain.
 _CACHE_SIZE = 16
 
 
@@ -118,52 +121,40 @@ def ideal_profile(terrain: TerrainSpec) -> LevelSelection:
         raise ValueError(f"no ideal profile for terrain '{terrain.name}'") from None
 
 
-def _interval_distance(value: float, interval: tuple) -> float:
-    """Distance from a value to a closed interval, in interval widths."""
-    lo, hi = interval
-    d = max(lo - value, value - hi, 0.0)
-    return d / (hi - lo)
-
-
 def efficiency(params: BehaviorParams, ideal: LevelSelection) -> float:
     """Tracking efficiency in (0, 1]: product of per-parameter Gaussian factors
-    of the normalized distance to the ideal interval, times a gait factor."""
-    params.validate()
-    e = 1.0
-    for name in PARAMETERS:
-        interval = LEVEL_RANGES[name][int(ideal.level(name))]
-        d = _interval_distance(getattr(params, name), interval)
-        e *= math.exp(-((d / RHO) ** 2))
-    if params.gait != ideal.gait:
-        e *= GAIT_MISMATCH_FACTOR
-    return e
+    of the normalized distance to the ideal interval, times a gait factor.
+
+    The one-row case of ``grid_efficiency``."""
+    return float(grid_efficiency(CandidateTable.of([params.validate()]), ideal)[0])
 
 
-def grid_efficiency(candidates, ideal: LevelSelection) -> np.ndarray:
-    """``efficiency`` of every candidate in a list, as one float array.
+def grid_efficiency(candidates: CandidateTable, ideal: LevelSelection) -> np.ndarray:
+    """Tracking efficiency of every row of a candidate table, as one float array.
 
-    Each parameter's factor is computed once per distinct value with the
-    scalar formula, and the factors are multiplied in ``PARAMETERS`` order, so
-    each entry equals ``efficiency`` of that candidate bit for bit. A candidate
-    outside the global ranges or with an unknown gait raises the
-    ``ValueError`` its ``validate`` gives.
+    A parameter's factor is ``exp(-(d / RHO)**2)``, where ``d`` is the
+    distance from its value to the ideal level interval in interval widths.
+    ``exp`` runs once per distinct ``d`` in Python's ``math``, so a factor
+    does not depend on the table it comes in. The factors are multiplied in
+    ``PARAMETERS`` order, then by the gait factor. A row outside the global
+    ranges or with an unknown gait raises the ``ValueError`` that
+    ``BehaviorParams.validate`` gives for it.
     """
-    e = None
-    gaits = [c.gait for c in candidates]
-    bad = np.array([g not in GAITS for g in gaits], dtype=bool)
-    for name in PARAMETERS:
-        values = np.array([getattr(c, name) for c in candidates], dtype=float)
-        lo, hi = GLOBAL_RANGES[name]
-        bad |= ~((lo - 1e-9 <= values) & (values <= hi + 1e-9))
-        distinct, index = np.unique(values, return_inverse=True)
-        interval = LEVEL_RANGES[name][int(ideal.level(name))]
-        table = np.array([math.exp(-((_interval_distance(v, interval) / RHO) ** 2))
-                          for v in distinct.tolist()])
-        e = table[index] if e is None else e * table[index]
-    if bad.any():
-        candidates[int(bad.argmax())].validate()
-    mismatch = np.array([g != ideal.gait for g in gaits])
-    return np.where(mismatch, e * GAIT_MISMATCH_FACTOR, e)
+    values, gaits = candidates.values, candidates.gaits
+    glo, ghi = np.array([GLOBAL_RANGES[name] for name in PARAMETERS]).T
+    ok = ((glo - 1e-9 <= values) & (values <= ghi + 1e-9)).all(axis=1)
+    ok &= np.logical_or.reduce([gaits == g for g in GAIT_NAMES])
+    if not ok.all():
+        candidates.params(int(ok.argmin())).validate()
+    lo, hi = np.array([LEVEL_RANGES[name][int(ideal.level(name))] for name in PARAMETERS]).T
+    d = np.maximum(np.maximum(lo - values, values - hi), 0.0) / (hi - lo)
+    distinct, index = np.unique(d, return_inverse=True)
+    factors = np.array([math.exp(-((v / RHO) ** 2)) for v in distinct.tolist()])
+    factors = factors[index.reshape(d.shape)]
+    e = factors[:, 0]
+    for k in range(1, len(PARAMETERS)):
+        e = e * factors[:, k]
+    return np.where(gaits != ideal.gait, e * GAIT_MISMATCH_FACTOR, e)
 
 
 def _read_only(*arrays) -> tuple:
@@ -210,26 +201,32 @@ def simulate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
     the gait preset and its timing, so they are computed once per key and
     shared read-only (``SimConfig`` is mutable: the key is its values now).
 
-    ``adaptation.select_best`` does not call this per candidate: it scores a
-    whole grid as arrays. This function followed by
-    ``rewards.episode_velocity_percent`` stays the per-candidate reference
-    that those scores equal exactly.
+    No pipeline calls this: ``adaptation.select_best`` scores a whole
+    candidate grid as arrays and ``adaptation.evaluate`` a row's evaluation
+    episodes as one batch. This function followed by
+    ``rewards.episode_velocity_percent`` or ``rewards.episode_percent`` stays
+    the per-episode reference that those scores equal exactly.
     """
     cfg.validate()
     cmd.validate()
     e = efficiency(params, ideal_profile(terrain))
     noise_v, noise_w = _episode_noise(seed, cfg.noise_scale, cfg.steps)
     contact, load = _gait_schedule(params.gait, params.step_frequency, cfg.dt, cfg.steps)
-    mult = np.clip(e + noise_v, -1.0, 1.0)
+    foot_force, foot_speed = _foot_arrays(e, contact, load, cmd)
+    return Trajectory(v_xy=np.multiply.outer(np.clip(e + noise_v, -1.0, 1.0), (cmd.vx, cmd.vy)),
+                      w_z=cmd.wz * e + noise_w, foot_force=foot_force, foot_speed=foot_speed,
+                      contact=contact)
 
+
+def _foot_arrays(e: float, contact: np.ndarray, load: np.ndarray,
+                 cmd: CommandVector) -> tuple:
+    """(foot_force, foot_speed) of an episode at efficiency ``e``: the stance
+    feet carry ``load`` and slip, the swing feet see a spurious force and move
+    at the swing speed. Neither depends on the episode's seed."""
     spurious = (1.0 - e) * SPURIOUS_FORCE_N
     slip = (1.0 - e) * SLIP_SCALE
     swing_speed = SWING_SPEED_FACTOR * math.hypot(cmd.vx, cmd.vy) * e
-
-    return Trajectory(v_xy=np.multiply.outer(mult, (cmd.vx, cmd.vy)),
-                      w_z=cmd.wz * e + noise_w,
-                      foot_force=np.where(contact, load[:, None], spurious),
-                      foot_speed=np.where(contact, slip, swing_speed), contact=contact)
+    return np.where(contact, load[:, None], spurious), np.where(contact, slip, swing_speed)
 
 
 def ideal_params(terrain: TerrainSpec) -> BehaviorParams:

@@ -107,7 +107,13 @@ def write_pgm(path, values: np.ndarray):
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo if hi > lo else 1.0
-    scaled = np.where(np.isfinite(values), (values - lo) / span * 255.0, 255.0).astype(int)
+    if math.isinf(span):
+        # The finite values span more than the largest float: scale by
+        # halves, which cannot overflow.
+        scaled = (values / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0
+    else:
+        scaled = (values - lo) / span * 255.0
+    scaled = np.where(np.isfinite(values), scaled, 255.0).astype(int)
     with open(path, "w") as fh:
         fh.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
         fh.writelines(" ".join(row) + "\n" for row in _GRAY_TEXT[scaled].tolist())

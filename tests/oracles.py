@@ -5,23 +5,55 @@ library code they check.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
 
-from quadkit.config import NavConfig
-from quadkit.locomotion import GAITS, desired_contact, desired_contacts
+from quadkit.adaptation import (
+    BENCHMARK_COMMAND,
+    TERRAIN_DESCRIPTIONS,
+    _thin_axes,
+    determining_pick,
+    direct_params,
+    locate_ranges,
+    manual_params,
+)
+from quadkit.config import NavConfig, derive_seed
+from quadkit.locomotion import (
+    GAIT_NAMES,
+    GAITS,
+    GLOBAL_RANGES,
+    LEVEL_RANGES,
+    PARAMETERS,
+    BehaviorParams,
+    desired_contact,
+    desired_contacts,
+    level_range,
+    sample_grid,
+)
 from quadkit.navigation import ArrivalField
-from quadkit.rewards import StepSample, _phase_terms, r_velocity_xy, r_velocity_yaw
+from quadkit.rewards import (
+    EpisodeReport,
+    StepSample,
+    _phase_terms,
+    episode_percent,
+    episode_velocity_percent,
+    r_velocity_xy,
+    r_velocity_yaw,
+)
 from quadkit.surrogate import (
     BODY_WEIGHT_N,
+    GAIT_MISMATCH_FACTOR,
+    RHO,
     SLIP_SCALE,
     SPURIOUS_FORCE_N,
     SWING_SPEED_FACTOR,
     Trajectory,
-    efficiency,
     ideal_profile,
+    simulate,
 )
+from quadkit.terrain import terrain_by_name
 
 
 def gait_phase_table(t, offsets):
@@ -85,12 +117,26 @@ def episode_percent_steps(samples, cmd, gait, cfg):
     return tuple(100.0 * a / d if d > 0 else 100.0 for a, d in zip(acc, den))
 
 
+def efficiency_reference(params, ideal):
+    """``surrogate.efficiency`` one parameter at a time in scalar Python."""
+    params.validate()
+    e = 1.0
+    for name in PARAMETERS:
+        lo, hi = LEVEL_RANGES[name][int(ideal.level(name))]
+        value = getattr(params, name)
+        d = max(lo - value, value - hi, 0.0) / (hi - lo)
+        e *= math.exp(-((d / RHO) ** 2))
+    if params.gait != ideal.gait:
+        e *= GAIT_MISMATCH_FACTOR
+    return e
+
+
 def simulate_reference(terrain, params, cmd, cfg, seed):
     """``surrogate.simulate`` with nothing shared between calls: the seeded
     noise and the gait schedule are recomputed on every call."""
     cfg.validate()
     cmd.validate()
-    e = efficiency(params, ideal_profile(terrain))
+    e = efficiency_reference(params, ideal_profile(terrain))
     n = cfg.steps
     if cfg.noise_scale > 0:
         rng = np.random.default_rng(seed)
@@ -112,6 +158,97 @@ def simulate_reference(terrain, params, cmd, cfg, seed):
                       w_z=cmd.wz * e + noise_w,
                       foot_force=np.where(contact, load[:, None], spurious),
                       foot_speed=np.where(contact, slip, swing_speed), contact=contact)
+
+
+def candidate_grid_params(selection, cap, include_gaits=False, ranges=None):
+    """``adaptation.candidate_grid`` as a list with one ``BehaviorParams`` per
+    candidate, built by ``itertools.product``."""
+    axes = [sample_grid(name, level_range(name, selection.level(name), ranges))
+            for name in PARAMETERS]
+    gaits = GAIT_NAMES if include_gaits else (selection.gait,)
+    axes = _thin_axes(axes, max(1, cap // len(gaits)))
+    return [BehaviorParams(gait=g, **dict(zip(PARAMETERS, combo)))
+            for combo in itertools.product(*axes) for g in gaits]
+
+
+def selection_key(percent, cand):
+    """``adaptation.select_best``'s total order as one Python sort key."""
+    return (-percent, cand.body_height, cand.step_frequency, cand.swing_height,
+            cand.body_pitch, cand.stance_width, cand.gait)
+
+
+def select_best_reference(candidates, terrain, cmd, sim_cfg, reward_cfg=None, seed=0):
+    """(best params, percents) of a list of ``BehaviorParams``: one simulated
+    episode per candidate, the best by ``min`` over ``selection_key``."""
+    percents = [episode_velocity_percent(simulate(terrain, c, cmd, sim_cfg, seed), cmd,
+                                         reward_cfg) for c in candidates]
+    best = min(range(len(candidates)), key=lambda i: selection_key(percents[i], candidates[i]))
+    return candidates[best], percents
+
+
+def candidates_csv_reference(candidates, percents):
+    """The ``candidates_*.csv`` text of a list of ``BehaviorParams``, one
+    f-string per candidate."""
+    lines = ["body_height,step_frequency,body_pitch,stance_width,swing_height,"
+             "gait,velocity_pct\n"]
+    for cand, pct in zip(candidates, percents):
+        lines.append(f"{cand.body_height:.6f},{cand.step_frequency:.6f},"
+                     f"{cand.body_pitch:.6f},{cand.stance_width:.6f},"
+                     f"{cand.swing_height:.6f},{cand.gait},{pct:.6f}\n")
+    return "".join(lines)
+
+
+def run_benchmark_reference(variants, terrains, runs, cfg, gateway, root_seed=0):
+    """``cmd_adapt``'s ``benchmark.csv`` text and ``candidates_*.csv`` texts
+    (keyed by file name), one ``simulate`` per candidate and per evaluation
+    episode. The model-facing steps are the library's own."""
+    rows = ["terrain,method,r_vxy_pct,r_wz_pct,r_cf_pct,r_cv_pct\n"]
+    dumps = {}
+    cmd = BENCHMARK_COMMAND
+    for terrain_name in terrains:
+        terrain = terrain_by_name(terrain_name)
+        description = TERRAIN_DESCRIPTIONS[terrain_name]
+        for variant in variants:
+            seed = derive_seed(root_seed, "adapt", terrain_name, variant.kind)
+            if variant.kind == "auto_lss_sampling":
+                grid = candidate_grid_params(locate_ranges(description, gateway),
+                                             cfg.lss.candidate_cap, cfg.lss.grid_gaits,
+                                             cfg.level_ranges)
+                params, percents = select_best_reference(grid, terrain, cmd, cfg.sim,
+                                                         cfg.reward, seed)
+            else:
+                if variant.kind == "manual":
+                    params = manual_params(variant.params_file)
+                elif variant.kind == "auto_lss_determining":
+                    params = determining_pick(locate_ranges(description, gateway), gateway,
+                                              description, cfg.level_ranges)
+                else:
+                    params = direct_params(description, gateway, variant.kind == "auto_prior")
+                grid, percents = [params], [episode_velocity_percent(
+                    simulate(terrain, params, cmd, cfg.sim, seed), cmd, cfg.reward)]
+            reports = [episode_percent(simulate(terrain, params, cmd, cfg.sim,
+                                                derive_seed(root_seed, "eval", terrain_name, run)),
+                                       cmd, cfg.reward) for run in range(runs)]
+            avg = EpisodeReport(*[sum(r.as_tuple()[i] for r in reports) / runs
+                                  for i in range(4)])
+            rows.append(avg.csv_row(terrain_name, variant.kind) + "\n")
+            dumps[f"candidates_{terrain_name}_{variant.kind}.csv"] = candidates_csv_reference(
+                grid, percents)
+    return "".join(rows), dumps
+
+
+def random_baseline_reference(terrain, n, cfg, root_seed=0):
+    """``adaptation.random_baseline_percent`` with one ``simulate`` per
+    random parameter set."""
+    rng = np.random.default_rng(derive_seed(root_seed, "baseline", terrain.name))
+    total = 0.0
+    for i in range(n):
+        values = {name: float(rng.uniform(*GLOBAL_RANGES[name])) for name in PARAMETERS}
+        params = BehaviorParams(gait=GAIT_NAMES[int(rng.integers(len(GAIT_NAMES)))], **values)
+        traj = simulate(terrain, params, BENCHMARK_COMMAND, cfg.sim,
+                        derive_seed(root_seed, "baseline", terrain.name, i))
+        total += episode_velocity_percent(traj, BENCHMARK_COMMAND, cfg.reward)
+    return total / n
 
 
 def bilinear_oracle(heights, resolution, origin, x, y):

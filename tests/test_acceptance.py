@@ -139,7 +139,7 @@ def test_criterion_3_lss_oracle_equivalence():
         sim_cfg = SimConfig(noise_scale=0.0)
         result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg, seed=0)
         scored = []
-        for cand in candidates:
+        for cand in (candidates.params(i) for i in range(len(candidates))):
             traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg, 0)
             scored.append((episode_velocity_percent(traj, BENCHMARK_COMMAND), cand))
         best_pct = max(p for p, _ in scored)

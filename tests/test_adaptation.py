@@ -1,11 +1,20 @@
+import io
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text, make_gateway
+from oracles import (
+    candidate_grid_params,
+    candidates_csv_reference,
+    random_baseline_reference,
+    select_best_reference,
+    selection_key,
+)
 from quadkit.adaptation import (
     BENCHMARK_COMMAND,
     TERRAIN_DESCRIPTIONS,
@@ -16,13 +25,14 @@ from quadkit.adaptation import (
     candidate_grid,
     determining_pick,
     direct_params,
+    evaluate,
     locate_ranges,
     manual_params,
     random_baseline_percent,
     rows_to_csv,
     run_benchmark,
-    _selection_key,
     select_best,
+    write_candidates,
 )
 from quadkit.cli import main
 from quadkit.config import ToolkitConfig
@@ -31,13 +41,16 @@ from quadkit.gateway import parse_levels
 from quadkit.locomotion import (
     GAIT_NAMES,
     GAITS,
+    GLOBAL_RANGES,
+    PARAMETERS,
     BehaviorParams,
+    CandidateTable,
     CommandVector,
     Level,
     level_midpoint,
     level_name,
 )
-from quadkit.rewards import RewardConfig, episode_velocity_percent
+from quadkit.rewards import RewardConfig, episode_percent, episode_velocity_percent
 from quadkit.surrogate import IDEAL_PROFILES, SimConfig, ideal_params, simulate
 from quadkit.terrain import UphillSlope, terrain_by_name
 
@@ -156,6 +169,11 @@ def test_direct_params_uses_prior_template():
     assert abs(params.body_height - 0.2) < 1e-12
 
 
+def rows_of(table):
+    """A candidate table's rows as ``BehaviorParams``, in order."""
+    return [table.params(i) for i in range(len(table))]
+
+
 def test_candidate_grid_counts_by_enumeration():
     candidates = candidate_grid(UPHILL_SELECTION)
     # per-axis sample counts over the voted intervals:
@@ -163,10 +181,13 @@ def test_candidate_grid_counts_by_enumeration():
     # pitch [0.08,0.24]/0.08 -> 3, stance [0.21,0.29]/0.05 -> 3,
     # swing [0.16,0.21]/0.02 -> 4
     assert len(candidates) == 2 * 4 * 3 * 3 * 4
-    assert len(set(candidates)) == len(candidates)
-    assert all(c.gait == "trotting" for c in candidates)
-    heights = {c.body_height for c in candidates}
+    assert candidates.values.shape == (len(candidates), 5)
+    assert candidates.values.dtype == np.float64
+    assert len(set(map(tuple, candidates.values.tolist()))) == len(candidates)
+    assert set(candidates.gaits.tolist()) == {"trotting"}
+    heights = set(candidates.values[:, PARAMETERS.index("body_height")].tolist())
     assert heights == {0.15, 0.2}
+    assert rows_of(candidates) == candidate_grid_params(UPHILL_SELECTION, 4096)
 
 
 def test_candidate_grid_degenerate_intervals():
@@ -175,12 +196,14 @@ def test_candidate_grid_degenerate_intervals():
         ("stance_width", 0.25), ("swing_height", 0.1))}
     candidates = candidate_grid(UPHILL_SELECTION, ranges=ranges)
     assert len(candidates) == 1
+    assert rows_of(candidates) == candidate_grid_params(UPHILL_SELECTION, 4096, ranges=ranges)
 
 
 def test_candidate_grid_gait_axis():
     candidates = candidate_grid(UPHILL_SELECTION, include_gaits=True)
     assert len(candidates) == 288 * 4
-    assert {c.gait for c in candidates} == set(GAITS)
+    assert set(candidates.gaits.tolist()) == set(GAITS)
+    assert rows_of(candidates) == candidate_grid_params(UPHILL_SELECTION, 4096, True)
 
 
 def test_candidate_grid_cap_preserves_endpoints():
@@ -190,15 +213,32 @@ def test_candidate_grid_cap_preserves_endpoints():
         ("swing_height", (0.03, 0.25)))}
     candidates = candidate_grid(UPHILL_SELECTION, cap=4096, ranges=full)
     assert 0 < len(candidates) <= 4096
-    assert {c.body_height for c in candidates} >= {0.1, 0.45}
-    assert {c.step_frequency for c in candidates} >= {1.5, 4.0}
-    assert {c.body_pitch for c in candidates} >= {-0.4, 0.4}
+
+    def column(name):
+        return set(candidates.values[:, PARAMETERS.index(name)].tolist())
+
+    assert column("body_height") >= {0.1, 0.45}
+    assert column("step_frequency") >= {1.5, 4.0}
+    assert column("body_pitch") >= {-0.4, 0.4}
+    assert rows_of(candidates) == candidate_grid_params(UPHILL_SELECTION, 4096, ranges=full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels=st.lists(st.sampled_from(list(Level)), min_size=5, max_size=5),
+       gait=st.sampled_from(GAIT_NAMES), include_gaits=st.booleans())
+def test_candidate_grid_never_exceeds_the_config_floor(levels, gait, include_gaits):
+    # The smallest cap LssConfig accepts is one no grid exceeds.
+    floor = 32 * (4 if include_gaits else 1)
+    selection = LevelSelection(*levels, gait)
+    assert len(candidate_grid(selection, floor, include_gaits)) <= floor
+    assert len(candidate_grid(selection, floor - 1, include_gaits)) == floor
 
 
 def test_select_best_single_candidate():
     terrain = UphillSlope()
     cand = ideal_params(terrain)
-    result = select_best([cand], terrain, BENCHMARK_COMMAND, SimConfig(noise_scale=0.0))
+    result = select_best(CandidateTable.of([cand]), terrain, BENCHMARK_COMMAND,
+                         SimConfig(noise_scale=0.0))
     assert result.params == cand
     assert len(result.candidate_percents) == 1
 
@@ -210,7 +250,7 @@ def test_select_best_matches_exhaustive_argmax_oracle():
     result = select_best(candidates, terrain, BENCHMARK_COMMAND, sim_cfg, seed=0)
     # independent exhaustive argmax with the documented tie ordering
     scored = []
-    for cand in candidates:
+    for cand in rows_of(candidates):
         traj = simulate(terrain, cand, BENCHMARK_COMMAND, sim_cfg, 0)
         pct = episode_velocity_percent(traj, BENCHMARK_COMMAND)
         scored.append((pct, cand))
@@ -231,14 +271,16 @@ def test_select_best_tie_prefers_lower_height_then_frequency():
     values_b["body_height"] = 0.19  # both inside the ideal interval -> tie
     a = BehaviorParams(gait=base.gait, **values_a)
     b = BehaviorParams(gait=base.gait, **values_b)
-    result = select_best([b, a], terrain, BENCHMARK_COMMAND, SimConfig(noise_scale=0.0))
+    result = select_best(CandidateTable.of([b, a]), terrain, BENCHMARK_COMMAND,
+                         SimConfig(noise_scale=0.0))
     assert result.params == a
     values_c = base.continuous()
     values_c["step_frequency"] = 3.1
     c = BehaviorParams(gait=base.gait, **values_c)
     values_d = dict(values_c, step_frequency=3.4)
     d = BehaviorParams(gait=base.gait, **values_d)
-    result = select_best([d, c], terrain, BENCHMARK_COMMAND, SimConfig(noise_scale=0.0))
+    result = select_best(CandidateTable.of([d, c]), terrain, BENCHMARK_COMMAND,
+                         SimConfig(noise_scale=0.0))
     assert result.params == c
 
 
@@ -256,17 +298,129 @@ def test_select_best_equals_per_candidate_simulation(levels, gait, include_gaits
                                                      dt, sigma_vxy, cmd):
     # The grid is scored as arrays; each percent must equal the
     # simulate + episode_velocity_percent reference exactly, not approximately.
-    candidates = candidate_grid(LevelSelection(*levels, gait), cap, include_gaits)
+    selection = LevelSelection(*levels, gait)
+    table = candidate_grid(selection, cap, include_gaits)
+    candidates = candidate_grid_params(selection, cap, include_gaits)
+    assert rows_of(table) == candidates
     terrain = terrain_by_name(terrain_name)
     sim_cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
     reward_cfg = RewardConfig(sigma_vxy=sigma_vxy)
-    result = select_best(candidates, terrain, cmd, sim_cfg, reward_cfg, seed)
+    result = select_best(table, terrain, cmd, sim_cfg, reward_cfg, seed)
     oracle = [episode_velocity_percent(simulate(terrain, c, cmd, sim_cfg, seed), cmd,
                                        reward_cfg) for c in candidates]
     assert result.candidate_percents == oracle
-    assert result.candidates == candidates
-    best = min(range(len(candidates)), key=lambda i: _selection_key(oracle[i], candidates[i]))
+    assert result.candidates is table
+    best = min(range(len(candidates)), key=lambda i: selection_key(oracle[i], candidates[i]))
     assert result.params == candidates[best]
+
+
+def assert_table_matches_params_oracle(candidates, terrain, sim_cfg, seed):
+    """select_best on the table of ``candidates`` picks the winner, and
+    write_candidates writes the CSV text, of the per-candidate oracles."""
+    result = select_best(CandidateTable.of(candidates), terrain, BENCHMARK_COMMAND, sim_cfg,
+                         seed=seed)
+    best, percents = select_best_reference(candidates, terrain, BENCHMARK_COMMAND, sim_cfg,
+                                           seed=seed)
+    assert result.params == best
+    assert result.candidate_percents == percents
+    text = io.StringIO()
+    write_candidates(text, result)
+    assert text.getvalue() == candidates_csv_reference(candidates, percents)
+    return result
+
+
+# Few values per parameter, so that rows tie on the percent and on every key
+# after it; -0.0 and 0.0 are equal keys but print differently.
+_POOLS = {name: [lo, (lo + hi) / 2, hi] for name, (lo, hi) in GLOBAL_RANGES.items()}
+_POOLS["body_pitch"] += [0.0, -0.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(
+           {name: st.sampled_from(pool) for name, pool in _POOLS.items()},
+           optional={"gait": st.sampled_from(GAIT_NAMES)}), min_size=1, max_size=40),
+       terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)),
+       noise_scale=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**32 - 1))
+def test_select_best_table_equals_params_oracle_on_random_tables(rows, terrain_name,
+                                                                 noise_scale, seed):
+    candidates = [BehaviorParams(**dict({"gait": "trotting"}, **row)) for row in rows]
+    assert_table_matches_params_oracle(candidates, terrain_by_name(terrain_name),
+                                       SimConfig(noise_scale=noise_scale), seed)
+
+
+@pytest.mark.parametrize("terrain_name", sorted(IDEAL_PROFILES))
+@pytest.mark.parametrize("include_gaits", [False, True])
+def test_select_best_table_equals_params_oracle_on_ideal_grids(terrain_name, include_gaits):
+    # Every candidate of the ideal selection's grid lies in the ideal
+    # intervals: all of them tie on the percent, except the other gaits'.
+    selection = IDEAL_PROFILES[terrain_name]
+    candidates = candidate_grid_params(selection, 4096, include_gaits)
+    result = assert_table_matches_params_oracle(candidates, terrain_by_name(terrain_name),
+                                                SimConfig(), 5)
+    top = [p for p, c in zip(result.candidate_percents, candidates) if c.gait == selection.gait]
+    assert len(top) == len(candidates) // (4 if include_gaits else 1)
+    assert set(top) == {max(result.candidate_percents)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.integers(1, 12), steps=st.integers(1, 300),
+       values=st.fixed_dictionaries({name: st.floats(*GLOBAL_RANGES[name])
+                                     for name in PARAMETERS}),
+       gait=st.sampled_from(GAIT_NAMES), terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)),
+       root=st.integers(0, 2**32 - 1), noise_scale=st.sampled_from([0.0, 0.05, 0.4]),
+       dt=st.sampled_from([0.005, 0.02]), swing_selector_on_stance=st.booleans(),
+       flat_phase_max=st.booleans(), sigma=st.sampled_from([0.01, 0.25, 100.0]),
+       cmd=st.sampled_from([BENCHMARK_COMMAND, CommandVector(0.6, -0.35, 0.4)]))
+# pronking at step 0 has every foot in stance: no swing foot is ever selected
+@example(runs=2, steps=1, values={"body_height": 0.15, "step_frequency": 3.0,
+                                  "body_pitch": 0.1, "stance_width": 0.25,
+                                  "swing_height": 0.2},
+         gait="pronking", terrain_name="uphill_slope", root=0, noise_scale=0.05, dt=0.02,
+         swing_selector_on_stance=False, flat_phase_max=False, sigma=0.25,
+         cmd=BENCHMARK_COMMAND)
+def test_evaluate_equals_per_episode_reference(runs, steps, values, gait, terrain_name, root,
+                                               noise_scale, dt, swing_selector_on_stance,
+                                               flat_phase_max, sigma, cmd):
+    # Any params: gait-mismatched, outside the ideal intervals or inside them.
+    params = BehaviorParams(gait=gait, **values)
+    terrain = terrain_by_name(terrain_name)
+    sim_cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
+    reward_cfg = RewardConfig(sigma_vxy=sigma, sigma_wz=sigma, sigma_cf=sigma * 400,
+                              sigma_cv=sigma,
+                              swing_selector_on_stance=swing_selector_on_stance,
+                              flat_phase_max=flat_phase_max)
+    seeds = [root + run for run in range(runs)]
+    reports = evaluate(terrain, params, cmd, sim_cfg, reward_cfg, seeds)
+    expected = [episode_percent(simulate(terrain, params, cmd, sim_cfg, seed), cmd, reward_cfg)
+                for seed in seeds]
+    assert [r.as_tuple() for r in reports] == [r.as_tuple() for r in expected]
+
+
+def test_evaluate_scores_pronking_no_swing_episode_as_vacuous_100():
+    # A single pronking step at phase 0 selects no swing foot.
+    terrain = UphillSlope()
+    params = BehaviorParams(**dict(ideal_params(terrain).continuous(), gait="pronking"))
+    sim_cfg = SimConfig(steps=1)
+    reports = evaluate(terrain, params, BENCHMARK_COMMAND, sim_cfg, RewardConfig(), [3, 4])
+    assert [r.swing_force_pct for r in reports] == [100.0, 100.0]
+    assert reports == [episode_percent(simulate(terrain, params, BENCHMARK_COMMAND, sim_cfg, s),
+                                       BENCHMARK_COMMAND) for s in (3, 4)]
+
+
+def test_evaluate_rejects_what_simulate_rejects():
+    terrain = UphillSlope()
+    good = ideal_params(terrain)
+    bad = BehaviorParams(**dict(good.continuous(), stance_width=0.6, gait=good.gait))
+    for params, sim_cfg, cmd, reward_cfg in (
+            (bad, SimConfig(), BENCHMARK_COMMAND, None),
+            (good, SimConfig(steps=0), BENCHMARK_COMMAND, None),
+            (good, SimConfig(), CommandVector(2.5, 0.0, 0.0), None),
+            (good, SimConfig(), BENCHMARK_COMMAND, RewardConfig(sigma_cf=0.0))):
+        message = _raised(lambda: evaluate(terrain, params, cmd, sim_cfg, reward_cfg, [1]))
+        assert message == _raised(lambda: episode_percent(
+            simulate(terrain, params, cmd, sim_cfg, 1), cmd, reward_cfg))
+    assert "at least one seed" in _raised(
+        lambda: evaluate(terrain, good, BENCHMARK_COMMAND, SimConfig(), None, []))
 
 
 def _raised(call) -> str:
@@ -281,7 +435,7 @@ def test_select_best_rejects_candidate_outside_global_range(value):
     good = ideal_params(terrain)
     bad = BehaviorParams(**dict(good.continuous(), stance_width=value, gait=good.gait))
     cfg = SimConfig()
-    message = _raised(lambda: select_best([good, good, bad, good], terrain,
+    message = _raised(lambda: select_best(CandidateTable.of([good, good, bad, good]), terrain,
                                           BENCHMARK_COMMAND, cfg))
     assert message.startswith("stance_width=")
     assert message == _raised(lambda: simulate(terrain, bad, BENCHMARK_COMMAND, cfg))
@@ -293,7 +447,8 @@ def test_select_best_rejects_candidate_with_unknown_gait(gait):
     good = ideal_params(terrain)
     bad = BehaviorParams(**dict(good.continuous(), gait=gait))
     cfg = SimConfig()
-    message = _raised(lambda: select_best([good, bad, good], terrain, BENCHMARK_COMMAND, cfg))
+    message = _raised(lambda: select_best(CandidateTable.of([good, bad, good]), terrain,
+                                          BENCHMARK_COMMAND, cfg))
     assert message == f"unknown gait preset '{gait}'"
     assert message == _raised(lambda: simulate(terrain, bad, BENCHMARK_COMMAND, cfg))
 
@@ -301,7 +456,7 @@ def test_select_best_rejects_candidate_with_unknown_gait(gait):
 def test_select_best_rejects_bad_sim_config():
     terrain = UphillSlope()
     cfg = SimConfig(steps=0)
-    message = _raised(lambda: select_best([ideal_params(terrain)], terrain,
+    message = _raised(lambda: select_best(CandidateTable.of([ideal_params(terrain)]), terrain,
                                           BENCHMARK_COMMAND, cfg))
     assert message == _raised(lambda: simulate(terrain, ideal_params(terrain),
                                                BENCHMARK_COMMAND, cfg))
@@ -311,7 +466,8 @@ def test_select_best_rejects_bad_sim_config():
 def test_select_best_rejects_bad_command():
     terrain = UphillSlope()
     cmd = CommandVector(2.5, 0.0, 0.0)
-    message = _raised(lambda: select_best([ideal_params(terrain)], terrain, cmd, SimConfig()))
+    message = _raised(lambda: select_best(CandidateTable.of([ideal_params(terrain)]), terrain,
+                                          cmd, SimConfig()))
     assert message == _raised(lambda: simulate(terrain, ideal_params(terrain), cmd,
                                                SimConfig()))
     assert "exceeds" in message
@@ -320,7 +476,7 @@ def test_select_best_rejects_bad_command():
 def test_select_best_rejects_bad_reward_config():
     terrain = UphillSlope()
     reward_cfg = RewardConfig(sigma_vxy=0.0)
-    message = _raised(lambda: select_best([ideal_params(terrain)], terrain,
+    message = _raised(lambda: select_best(CandidateTable.of([ideal_params(terrain)]), terrain,
                                           BENCHMARK_COMMAND, SimConfig(), reward_cfg))
     traj = simulate(terrain, ideal_params(terrain), BENCHMARK_COMMAND, SimConfig())
     assert message == _raised(lambda: episode_velocity_percent(traj, BENCHMARK_COMMAND,
@@ -329,8 +485,8 @@ def test_select_best_rejects_bad_reward_config():
 
 
 def test_select_best_rejects_empty_candidates():
-    message = _raised(lambda: select_best(iter(()), UphillSlope(), BENCHMARK_COMMAND,
-                                          SimConfig()))
+    message = _raised(lambda: select_best(CandidateTable.of(iter(())), UphillSlope(),
+                                          BENCHMARK_COMMAND, SimConfig()))
     assert "at least one candidate" in message
 
 
@@ -472,6 +628,14 @@ def test_random_baseline_is_weak():
     cfg.sim.noise_scale = 0.0
     baseline = random_baseline_percent(UphillSlope(), 25, cfg)
     assert 0.0 < baseline < 60.0
+
+
+@pytest.mark.parametrize("terrain_name, root_seed", [("uphill_slope", 0), ("uneven_ground", 9)])
+def test_random_baseline_equals_per_episode_reference(terrain_name, root_seed):
+    cfg = ToolkitConfig()
+    terrain = terrain_by_name(terrain_name)
+    assert random_baseline_percent(terrain, 40, cfg, root_seed) == random_baseline_reference(
+        terrain, 40, cfg, root_seed)
 
 
 def test_majority_vote_is_permutation_invariant():

@@ -1,10 +1,23 @@
 import json
 import os
+import sys
 
 import pytest
 
-from quadkit.bench import asset_path, cmd_adapt, cmd_plan, cmd_task, make_gateway
+from oracles import run_benchmark_reference
+from quadkit import rewards, surrogate
+from quadkit.adaptation import MethodVariant
+from quadkit.bench import (
+    DEFAULT_TERRAINS,
+    DEFAULT_VARIANTS,
+    asset_path,
+    cmd_adapt,
+    cmd_plan,
+    cmd_task,
+    make_gateway,
+)
 from quadkit.cli import main
+from quadkit.config import ToolkitConfig
 from quadkit.errors import ConfigError
 
 
@@ -17,6 +30,41 @@ def test_cmd_adapt_default_grid_row_count(tmp_path):
     assert os.path.exists(tmp_path / "manifest.json")
     dumps = list(tmp_path.glob("candidates_*.csv"))
     assert len(dumps) == 15
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Count calls of ``function`` from every quadkit module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quadkit") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_cmd_adapt_scores_without_per_episode_calls_and_equals_reference(tmp_path,
+                                                                        monkeypatch):
+    # The evaluation episodes and the direct variants' episodes run as arrays,
+    # not one simulate and episode_percent call per episode.
+    simulated = count_calls(monkeypatch, surrogate.simulate)
+    scored = count_calls(monkeypatch, rewards.episode_percent)
+    cmd_adapt(runs=10, out_dir=str(tmp_path), seed=0)
+    assert (len(simulated), len(scored)) == (0, 0)
+    monkeypatch.undo()
+    gateway = make_gateway("scripted", asset_path("transcripts", "benchmark.jsonl"))
+    benchmark, dumps = run_benchmark_reference(
+        [MethodVariant(kind) for kind in DEFAULT_VARIANTS], DEFAULT_TERRAINS, 10,
+        ToolkitConfig(), gateway)
+    assert (tmp_path / "benchmark.csv").read_bytes() == benchmark.encode()
+    assert sorted(p.name for p in tmp_path.glob("candidates_*.csv")) == sorted(dumps)
+    for name, text in dumps.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 def test_cmd_adapt_rerun_is_byte_identical(tmp_path):

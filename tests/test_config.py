@@ -118,13 +118,19 @@ def test_load_config_rejects_wrong_value_types(tmp_path, section, key, value):
     ("nav", "success_radius", 0),
     ("mapping", "dilation_p", 0),
     ("mapping", "sensor_range", 0),
-    ("lss", "candidate_cap", 1),
+    ("lss", "candidate_cap", 32),
 ])
 def test_load_config_accepts_matching_value_types(tmp_path, section, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({section: {key: value}}))
     cfg = load_config(path)
     assert getattr(getattr(cfg, section), key) == value
+
+
+def test_load_config_accepts_the_candidate_cap_floor_with_grid_gaits(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lss": {"candidate_cap": 128, "grid_gaits": True}}))
+    assert load_config(path).lss.candidate_cap == 128
 
 
 def test_load_config_rejects_unknown_cost_mode(tmp_path):
@@ -197,6 +203,10 @@ MALFORMED_CONFIGS = [
     ({"mapping": {"sensor_range": -1.0}}, "mapping.sensor_range"),
     ({"mapping": {"max_point_height": 0}}, "mapping.max_point_height"),
     ({"lss": {"candidate_cap": 0}}, "lss.candidate_cap"),
+    # a grid keeps 2 values per parameter (x 4 gaits with grid_gaits) whatever the cap
+    ({"lss": {"candidate_cap": 31}}, "lss.candidate_cap must be >= 32, not 31"),
+    ({"lss": {"candidate_cap": 127, "grid_gaits": True}},
+     "lss.candidate_cap must be >= 128, not 127"),
 ]
 
 

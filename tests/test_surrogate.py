@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contact_table, episode_phase, simulate_reference
+from oracles import contact_table, efficiency_reference, episode_phase, simulate_reference
 from quadkit.locomotion import (
     GAITS,
     GLOBAL_RANGES,
     LEVEL_RANGES,
     PARAMETERS,
     BehaviorParams,
+    CandidateTable,
     CommandVector,
     Level,
 )
@@ -87,13 +88,18 @@ def test_efficiency_gait_mismatch_factor():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)))
 def test_grid_efficiency_equals_efficiency(data, terrain_name):
+    # Level-interval ends as well as arbitrary values, so that rows repeat
+    # values and sit exactly on an ideal interval's edge.
     values = st.fixed_dictionaries({
-        name: st.floats(*GLOBAL_RANGES[name]) for name in PARAMETERS})
+        name: st.floats(*GLOBAL_RANGES[name])
+        | st.sampled_from(sorted({v for iv in LEVEL_RANGES[name] for v in iv}))
+        for name in PARAMETERS})
     candidates = [BehaviorParams(gait=data.draw(st.sampled_from(sorted(GAITS))), **v)
                   for v in data.draw(st.lists(values, min_size=1, max_size=20))]
     ideal = IDEAL_PROFILES[terrain_name]
-    assert grid_efficiency(candidates, ideal).tolist() == [
-        efficiency(c, ideal) for c in candidates]
+    grid = grid_efficiency(CandidateTable.of(candidates), ideal).tolist()
+    assert grid == [efficiency_reference(c, ideal) for c in candidates]
+    assert grid == [efficiency(c, ideal) for c in candidates]
 
 
 def test_ideal_zero_noise_tracks_exactly():
