@@ -5,8 +5,8 @@ holding owning instance ids per cell, then explored, current-position, and
 past-position channels. Labeled points are binned into cells (5 cm height
 bins up to a 2 m ceiling, then summed vertically), connected components per
 category become detections, and detections merge into persistent instance
-records via dilation-overlap matching. Every region (a detection, its
-dilation, an instance) is an M x M boolean mask.
+records via dilation-overlap matching. Detections and their dilations are M x M
+boolean masks; an instance's cells are the category-channel cells holding its id.
 
 The module is numpy only: square dilations are shifted ORs, and the 8-connected
 component labeling is a union-find over the set cells (``_label_components``).
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,12 @@ class Detection:
 class InstanceRecord:
     instance_id: int
     class_id: int
-    cells: np.ndarray  # (M, M) bool
     views: set
+    owners: dict = field(repr=False, compare=False)  # the memory's class -> owner channel
+
+    @property
+    def cells(self) -> np.ndarray:  # a fresh (M, M) bool mask
+        return self.owners[self.class_id] == self.instance_id
 
 
 class SemanticMap:
@@ -134,31 +138,40 @@ class SemanticMap:
 
 
 class InstanceMemory:
-    """Persistent per-instance records; same-class records own disjoint cells."""
+    """Per-instance ids, class ids and views. One int32 owner channel per class holds
+    each cell's owning id (0 for none); ``ingest`` binds the map's category channels."""
 
     def __init__(self, p: int = MappingConfig.dilation_p):
         self.p = int(p)
         self.instances: dict = {}
+        self.owners: dict = {}
         self._next_id = 1
 
     def __len__(self):
         return len(self.instances)
 
     def create(self, detection: Detection) -> int:
+        """A new instance owning the detection's cells that no instance owns yet."""
         iid = self._next_id
         self._next_id += 1
-        self.instances[iid] = InstanceRecord(
-            instance_id=iid, class_id=detection.class_id,
-            cells=detection.cells.copy(), views={detection.bbox})
+        self.instances[iid] = InstanceRecord(iid, detection.class_id, set(), self.owners)
+        self._claim(iid, detection)
         return iid
 
+    def _claim(self, instance_id: int, detection: Detection) -> np.ndarray:
+        """Give the instance the detection's unowned cells; returns their mask."""
+        channel = self.owners.get(detection.class_id)
+        if channel is None:  # a memory used on its own, not through ingest
+            channel = self.owners[detection.class_id] = np.zeros_like(detection.cells, np.int32)
+        new_cells = detection.cells & (channel <= 0)  # a PRESENCE_MARK cell is not owned
+        channel[new_cells] = instance_id
+        self.instances[instance_id].views.add(detection.bbox)
+        return new_cells
+
     def first_named(self, categories, name: str):
-        """Lowest-id instance of the category called ``name``, or None."""
-        if name not in categories:
-            return None
-        class_id = categories.index(name)
-        matches = [rec for rec in self.instances.values() if rec.class_id == class_id]
-        return min(matches, key=lambda rec: rec.instance_id, default=None)
+        """Lowest-id (first: ids only grow) instance of the category ``name``, or None."""
+        class_id = categories.index(name) if name in categories else None
+        return next((r for r in self.instances.values() if r.class_id == class_id), None)
 
 
 def world_to_cell(x, y, m: int, cell_size: float, origin: tuple) -> tuple:
@@ -282,39 +295,24 @@ def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
     """Instance with equal class and maximal overlap with the detection's cells
     dilated by ``memory.p``; ties resolve to the lowest instance id. None when
     nothing overlaps."""
-    dilated = dilate(detection.cells, memory.p)
-    best_id = None
-    best_overlap = 0
-    for iid in sorted(memory.instances):
-        rec = memory.instances[iid]
-        if rec.class_id != detection.class_id:
-            continue
-        overlap = np.count_nonzero(dilated & rec.cells)
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_id = iid
-    return best_id
+    channel = memory.owners.get(detection.class_id)
+    if channel is None:
+        return None
+    ids = channel[dilate(detection.cells, memory.p)]
+    ids = ids[ids > 0]
+    return int(np.bincount(ids).argmax()) if ids.size else None
 
 
 def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> np.ndarray:
     """Union the detection into an instance; returns the newly owned cells' mask.
-
-    Cells already owned by another same-class instance stay with their first
-    owner so class coverage remains a partition. No other record is modified.
-    """
+    Cells another same-class instance owns stay with that first owner, so class
+    coverage remains a partition."""
     rec = memory.instances[instance_id]
     if rec.class_id != detection.class_id:
         raise ValueError(
             f"class mismatch: instance {instance_id} has class {rec.class_id}, "
             f"detection has {detection.class_id}")
-    owned = np.zeros_like(detection.cells)
-    for other in memory.instances.values():
-        if other.class_id == detection.class_id:
-            owned |= other.cells
-    new_cells = detection.cells & ~owned
-    rec.cells |= new_cells
-    rec.views.add(detection.bbox)
-    return new_cells
+    return memory._claim(instance_id, detection)
 
 
 def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
@@ -376,9 +374,12 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
            max_height: float = MappingConfig.max_point_height) -> list:
     """Project a frame, then match-or-create instances for its detections.
 
-    Category channels end up holding the owning instance id per cell. Returns
-    the instance ids touched, one per detection in processing order.
+    Returns the instance ids touched, one per detection in processing order. The
+    category channels become the memory's owner channels (ValueError if it has others).
     """
+    for class_id in range(smap.num_categories):
+        if memory.owners.setdefault(class_id, smap.grid[class_id]).base is not smap.grid:
+            raise ValueError("instance memory is bound to another map")
     detections = project_frame(smap, frame.cloud, frame.pose, frame.index,
                                sensor_range, max_height)
     touched_ids = []
@@ -386,10 +387,8 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
         iid = match_detection(det, memory)
         if iid is None:
             iid = memory.create(det)
-            new_cells = memory.instances[iid].cells
         else:
-            new_cells = merge(iid, det, memory)
-        smap.grid[det.class_id][new_cells] = iid
+            merge(iid, det, memory)
         touched_ids.append(iid)
     return touched_ids
 

@@ -128,6 +128,12 @@ class PathPlan:
                 fh.write(json.dumps(rec) + "\n")
 
 
+def cost_map_request(instruction: str) -> ChatRequest:
+    """The cost-assignment request for one navigation instruction."""
+    user = load_template("cost_map").format(instruction=instruction)
+    return ChatRequest("cost_map", "", user, PARSE_TEMPERATURE, 1)
+
+
 def assign_costs(instruction: str, observed_categories, gateway: Gateway,
                  mode: str = NavConfig.cost_mode,
                  unexplored_cost: float = NavConfig.unexplored_cost) -> CostAssignment:
@@ -139,9 +145,7 @@ def assign_costs(instruction: str, observed_categories, gateway: Gateway,
     observed = list(observed_categories)
     if not observed:
         raise ValueError("assign_costs needs a non-empty category list")
-    user = load_template("cost_map").format(instruction=instruction)
-    request = ChatRequest("cost_map", "", user, PARSE_TEMPERATURE, 1)
-    assignment = complete_and_parse(gateway, request,
+    assignment = complete_and_parse(gateway, cost_map_request(instruction),
                                     lambda text: parse_cost_json(text, mode))[0]
     known = {entry.type for entry in assignment.terrain}
     extra = tuple(TerrainCost(type=name, cost=unexplored_cost, gait=0)
@@ -211,9 +215,16 @@ def fmm_solve(costmap: CostMap, goal: tuple,
     _check_passable(costmap, goal, "goal")
     w = n + 2
     size = (m + 2) * w
+    # tau = cell_size / clip(1 - cost, speed_floor, 1), built in place in one
+    # padded array with an +inf border; the loop reads its array("d") copy.
+    padded = np.full((m + 2, w), np.inf)
+    inner = padded[1:-1, 1:-1]
+    np.subtract(1.0, costmap.costs, out=inner)
+    np.clip(inner, speed_floor, 1.0, out=inner)
+    np.divide(costmap.cell_size, inner, out=inner)
     tau = array("d")  # frombytes takes a byte-format buffer, hence the uint8 view
-    tau.frombytes(np.pad(costmap.cell_size / np.clip(1.0 - costmap.costs, speed_floor, 1.0),
-                         1, constant_values=np.inf).view(np.uint8))
+    tau.frombytes(padded.view(np.uint8))
+    del padded, inner
     # Index ``size``, one past the padded grid, is the drain sentinel: never
     # blocked and always a stop cell, so popping it ends the solve.
     blocked = bytearray(np.pad(costmap.obstacle_mask, 1, constant_values=True))
@@ -344,16 +355,31 @@ def frontier_goal(smap: SemanticMap, costmap: CostMap, start: tuple,
 
 
 def snap_to_free(costmap: CostMap, cell: tuple) -> tuple:
-    """Nearest passable cell by squared Euclidean distance, then (row, col)."""
-    obstacles = costmap.obstacle_mask
-    if not obstacles[cell]:
+    """Nearest passable cell by squared Euclidean distance, then (row, col).
+
+    Searches the square of radius 1, 2, 4, ... cells around ``cell``. A cell
+    outside a square of radius ``radius`` lies more than ``radius`` away, so
+    once the square holds a passable cell within ``radius`` it holds the
+    minimum and every cell tied with it."""
+    costs = costmap.costs
+    r, c = cell
+    if not costs[r, c] >= 1.0:  # passable as ``obstacle_mask`` has it (NaN too)
         return cell
-    rows, cols = np.nonzero(~obstacles)
-    if rows.size == 0:
-        raise UnreachableError("cost map has no passable cells")
-    # np.nonzero is row-major, so the first minimum is also the lowest (row, col)
-    k = np.argmin((rows - cell[0]) ** 2 + (cols - cell[1]) ** 2)
-    return (int(rows[k]), int(cols[k]))
+    m, n = costs.shape
+    radius = 1
+    while True:
+        r0, c0 = max(r - radius, 0), max(c - radius, 0)
+        rows, cols = np.nonzero(~(costs[r0:r + radius + 1, c0:c + radius + 1] >= 1.0))
+        whole = r0 == c0 == 0 and r + radius >= m - 1 and c + radius >= n - 1
+        if rows.size:
+            d2 = (rows + r0 - r) ** 2 + (cols + c0 - c) ** 2
+            # np.nonzero is row-major, so the first minimum is also the lowest (row, col)
+            k = np.argmin(d2)
+            if d2[k] <= radius * radius or whole:
+                return (int(rows[k]) + r0, int(cols[k]) + c0)
+        elif whole:
+            raise UnreachableError("cost map has no passable cells")
+        radius *= 2
 
 
 def instance_centroid(mask: np.ndarray) -> tuple:

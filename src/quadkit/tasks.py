@@ -284,11 +284,15 @@ def decompose(instruction: str, library: dict, gateway: Gateway) -> list:
     """
     if not instruction or not instruction.strip():
         raise ValueError("instruction must be non-empty")
+    return complete_and_parse(gateway, decompose_request(instruction, library),
+                              lambda text: parse_subgoals(text, library))[0]
+
+
+def decompose_request(instruction: str, library: dict) -> ChatRequest:
+    """The decomposition request: the library's skill docs plus the instruction."""
     user = load_template("decompose").format(
         skill_docs=skill_docs(library), instruction=instruction)
-    request = ChatRequest("decompose", "", user, PARSE_TEMPERATURE, 1)
-    return complete_and_parse(gateway, request,
-                              lambda text: parse_subgoals(text, library))[0]
+    return ChatRequest("decompose", "", user, PARSE_TEMPERATURE, 1)
 
 
 def parse_subgoals(text: str, library: dict) -> list:
@@ -352,14 +356,18 @@ def evaluate_success(subgoal: Subgoal, world: World, gateway: Gateway) -> str:
         return "failed"
     if outcome.check == "geometric" or not outcome.ok:
         return "succeeded" if outcome.ok else "failed"
-    user = load_template("evaluate").format(
-        description=subgoal.description, state=world.state.summary())
-    request = ChatRequest("evaluate", "", user, PARSE_TEMPERATURE, 1)
+    request = evaluate_request(subgoal.description, world.state)
     try:
         return complete_and_parse(gateway, request, parse_verdict)[0]
     except QuadkitError as err:
         subgoal.outcome.detail += f" (no evaluator verdict: {err})"
         return "failed"
+
+
+def evaluate_request(description: str, state: AgentState) -> ChatRequest:
+    """The success-evaluation request for a subgoal and the agent state after it."""
+    user = load_template("evaluate").format(description=description, state=state.summary())
+    return ChatRequest("evaluate", "", user, PARSE_TEMPERATURE, 1)
 
 
 def parse_verdict(text: str) -> str:

@@ -96,27 +96,35 @@ class Heightfield:
 
 # The decimal text of each PGM gray level, indexed by the level.
 _GRAY_TEXT = np.array([str(level) for level in range(256)], dtype=object)
+# Rows of a PGM scaled and formatted per step.
+_PGM_BLOCK_ROWS = 32
 
 
 def write_pgm(path, values: np.ndarray):
     """Plain (P2) PGM with values scaled to 0..255 over the finite range.
 
     The rows are the text ``np.savetxt(fh, scaled, fmt="%d")`` writes, built
-    by looking each level's text up in a table."""
-    finite = values[np.isfinite(values)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
+    by looking each level's text up in a table. Rows are scaled and written
+    ``_PGM_BLOCK_ROWS`` at a time, so no temporary spans the whole grid."""
+    finite = np.isfinite(values)
+    lo, hi = 0.0, 1.0
+    if finite.any():
+        first = values.flat[np.argmax(finite)]  # a start value of the values' own dtype
+        lo = float(np.min(values, where=finite, initial=first))
+        hi = float(np.max(values, where=finite, initial=first))
     span = hi - lo if hi > lo else 1.0
-    if math.isinf(span):
-        # The finite values span more than the largest float: scale by
-        # halves, which cannot overflow.
-        scaled = (values / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0
-    else:
-        scaled = (values - lo) / span * 255.0
-    scaled = np.where(np.isfinite(values), scaled, 255.0).astype(int)
     with open(path, "w") as fh:
         fh.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
-        fh.writelines(" ".join(row) + "\n" for row in _GRAY_TEXT[scaled].tolist())
+        for r in range(0, values.shape[0], _PGM_BLOCK_ROWS):
+            rows = values[r:r + _PGM_BLOCK_ROWS]
+            if math.isinf(span):
+                # The finite values span more than the largest float: scale by
+                # halves, which cannot overflow.
+                scaled = (rows / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0
+            else:
+                scaled = (rows - lo) / span * 255.0
+            scaled = np.where(finite[r:r + _PGM_BLOCK_ROWS], scaled, 255.0).astype(int)
+            fh.writelines(" ".join(row) + "\n" for row in _GRAY_TEXT[scaled].tolist())
 
 
 def _profile_height(spec: TerrainSpec, x: float) -> float:

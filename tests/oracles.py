@@ -358,6 +358,38 @@ def union_find_clusters(detections, p, m):
     return clusters, by_class
 
 
+class InstanceMemoryOracle:
+    """Instance memory as per-instance cell sets, the slow way: a merge or a
+    create gives an instance the detection cells no same-class instance owns,
+    so a cell keeps its first owner; a match is the same-class instance with
+    the most cells under the dilated detection, then the lowest id."""
+
+    def __init__(self, p, m):
+        self.p, self.m = p, m
+        self.cells, self.classes, self.views = {}, {}, {}
+
+    def match(self, cells, class_id):
+        dilated = chebyshev_dilation(cells, self.p, self.m)
+        overlaps = {iid: len(dilated & own) for iid, own in self.cells.items()
+                    if self.classes[iid] == class_id}
+        best = max(overlaps.values(), default=0)
+        return min(iid for iid, n in overlaps.items() if n == best) if best else None
+
+    def create(self, cells, class_id, view):
+        iid = len(self.cells) + 1
+        self.cells[iid], self.classes[iid], self.views[iid] = set(), class_id, set()
+        self.merge(iid, cells, view)
+        return iid
+
+    def merge(self, iid, cells, view):
+        owned = set().union(*(own for other, own in self.cells.items()
+                              if self.classes[other] == self.classes[iid]))
+        new = set(cells) - owned
+        self.cells[iid] |= new
+        self.views[iid].add(view)
+        return new
+
+
 def dijkstra_times(costs, source, cell_size=0.05, speed_floor=0.05):
     """8-connected Dijkstra with edge weights cell_size/F averaged over the
     edge endpoints (sqrt(2)-scaled diagonals). Diagonal steps require both

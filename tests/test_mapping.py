@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from oracles import (
+    InstanceMemoryOracle,
     cells_of,
     chebyshev_dilation,
     flood_fill_labels,
@@ -254,6 +256,75 @@ def test_merge_semantics():
     assert cells_of(rec.cells) == before
     with pytest.raises(ValueError):
         merge(iid, detection({(1, 1)}, class_id=1, frame=3), memory)
+
+
+def test_create_leaves_owned_cells_with_their_first_owner():
+    # Same-class records own disjoint cells, a direct create included.
+    memory = InstanceMemory(p=1)
+    first = memory.create(detection({(5, 5), (5, 6)}, class_id=0, frame=0))
+    second = memory.create(detection({(5, 6), (5, 7)}, class_id=0, frame=1))
+    other = memory.create(detection({(5, 6)}, class_id=1, frame=2))
+    assert cells_of(memory.instances[first].cells) == {(5, 5), (5, 6)}
+    assert cells_of(memory.instances[second].cells) == {(5, 7)}
+    assert cells_of(memory.instances[other].cells) == {(5, 6)}
+    assert memory.instances[second].views == {(1, (5, 6, 5, 7))}
+
+
+cell_12 = st.tuples(st.integers(0, 11), st.integers(0, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(0, 3),
+       steps=st.lists(st.tuples(st.sets(cell_12, min_size=1, max_size=12), st.integers(0, 1),
+                                st.sampled_from(["match", "create", "merge"]),
+                                st.integers(0, 99)),
+                      min_size=1, max_size=12))
+def test_instance_memory_equals_cell_set_oracle(p, steps):
+    # "match" merges into the matched instance or creates one, as ingest does;
+    # "create" and "merge" act directly, overlapping same-class records included.
+    memory, oracle = InstanceMemory(p=p), InstanceMemoryOracle(p, m=12)
+    for frame, (cells, class_id, op, pick) in enumerate(steps):
+        det = detection(cells, class_id=class_id, frame=frame, m=12)
+        matched = match_detection(det, memory)
+        assert matched == oracle.match(cells, class_id)
+        same_class = sorted(i for i, c in oracle.classes.items() if c == class_id)
+        target = matched if op == "match" else (
+            same_class[pick % len(same_class)] if op == "merge" and same_class else None)
+        if target is None:
+            assert memory.create(det) == oracle.create(cells, class_id, det.bbox)
+        else:
+            assert cells_of(merge(target, det, memory)) == oracle.merge(target, cells, det.bbox)
+        assert sorted(memory.instances) == sorted(oracle.cells)
+        for iid, rec in memory.instances.items():
+            assert rec.class_id == oracle.classes[iid]
+            assert cells_of(rec.cells) == oracle.cells[iid]
+            assert rec.views == oracle.views[iid]
+
+
+def test_instance_records_hold_no_arrays_and_read_the_category_channel():
+    smap = small_map()
+    memory = InstanceMemory(p=2)
+    ingest(smap, memory, make_frame([(1.0, 1.0, 0.1, 1), (1.05, 1.0, 0.1, 1),
+                                     (-1.0, 1.0, 0.1, 0), (1.0, -1.0, 0.1, 1)]))
+    assert len(memory) == 3
+    for rec in memory.instances.values():
+        assert not any(isinstance(getattr(rec, f.name), np.ndarray)
+                       for f in dataclasses.fields(rec))
+        assert np.array_equal(rec.cells, smap.grid[rec.class_id] == rec.instance_id)
+    for class_id, channel in memory.owners.items():
+        assert np.shares_memory(channel, smap.grid[class_id])
+
+
+def test_ingest_rejects_a_memory_bound_to_another_map():
+    frame = make_frame([(1.0, 1.0, 0.1, 1)])
+    memory = InstanceMemory(p=2)
+    ingest(small_map(), memory, frame)
+    with pytest.raises(ValueError, match="another map"):
+        ingest(small_map(), memory, frame)
+    standalone = InstanceMemory(p=2)
+    standalone.create(detection({(5, 5)}, class_id=1))
+    with pytest.raises(ValueError, match="another map"):
+        ingest(small_map(), standalone, frame)
 
 
 def test_ingest_two_frames_one_instance_two_views():

@@ -413,6 +413,24 @@ def test_snap_to_free_matches_oracle_on_random_grids(seed):
             assert_snaps_like_oracle(obstacles, (r, c))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 2), (6, 3), (17, 17), (40, 23)])
+def test_snap_to_free_matches_oracle_on_edges_corners_and_blocked_maps(shape):
+    m, n = shape
+    corners = [(0, 0), (0, n - 1), (m - 1, 0), (m - 1, n - 1)]
+    starts = corners + [(0, n // 2), (m // 2, 0), (m - 1, n // 2), (m // 2, n - 1),
+                        (m // 2, n // 2)]
+    blocked = np.ones(shape, dtype=bool)
+    for start in starts:
+        assert_snaps_like_oracle(blocked, start)  # no passable cell at all
+        for free in corners:  # a single free cell, in the far corner among others
+            obstacles = blocked.copy()
+            obstacles[free] = False
+            assert_snaps_like_oracle(obstacles, start)
+        obstacles = np.zeros(shape, dtype=bool)
+        obstacles[start] = True
+        assert_snaps_like_oracle(obstacles, start)
+
+
 @pytest.mark.parametrize("d2", [1, 2, 5, 25, 50, 65])
 def test_snap_to_free_breaks_ties_among_equidistant_cells(d2):
     # every cell closer than sqrt(d2) is blocked, so all free cells at squared

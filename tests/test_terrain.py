@@ -216,3 +216,25 @@ def test_write_pgm_rows_equal_savetxt(tmp_path_factory, values):
     expected.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
     np.savetxt(expected, scaled, fmt="%d")
     assert path.read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("rows", [31, 32, 33, 64, 100])
+@pytest.mark.parametrize("scale", [1.0, 1e308])
+def test_write_pgm_equals_savetxt_across_row_blocks(tmp_path, rows, scale):
+    # Enough rows for several of the writer's row blocks; at scale 1e308 the
+    # finite values span more than the largest float.
+    rng = np.random.default_rng(rows)
+    values = rng.uniform(-1.0, 1.0, size=(rows, 7)) * scale
+    values[rng.random(values.shape) < 0.1] = INF
+    values[rng.random(values.shape) < 0.05] = math.nan
+    path = tmp_path / "grid.pgm"
+    write_pgm(path, values)
+    finite = values[np.isfinite(values)]
+    lo, hi = float(finite.min()), float(finite.max())
+    if math.isinf(hi - lo):
+        values, lo, hi = values / 4, lo / 4, hi / 4  # changes no level
+    scaled = np.where(np.isfinite(values), (values - lo) / (hi - lo) * 255.0, 255.0).astype(int)
+    expected = io.StringIO()
+    expected.write(f"P2\n7 {rows}\n255\n")
+    np.savetxt(expected, scaled, fmt="%d")
+    assert path.read_text() == expected.getvalue()

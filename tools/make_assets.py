@@ -20,9 +20,13 @@ from quadkit.adaptation import (
 )
 from quadkit.locomotion import PROMPT_PARAM_ORDER, level_midpoint, level_name
 from quadkit.mapping import Frame, LabeledPointCloud, Scene, save_scene
+from quadkit.navigation import cost_map_request
 from quadkit.surrogate import IDEAL_PROFILES
+from quadkit.tasks import SKILLS, AgentState, decompose_request, evaluate_request
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "quadkit", "assets")
+# The instruction the band-scene plans are run with (README, demo 06, tests).
+BAND_INSTRUCTION = "Go to the chair"
 
 LEVEL_QUESTIONS = {
     "body_height": "What is the proper body height for this environment?",
@@ -99,6 +103,18 @@ def determining_reply(terrain: str) -> str:
     return numeric_reply(picks, None)
 
 
+def write_transcript(path, entries):
+    """One line per (template id, request, response) entry, carrying the digest
+    of the request it answers unless the request is None."""
+    with open(path, "w") as fh:
+        for template_id, request, response in entries:
+            line = {"template_id": template_id}
+            if request is not None:
+                line["request_hash"] = request.digest()
+            line["response"] = response
+            fh.write(json.dumps(line) + "\n")
+
+
 def write_benchmark_transcript():
     """Entries for the default benchmark invocation: per terrain, 3 auto
     replies, 6 level-location replies (sampling + determining), 1 pick.
@@ -107,19 +123,14 @@ def write_benchmark_transcript():
     entries = []
     for terrain, description in TERRAIN_DESCRIPTIONS.items():
         profile = IDEAL_PROFILES[terrain]
-        auto = direct_request(description).digest()
         for reply in auto_candidates(terrain):
-            entries.append(("auto", auto, reply))
-        located = locate_request(description).digest()
+            entries.append(("auto", direct_request(description), reply))
         for _ in range(6):
-            entries.append(("locate_levels", located, level_reply(profile)))
-        entries.append(("determining", determining_request(description).digest(),
+            entries.append(("locate_levels", locate_request(description), level_reply(profile)))
+        entries.append(("determining", determining_request(description),
                         determining_reply(terrain)))
     path = os.path.join(ASSETS, "transcripts", "benchmark.jsonl")
-    with open(path, "w") as fh:
-        for template_id, request_hash, response in entries:
-            fh.write(json.dumps({"template_id": template_id, "request_hash": request_hash,
-                                 "response": response}) + "\n")
+    write_transcript(path, entries)
     print(f"wrote {path} ({len(entries)} entries)")
 
 
@@ -175,8 +186,7 @@ def write_band_scenes():
         ],
     }, indent=2)
     path = os.path.join(ASSETS, "transcripts", "plan_band.jsonl")
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"template_id": "cost_map", "response": reply}) + "\n")
+    write_transcript(path, [("cost_map", cost_map_request(BAND_INSTRUCTION), reply)])
     print(f"wrote {path}")
 
 
@@ -199,7 +209,9 @@ def write_long_horizon():
     save_scene(scene, os.path.join(ASSETS, "scenes", "long_horizon.jsonl"))
     print(f"wrote long-horizon scene ({len(pts_all)} points)")
 
-    decomposition = json.dumps([
+    instruction = ("squat down, stand up, greet me, then walk through the bed and "
+                   "grass, find the blue clothes, and sit next to them")
+    subgoals = [
         {"skill": "squat_down", "args": {}, "description": "squat down"},
         {"skill": "stand_up", "args": {}, "description": "stand up"},
         {"skill": "greet", "args": {}, "description": "greet the person"},
@@ -209,7 +221,11 @@ def write_long_horizon():
          "description": "find the blue clothes"},
         {"skill": "sit_next_to", "args": {"target": "blue clothes"},
          "description": "sit next to the blue clothes"},
-    ], indent=2)
+    ]
+    # The first three subgoals are state-checked; each verdict request carries
+    # the agent state its skill leaves.
+    states = [AgentState(posture="squatting"), AgentState(posture="standing"),
+              AgentState(posture="standing", greeted=True)]
 
     def cost_reply(target):
         return json.dumps({
@@ -223,24 +239,23 @@ def write_long_horizon():
             ],
         }, indent=2)
 
-    entries = [
-        ("decompose", decomposition),
-        ("evaluate", "SUCCESS"),
-        ("evaluate", "SUCCESS"),
-        ("evaluate", "SUCCESS"),
-        ("cost_map", cost_reply("green grass")),
-        ("cost_map", cost_reply("blue clothes")),
-        ("cost_map", cost_reply("blue clothes")),
-    ]
+    entries = [("decompose", decompose_request(instruction, SKILLS),
+                json.dumps(subgoals, indent=2))]
+    entries += [("evaluate", evaluate_request(sg["description"], state), "SUCCESS")
+                for sg, state in zip(subgoals, states)]
+    # navigate_to, find (the clothes are in memory by then) and sit_next_to
+    # each plan with "Go to the <target>.". The first reply stays unhashed:
+    # tests/test_fmm_kernel.py replays it for "Go to the blue clothes.", which
+    # builds the same cost map.
+    entries.append(("cost_map", None, cost_reply("green grass")))
+    entries += [("cost_map", cost_map_request("Go to the blue clothes."),
+                 cost_reply("blue clothes"))] * 2
     path = os.path.join(ASSETS, "transcripts", "long_horizon.jsonl")
-    with open(path, "w") as fh:
-        for template_id, response in entries:
-            fh.write(json.dumps({"template_id": template_id, "response": response}) + "\n")
+    write_transcript(path, entries)
     print(f"wrote {path} ({len(entries)} entries)")
 
     scenario = {
-        "instruction": ("squat down, stand up, greet me, then walk through the bed and "
-                        "grass, find the blue clothes, and sit next to them"),
+        "instruction": instruction,
         "scene": "../scenes/long_horizon.jsonl",
         "transcript": "../transcripts/long_horizon.jsonl",
         "config": {"nav": {"cost_mode": "continuous"}},
