@@ -457,27 +457,28 @@ def load_scene(path) -> Scene:
         fh = open(path)
     except OSError as err:
         raise ConfigError(f"cannot read scene file {path}: {err}") from None
-    with fh:
-        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise ConfigError(f"scene file {path} is empty")
     scene = None
-    for n, line in lines:
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError("expected a JSON object")
-            if scene is None:
-                scene = _scene_header(rec)
-            else:
-                cloud = LabeledPointCloud(points=rec.get("points", []))
-                _check_category_ids(cloud.points[:, 3], len(scene.categories))
-                pose = _pose(rec["pose"], scene.m, scene.cell_size, scene.origin)
-                scene.frames.append(Frame(index=len(scene.frames), pose=pose, cloud=cloud))
-        except KeyError as err:
-            raise ConfigError(f"scene file {path}, line {n}: missing field {err}") from None
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"scene file {path}, line {n}: {err}") from None
+    with fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("expected a JSON object")
+                if scene is None:
+                    scene = _scene_header(rec)
+                else:
+                    cloud = LabeledPointCloud(points=rec.get("points", []))
+                    _check_category_ids(cloud.points[:, 3], len(scene.categories))
+                    pose = _pose(rec["pose"], scene.m, scene.cell_size, scene.origin)
+                    scene.frames.append(Frame(index=len(scene.frames), pose=pose, cloud=cloud))
+            except KeyError as err:
+                raise ConfigError(f"scene file {path}, line {n}: missing field {err}") from None
+            except (ValueError, TypeError) as err:
+                raise ConfigError(f"scene file {path}, line {n}: {err}") from None
+    if scene is None:
+        raise ConfigError(f"scene file {path} is empty")
     return scene
 
 

@@ -8,7 +8,10 @@ The solver keys its heap by (t, k), with k a cell's flat row-major index in
 a grid padded with a one-cell obstacle border; k orders ties as (row, col)
 does and the update applies the same float operations in the same order, so
 its arrival fields equal the per-cell reference's
-(``tests/oracles.fmm_solve_reference``) bit for bit.
+(``tests/oracles.fmm_solve_reference``) bit for bit. A solve holds one float64
+grid, the padded arrival times, and returns its interior as the field (a
+view). Beside it are a byte-per-cell frozen-or-blocked flag and a per-cell
+level index into a table of crossing times over the map's distinct costs.
 Cells freeze in non-decreasing arrival time, so a solve may stop early: given
 a ``stop_at`` mask it ends once the first mask cell and every queued cell of
 that same time are frozen. Frozen cells then hold their full-solve times and
@@ -41,6 +44,8 @@ from .gateway import (
 from .mapping import InstanceMemory, SemanticMap, _square_dilation, cell_to_world
 from .terrain import write_pgm
 
+# Rows per block when filling the solver's cost-level index.
+_LEVEL_BLOCK_ROWS = 32
 _NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
@@ -160,27 +165,30 @@ def build_cost_map(smap: SemanticMap, assignment: CostAssignment,
                    zero_costs: bool = False) -> CostMap:
     """Cell cost = max over categories present of the category cost; obstacle
     categories force 1. Explored empty cells cost 0, unexplored cells the
-    configured default. ``zero_costs`` is the no-cost ablation."""
-    explored = smap.explored_mask()
-    costs = np.where(explored, 0.0, unexplored_cost)
+    configured default. ``zero_costs`` is the no-cost ablation.
+
+    A cell's gait follows its dominant (highest-cost) category, the first
+    channel winning ties: the categories are visited by (cost descending,
+    channel) and each sets the gait of the cells no earlier one settled."""
+    costs = np.where(smap.explored_mask(), 0.0, unexplored_cost)
     gait = np.zeros((smap.m, smap.m), dtype=np.int8)
-    best_cost = np.full((smap.m, smap.m), -1.0)
+    settled = np.zeros((smap.m, smap.m), dtype=bool)
+    present = np.empty((smap.m, smap.m), dtype=bool)
     obstacle_names = set(assignment.obstacles)
+    visits = []
     for ci, name in enumerate(smap.categories):
-        present = smap.grid[ci] != 0
-        if not present.any():
-            continue
         entry = assignment.cost_of(name)
         cost = 1.0 if name in obstacle_names else (
             entry.cost if entry is not None else unexplored_cost)
-        gait_bit = entry.gait if entry is not None else 0
-        costs[present] = np.maximum(costs[present], cost)
-        # Gait follows the dominant (highest-cost) category; first channel wins ties.
-        dominant = present & (cost > best_cost)
-        gait[dominant] = gait_bit
-        best_cost[dominant] = cost
+        visits.append((cost, ci, entry.gait if entry is not None else 0))
+    for cost, ci, gait_bit in sorted(visits, key=lambda visit: (-visit[0], visit[1])):
+        np.not_equal(smap.grid[ci], 0, out=present)
+        np.maximum(costs, cost, out=costs, where=present)
+        np.greater(present, settled, out=present)  # present & ~settled, in place
+        np.copyto(gait, gait_bit, where=present)
+        settled |= present
     if zero_costs:
-        costs = np.zeros_like(costs)
+        costs.fill(0.0)
     return CostMap(costs=costs, gait=gait, cell_size=smap.cell_size, origin=smap.origin)
 
 
@@ -196,6 +204,27 @@ def _check_passable(costmap: CostMap, cell: tuple, what: str):
     _check_cell(cell, costmap.costs.shape, what)
     if costmap.obstacle_mask[cell[0], cell[1]]:
         raise ValueError(f"{what} cell {cell} is impassable")
+
+
+def _tau_levels(costmap: CostMap, speed_floor: float) -> tuple:
+    """Crossing times per distinct cost and each padded cell's level index.
+
+    tau = cell_size / clip(1 - cost, speed_floor, 1) is computed once per
+    ``np.unique`` cost (NaN and -0.0 included, each mapping to the tau its
+    cells would get) and returned as a list. The index is row-major over the
+    grid padded by one cell (the border reads level 0), one byte per cell up
+    to 256 levels and wider past that; it is filled in blocks of rows, so no
+    full-grid temporary is made."""
+    costs = costmap.costs
+    m, n = costs.shape
+    levels = np.unique(costs)
+    taus = (costmap.cell_size / np.clip(1.0 - levels, speed_floor, 1.0)).tolist()
+    dtype = np.min_scalar_type(len(taus) - 1)
+    level = array(dtype.char, [0]) * ((m + 2) * (n + 2))
+    inner = np.frombuffer(level, dtype).reshape(m + 2, n + 2)[1:-1, 1:-1]
+    for r in range(0, m, _LEVEL_BLOCK_ROWS):
+        inner[r:r + _LEVEL_BLOCK_ROWS] = np.searchsorted(levels, costs[r:r + _LEVEL_BLOCK_ROWS])
+    return taus, level
 
 
 def fmm_solve(costmap: CostMap, goal: tuple,
@@ -215,27 +244,17 @@ def fmm_solve(costmap: CostMap, goal: tuple,
     _check_passable(costmap, goal, "goal")
     w = n + 2
     size = (m + 2) * w
-    # tau = cell_size / clip(1 - cost, speed_floor, 1), built in place in one
-    # padded array with an +inf border; the loop reads its array("d") copy.
-    padded = np.full((m + 2, w), np.inf)
-    inner = padded[1:-1, 1:-1]
-    np.subtract(1.0, costmap.costs, out=inner)
-    np.clip(inner, speed_floor, 1.0, out=inner)
-    np.divide(costmap.cell_size, inner, out=inner)
-    tau = array("d")  # frombytes takes a byte-format buffer, hence the uint8 view
-    tau.frombytes(padded.view(np.uint8))
-    del padded, inner
+    taus, level = _tau_levels(costmap, speed_floor)
     # Index ``size``, one past the padded grid, is the drain sentinel: never
     # blocked and always a stop cell, so popping it ends the solve.
     blocked = bytearray(np.pad(costmap.obstacle_mask, 1, constant_values=True))
     blocked.append(0)
-    if stop_at is None:
-        stop = bytearray(size)
-    else:
+    stop = {size}  # the flat indices of the stop cells
+    if stop_at is not None:
         if np.shape(stop_at) != (m, n):
             raise ValueError(f"stop_at has shape {np.shape(stop_at)}, not {(m, n)}")
-        stop = bytearray(np.pad(np.asarray(stop_at, dtype=bool), 1))
-    stop.append(1)
+        rows, cols = np.nonzero(stop_at)
+        stop.update(((rows + 1) * w + cols + 1).tolist())
     times = array("d", [math.inf]) * size
     inf = math.inf
     sqrt = math.sqrt
@@ -249,7 +268,7 @@ def fmm_solve(costmap: CostMap, goal: tuple,
         if blocked[k]:
             continue
         blocked[k] = 1
-        if stop[k]:
+        if k in stop:
             if k == size:
                 break
             # The sentinel's key (t, size) sorts after every other entry of
@@ -264,7 +283,7 @@ def fmm_solve(costmap: CostMap, goal: tuple,
             a = y if y < x else x
             x, y = times[nk - w], times[nk + w]
             b = y if y < x else x
-            f = tau[nk]
+            f = taus[level[nk]]
             if a == inf:
                 new_t = b + f
             elif b == inf:
@@ -276,10 +295,12 @@ def fmm_solve(costmap: CostMap, goal: tuple,
             if new_t < times[nk]:
                 times[nk] = new_t
                 heappush(heap, (new_t, nk))
-    # A cell the solve did not freeze may hold a queued time; it reads +inf.
-    frozen = np.frombuffer(blocked, dtype=np.uint8, count=size).reshape(m + 2, w)
-    field = np.where(frozen[1:-1, 1:-1], np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1],
-                     inf)
+    del level  # before the unfrozen-cell mask below is made
+    # The field is a view of ``times``. A cell the solve did not freeze may
+    # hold a queued time; it reads +inf.
+    field = np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1]
+    frozen = np.frombuffer(blocked, dtype=np.uint8, count=size).reshape(m + 2, w)[1:-1, 1:-1]
+    np.copyto(field, inf, where=frozen == 0)
     return ArrivalField(times=field, goal=goal, cell_size=costmap.cell_size)
 
 

@@ -32,7 +32,8 @@ from quadkit.locomotion import (
     level_range,
     sample_grid,
 )
-from quadkit.navigation import ArrivalField
+from quadkit.mapping import SemanticMap
+from quadkit.navigation import ArrivalField, CostAssignment, CostMap
 from quadkit.rewards import (
     EpisodeReport,
     StepSample,
@@ -474,6 +475,39 @@ def fmm_solve_reference(costmap, goal, speed_floor=NavConfig.speed_floor):
                 times[nr, nc] = new_t
                 heapq.heappush(heap, (new_t, nr, nc))
     return ArrivalField(times=times, goal=goal, cell_size=costmap.cell_size)
+
+
+def build_cost_map_reference(smap: SemanticMap, assignment: CostAssignment,
+                             unexplored_cost: float = NavConfig.unexplored_cost,
+                             zero_costs: bool = False) -> CostMap:
+    """Cell cost = max over categories present of the category cost; obstacle
+    categories force 1. Explored empty cells cost 0, unexplored cells the
+    configured default. ``zero_costs`` is the no-cost ablation.
+
+    ``navigation.build_cost_map`` as it was before it worked in place: a
+    float64 ``best_cost`` grid picks each cell's dominant category, channel by
+    channel. The in-place version must give equal costs and gaits."""
+    explored = smap.explored_mask()
+    costs = np.where(explored, 0.0, unexplored_cost)
+    gait = np.zeros((smap.m, smap.m), dtype=np.int8)
+    best_cost = np.full((smap.m, smap.m), -1.0)
+    obstacle_names = set(assignment.obstacles)
+    for ci, name in enumerate(smap.categories):
+        present = smap.grid[ci] != 0
+        if not present.any():
+            continue
+        entry = assignment.cost_of(name)
+        cost = 1.0 if name in obstacle_names else (
+            entry.cost if entry is not None else unexplored_cost)
+        gait_bit = entry.gait if entry is not None else 0
+        costs[present] = np.maximum(costs[present], cost)
+        # Gait follows the dominant (highest-cost) category; first channel wins ties.
+        dominant = present & (cost > best_cost)
+        gait[dominant] = gait_bit
+        best_cost[dominant] = cost
+    if zero_costs:
+        costs = np.zeros_like(costs)
+    return CostMap(costs=costs, gait=gait, cell_size=smap.cell_size, origin=smap.origin)
 
 
 def nearest_free_cell(obstacles, cell):

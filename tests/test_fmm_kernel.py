@@ -20,6 +20,7 @@ from quadkit.gateway import Gateway, ScriptedProvider
 from quadkit.mapping import SemanticMap, load_scene
 from quadkit.navigation import (
     CostMap,
+    _tau_levels,
     assign_costs,
     build_cost_map,
     extract_path,
@@ -127,7 +128,7 @@ def test_kernel_matches_reference_on_bundled_long_horizon_cost_map():
     world.ingest_pending()
     gateway = Gateway(ScriptedProvider.from_file(asset_path("transcripts", "long_horizon.jsonl")))
     # The bundled scenario's config sets cost_mode "continuous".
-    assignment = assign_costs("Go to the blue clothes.", world.smap.categories, gateway,
+    assignment = assign_costs("Go to the green grass.", world.smap.categories, gateway,
                               mode="continuous")
     cm = build_cost_map(world.smap, assignment)
     assert cm.m == 160
@@ -141,11 +142,48 @@ def test_kernel_matches_reference_on_bundled_long_horizon_cost_map():
        cell_size=st.sampled_from([0.05, 0.1, 0.25, 0.37]),
        speed_floor=st.floats(0.01, 1.0))
 def test_kernel_matches_reference_on_small_random_grids(data, m, n, cell_size, speed_floor):
-    level = st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0]), st.floats(0.0, 1.0))
+    # NaN is passable (not >= 1) with a NaN crossing time; -0.0 shares 0.0's level.
+    level = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 0.999, 1.0, np.nan]),
+                      st.floats(0.0, 1.0))
     costs = np.array(data.draw(st.lists(level, min_size=m * n, max_size=m * n))).reshape(m, n)
     goal = (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1)))
-    costs[goal] = min(costs[goal], 0.999)
+    costs[goal] = min(costs[goal], 0.999)  # a NaN goal stays NaN
     assert_matches_reference(costmap_of(costs, cell_size), goal, speed_floor)
+
+
+def test_kernel_matches_reference_past_256_cost_levels():
+    rng = np.random.default_rng(257)
+    costs = rng.random((40, 40))
+    costs[rng.random(costs.shape) < 0.1] = 1.0
+    costs[:2] = [[np.nan], [-0.0]]
+    costs[20, 20] = 0.0
+    assert np.unique(costs).size > 256  # the level index is wider than a byte
+    assert_matches_reference(costmap_of(costs), (20, 20))
+
+
+@pytest.mark.parametrize("side, itemsize", [(30, 1), (40, 2), (260, 4)])
+def test_level_index_reads_back_the_reference_crossing_times(side, itemsize):
+    rng = np.random.default_rng(side)
+    if itemsize == 1:
+        costs = rng.choice([0.0, 0.3, 0.5, 0.999, 1.0, 1.5], size=(side, side))
+    else:
+        costs = rng.random((side, side))
+    costs[0, :3] = [np.nan, -0.0, 0.0]
+    taus, level = _tau_levels(costmap_of(costs), 0.05)
+    assert level.itemsize == itemsize
+    index = np.frombuffer(level, np.dtype(level.typecode)).reshape(side + 2, side + 2)
+    tau = 0.05 / np.clip(1.0 - costs, 0.05, 1.0)  # the reference's crossing times
+    assert np.array_equal(np.array(taus)[index[1:-1, 1:-1]], tau, equal_nan=True)
+
+
+@pytest.mark.parametrize("goal", [(0, 0), (2, 3)])
+def test_kernel_matches_reference_from_a_nan_goal(goal):
+    rng = np.random.default_rng(5)
+    costs = random_costs(rng, (6, 7))
+    costs[goal] = np.nan
+    costs[4, 1] = np.nan
+    times = assert_matches_reference(costmap_of(costs), goal)
+    assert times[goal] == 0.0
 
 
 @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 5)])

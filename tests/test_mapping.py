@@ -507,6 +507,23 @@ def test_load_scene_malformed_raises_config_error(tmp_path, text, line):
         assert f"line {line}" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["\n", "\n  \n\t\n"])
+def test_load_scene_of_blank_lines_is_empty(tmp_path, text):
+    path = tmp_path / "blank.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="is empty"):
+        load_scene(path)
+
+
+def test_load_scene_names_the_file_line_of_a_bad_frame_after_blank_lines(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('\n{"categories": ["floor"]}\n\n\n'
+                    '{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 0]]}\n\n'
+                    '{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 7]]}\n')
+    with pytest.raises(ConfigError, match=r"bad\.jsonl, line 7: "):
+        load_scene(path)
+
+
 def test_first_named_returns_lowest_id_instance():
     smap = small_map()
     memory = InstanceMemory(p=0)

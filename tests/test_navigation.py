@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import fixture_text, make_gateway
-from oracles import cells_of, chebyshev_dilation, dijkstra_times, nearest_free_cell
+from oracles import (
+    build_cost_map_reference,
+    cells_of,
+    chebyshev_dilation,
+    dijkstra_times,
+    nearest_free_cell,
+)
 from quadkit.errors import ExplorationComplete, ParseError, SchemaError, UnreachableError
 from quadkit.mapping import InstanceMemory, LabeledPointCloud, SemanticMap, ingest, Frame
 from quadkit.navigation import (
@@ -105,6 +112,91 @@ def test_build_cost_map_zero_costs_ablation():
     cm = build_cost_map(smap, assignment, zero_costs=True)
     assert not cm.obstacle_mask.any()
     assert np.all(cm.costs == 0.0)
+
+
+
+CATEGORY_NAMES = ("floor", "rug", "box", "steps", "grass")
+
+
+@st.composite
+def cost_scenes(draw):
+    """A small semantic map and a cost reply for it. Category regions overlap
+    (the channel values are instance ids), a channel may be empty, the costs
+    tie often, the reply may omit categories or list ones the map lacks, and
+    obstacle names may or may not be on the map."""
+    m = draw(st.integers(1, 8))
+    categories = list(CATEGORY_NAMES[:draw(st.integers(1, len(CATEGORY_NAMES)))])
+    smap = SemanticMap(categories, m=m, cell_size=0.05)
+    ids = st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m * m, max_size=m * m)
+    for ci in range(len(categories)):
+        if draw(st.booleans()):  # otherwise the channel stays empty
+            smap.grid[ci] = np.array(draw(ids)).reshape(m, m)
+    explored = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
+    smap.grid[smap.explored_channel] = np.array(draw(explored)).reshape(m, m)
+    cost = st.one_of(st.sampled_from([0, 1, 0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    replied = draw(st.lists(st.sampled_from(CATEGORY_NAMES), unique=True))
+    terrain = tuple(TerrainCost(name, draw(cost), draw(st.integers(0, 1))) for name in replied)
+    obstacles = tuple(draw(st.lists(st.sampled_from(CATEGORY_NAMES + ("chair",)), unique=True)))
+    return smap, CostAssignment("x", obstacles, terrain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=cost_scenes(), unexplored_cost=st.floats(0.0, 1.0), zero_costs=st.booleans())
+def test_build_cost_map_equals_the_reference(scene, unexplored_cost, zero_costs):
+    smap, assignment = scene
+    got = build_cost_map(smap, assignment, unexplored_cost, zero_costs)
+    want = build_cost_map_reference(smap, assignment, unexplored_cost, zero_costs)
+    assert got.costs.dtype == want.costs.dtype and got.gait.dtype == want.gait.dtype
+    assert np.array_equal(got.costs, want.costs)
+    assert np.array_equal(got.gait, want.gait)
+
+
+# One float64 grid of the 480 x 480 map the memory guards use, in bytes.
+GRID_480 = 480 * 480 * 8
+
+
+def traced_peak_over_entry(fn):
+    """``fn()`` and the most memory it held at once above what it started with."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - entry
+
+
+def map_480():
+    """A 480 x 480 semantic map: a floor band, an overlapping rug, boxes, and
+    an unexplored margin."""
+    smap = SemanticMap(["floor", "rug", "box"], m=480, cell_size=0.05)
+    smap.grid[smap.explored_channel][40:440, 40:440] = 1
+    smap.grid[0][40:440, 40:440] = 1
+    smap.grid[1][200:300, 100:400] = 2
+    for r in range(60, 420, 90):
+        smap.grid[2][r:r + 20, 150:170] = 3
+    assignment = CostAssignment("box", ("box",), (
+        TerrainCost("floor", 0.0, 0), TerrainCost("rug", 0.3, 1)))
+    return smap, assignment
+
+
+def test_build_cost_map_holds_under_one_and_a_half_grids():
+    smap, assignment = map_480()
+    cm, peak = traced_peak_over_entry(lambda: build_cost_map(smap, assignment))
+    # the costs and the byte-per-cell gait, settled and present masks
+    assert peak < 1.5 * GRID_480
+    assert np.array_equal(cm.costs, build_cost_map_reference(smap, assignment).costs)
+
+
+def test_fmm_solve_holds_under_one_and_a_half_grids():
+    cm = build_cost_map(*map_480())
+    field, peak = traced_peak_over_entry(lambda: fmm_solve(cm, (250, 250)))
+    # the padded times, whose view is the field, the byte-per-cell flags and
+    # level index, and the heap
+    assert peak < 1.5 * GRID_480
+    assert np.isfinite(field.times).sum() > 100_000
 
 
 def test_fmm_axis_distances_at_unit_speed():

@@ -244,10 +244,9 @@ def write_long_horizon():
     entries += [("evaluate", evaluate_request(sg["description"], state), "SUCCESS")
                 for sg, state in zip(subgoals, states)]
     # navigate_to, find (the clothes are in memory by then) and sit_next_to
-    # each plan with "Go to the <target>.". The first reply stays unhashed:
-    # tests/test_fmm_kernel.py replays it for "Go to the blue clothes.", which
-    # builds the same cost map.
-    entries.append(("cost_map", None, cost_reply("green grass")))
+    # each plan with "Go to the <target>.".
+    entries.append(("cost_map", cost_map_request("Go to the green grass."),
+                    cost_reply("green grass")))
     entries += [("cost_map", cost_map_request("Go to the blue clothes."),
                  cost_reply("blue clothes"))] * 2
     path = os.path.join(ASSETS, "transcripts", "long_horizon.jsonl")
