@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import (
@@ -121,18 +121,50 @@ class ScriptedProvider:
         return out
 
 
+def _reply_texts(body: bytes, where: str) -> list:
+    """The ``message.content`` strings of a chat-completions body, at least one.
+
+    Any other body raises GatewayError naming ``where`` and the offending field.
+    """
+    try:
+        data = json.loads(body)
+    except (ValueError, RecursionError) as err:
+        # ValueError also covers a body that is not UTF-8.
+        raise GatewayError(f"{where}: body is not JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise GatewayError(f"{where}: body is not a JSON object")
+    choices = data.get("choices")
+    if not isinstance(choices, list) or not choices:
+        raise GatewayError(f"{where}: 'choices' is not a non-empty list")
+    texts = []
+    for i, choice in enumerate(choices):
+        message = choice.get("message") if isinstance(choice, dict) else None
+        content = message.get("content") if isinstance(message, dict) else None
+        if not isinstance(content, str):
+            raise GatewayError(f"{where}: 'choices[{i}].message.content' is not a string")
+        texts.append(content)
+    return texts
+
+
+# Every live call gets this timeout and this many retries after its first
+# attempt, backing off 0.5 s, then 1 s. A malformed reply spends the same budget.
+LIVE_TIMEOUT_S = 60.0
+LIVE_MAX_RETRIES = 2
+
+
 class LiveProvider:
     """OpenAI-compatible chat-completions endpoint, configured via environment."""
 
     name = "live"
 
-    def __init__(self, endpoint: str, model: str, api_key: str,
-                 timeout: float = 60.0, max_retries: int = 2):
+    def __init__(self, endpoint: str, model: str, api_key: str):
+        # urllib would also open file://, ftp:// and data: URLs.
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ConfigError(f"{ENV_ENDPOINT} must be an http:// or https:// URL, "
+                              f"not {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
 
     @classmethod
     def from_env(cls) -> "LiveProvider":
@@ -142,8 +174,27 @@ class LiveProvider:
         return cls(os.environ[ENV_ENDPOINT], os.environ[ENV_MODEL], os.environ[ENV_API_KEY])
 
     def complete(self, request: ChatRequest) -> list:
-        import requests
+        texts = self._post(request)
+        # Providers without n-sample support: top up with single calls, each of
+        # which yields at least one reply.
+        single = replace(request, n_samples=1)
+        for _ in range(request.n_samples - len(texts)):
+            texts.extend(self._post(single))
+        return texts[: request.n_samples]
 
+    def _post(self, request: ChatRequest) -> list:
+        """One chat completion's reply texts, retried within the fixed budget."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            # Following a 30x would resend the Authorization header to wherever
+            # it points, any host or scheme; a 30x comes back as an HTTPError.
+            def redirect_request(self, *args):
+                return None
+
+        opener = urllib.request.build_opener(NoRedirect)
         messages = []
         if request.system:
             messages.append({"role": "system", "content": request.system})
@@ -155,26 +206,29 @@ class LiveProvider:
             "n": request.n_samples,
         }
         url = f"{self.endpoint}/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        http_request = urllib.request.Request(
+            url, data=json.dumps(body).encode(), method="POST",
+            headers={"Authorization": f"Bearer {self.api_key}",
+                     "Content-Type": "application/json"})
+        where = f"endpoint {url}, template '{request.template_id}'"
         last_err = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(LIVE_MAX_RETRIES + 1):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    raise GatewayError(f"server error {resp.status_code}")
-                if resp.status_code != 200:
-                    raise GatewayError(f"request failed ({resp.status_code}): {resp.text[:200]}")
-                choices = resp.json().get("choices", [])
-                texts = [c["message"]["content"] for c in choices]
-                # Providers without n-sample support: top up with single calls.
-                while len(texts) < request.n_samples:
-                    texts.extend(self.complete(
-                        ChatRequest(request.template_id, request.system, request.user,
-                                    request.temperature, 1)))
-                return texts[: request.n_samples]
-            except (GatewayError, OSError) as err:
+                try:
+                    with opener.open(http_request, timeout=LIVE_TIMEOUT_S) as resp:
+                        status, reply = resp.status, resp.read()
+                except urllib.error.HTTPError as err:
+                    with err:
+                        status, reply = err.code, err.read()
+                if status >= 500:
+                    raise GatewayError(f"server error {status}")
+                if status != 200:
+                    text = reply.decode("utf-8", "replace")[:200]
+                    raise GatewayError(f"request failed ({status}): {text}")
+                return _reply_texts(reply, where)
+            except (GatewayError, OSError, http.client.HTTPException) as err:
                 last_err = err
-                if attempt < self.max_retries:
+                if attempt < LIVE_MAX_RETRIES:
                     time.sleep(0.5 * 2 ** attempt)
         raise GatewayError(f"live completion failed after retries: {last_err}")
 
@@ -356,18 +410,20 @@ def parse_cost_json(text: str, mode: str = "binary"):
             cost = None
         else:
             cost = entry["cost"]
+            # A JSON boolean is not a number here, although True == 1.
             if mode == "binary":
-                if cost not in (0, 1):
+                if isinstance(cost, bool) or cost not in (0, 1):
                     issues.append(f"terrain[{i}]: cost {cost} outside {{0, 1}}")
             else:
-                if not isinstance(cost, (int, float)) or not (0 <= cost <= 1):
+                if (isinstance(cost, bool) or not isinstance(cost, (int, float))
+                        or not (0 <= cost <= 1)):
                     issues.append(f"terrain[{i}]: cost {cost} outside [0, 1]")
         if "gait" not in entry:
             issues.append(f"terrain[{i}]: missing 'gait'")
             gait = None
         else:
             gait = entry["gait"]
-            if gait not in (0, 1):
+            if isinstance(gait, bool) or gait not in (0, 1):
                 issues.append(f"terrain[{i}]: gait {gait} outside {{0, 1}}")
         if len(issues) == flagged:
             terrain_entries.append(TerrainCost(type=etype, cost=float(cost), gait=int(gait)))

@@ -235,6 +235,18 @@ def test_parse_cost_json_modes():
     assert assignment.cost_of("rug").cost == 0.4
 
 
+@pytest.mark.parametrize("mode", ["binary", "continuous"])
+@pytest.mark.parametrize("field", ["cost", "gait"])
+def test_parse_cost_json_rejects_booleans(mode, field):
+    entry = {"type": "rug", "cost": 1, "gait": 1, field: True}
+    text = json.dumps({"target_object": "box", "obstacles": [], "terrain": [entry]})
+    with pytest.raises(SchemaError) as err:
+        parse_cost_json(text, mode=mode)
+    assert err.value.issues == [f"terrain[0]: {field} True outside "
+                                + ("[0, 1]" if (field, mode) == ("cost", "continuous")
+                                   else "{0, 1}")]
+
+
 def test_extract_json_block_handles_braces_in_strings():
     text = 'noise {"a": "curly } inside", "b": [1, 2]} trailing {unbalanced'
     block = extract_json_block(text)

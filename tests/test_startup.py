@@ -1,6 +1,8 @@
-"""quadkit runs without scipy: no command loads it, and plan and task succeed
-when it cannot be imported at all."""
+"""numpy is quadkit's only third-party import. No command loads scipy or an
+HTTP client, and plan and task succeed when scipy cannot be imported at all."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -13,9 +15,10 @@ from quadkit.bench import asset_path
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs quadkit's CLI in a fresh interpreter and reports its exit code and
-# whether scipy was loaded. An empty argv only imports the modules. "block"
-# makes any import of scipy raise ImportError; "load" imports scipy.ndimage
-# after quadkit, which shows the probe can see a loaded scipy.
+# whether scipy, and an HTTP client ("transport": urllib.request or requests),
+# was loaded. An empty argv only imports the modules. "block" makes any import
+# of scipy raise ImportError; "load" imports scipy.ndimage and urllib.request
+# after quadkit, which shows the probe can see both loaded.
 PROBE = """
 import json, sys
 argv, scipy_mode = json.loads(sys.argv[1])
@@ -23,14 +26,16 @@ if scipy_mode == "block":
     sys.modules["scipy"] = None
 import quadkit.cli, quadkit.bench
 if scipy_mode == "load":
-    import scipy.ndimage
+    import scipy.ndimage, urllib.request
 code = 0
 if argv:
     try:
         code = quadkit.cli.main(argv)
     except SystemExit as stop:
         code = stop.code
-print(json.dumps({"code": code, "scipy": sys.modules.get("scipy") is not None}))
+transport = any(sys.modules.get(m) is not None for m in ("urllib.request", "requests"))
+print(json.dumps({"code": code, "scipy": sys.modules.get("scipy") is not None,
+                  "transport": transport}))
 """
 
 PLAN = ["plan", "--scene", asset_path("scenes", "band.jsonl"), "--instruction", "Go to the chair",
@@ -58,16 +63,37 @@ def run_probe(tmp_path, argv, scipy_mode=None) -> dict:
     (PLAN + BAD_CONFIG, 2),
     (TASK + BAD_CONFIG, 2),
     (PLAN, 0),  # projects frames
+    (TASK, 0),
 ], ids=["import", "help", "adapt", "adapt-bad-config", "plan-bad-config", "task-bad-config",
-        "plan"])
+        "plan", "task"])
 def test_no_command_loads_scipy(tmp_path, argv, code):
-    assert run_probe(tmp_path, argv) == {"code": code, "scipy": False}
+    assert run_probe(tmp_path, argv) == {"code": code, "scipy": False, "transport": False}
 
 
 def test_probe_sees_a_loaded_scipy(tmp_path):
-    assert run_probe(tmp_path, [], scipy_mode="load") == {"code": 0, "scipy": True}
+    assert run_probe(tmp_path, [], scipy_mode="load") == {"code": 0, "scipy": True,
+                                                           "transport": True}
 
 
 @pytest.mark.parametrize("argv", [PLAN, TASK], ids=["plan", "task"])
 def test_frame_projecting_commands_run_with_scipy_blocked(tmp_path, argv):
-    assert run_probe(tmp_path, argv, scipy_mode="block") == {"code": 0, "scipy": False}
+    assert run_probe(tmp_path, argv, scipy_mode="block") == {"code": 0, "scipy": False,
+                                                              "transport": False}
+
+
+def test_every_absolute_import_is_stdlib_numpy_or_quadkit():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "quadkit"}
+    outside = []
+    for path in sorted(glob.glob(os.path.join(SRC, "quadkit", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{os.path.basename(path)}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
