@@ -17,7 +17,7 @@ transcript = asset_path("transcripts", "plan_band.jsonl")
 # Ingest the scene to look at the instance memory the planner will use.
 scene = load_scene(scene_path)
 smap = scene.build_map()
-memory = InstanceMemory(p=3)
+memory = InstanceMemory(smap, p=3)
 for frame in scene.frames:
     ingest(smap, memory, frame)
 print(f"map: {smap.k} channels of {smap.m}x{smap.m} cells "

@@ -137,7 +137,7 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     costmap.to_pgm(os.path.join(out_dir, "costmap.pgm"))
 
     target = assignment.target_object
-    goal, field, plan, error = plan_to_target(target, memory, smap, costmap, world.pose_cell(),
+    goal, field, plan, error = plan_to_target(target, memory, costmap, world.pose_cell(),
                                               world.pose[2], cfg.nav.speed_floor,
                                               full_field=True)
     result = {"target": target, "goal_cell": list(goal) if goal is not None else None,
@@ -148,7 +148,7 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
         field.to_csv(os.path.join(out_dir, "arrival.csv"))
     if plan is not None:
         plan.to_jsonl(os.path.join(out_dir, "plan.jsonl"))
-        dist = distance_to_instance(memory, smap, target, plan.waypoints[-1].world)
+        dist = distance_to_instance(memory, target, plan.waypoints[-1].world)
         if dist is not None:
             result["distance_m"] = round(dist, 6)
             result["reached"] = dist <= cfg.nav.success_radius

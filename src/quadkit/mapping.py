@@ -6,7 +6,8 @@ past-position channels. Labeled points are binned into cells (5 cm height
 bins up to a 2 m ceiling, then summed vertically), connected components per
 category become detections, and detections merge into persistent instance
 records via dilation-overlap matching. Detections and their dilations are M x M
-boolean masks; an instance's cells are the category-channel cells holding its id.
+boolean masks; an instance memory is built on one map, and an instance's cells
+are the cells of its category channel holding its id.
 
 The module is numpy only: square dilations are shifted ORs, and the 8-connected
 component labeling is a union-find over the set cells (``_label_components``).
@@ -24,10 +25,6 @@ from .config import MappingConfig
 from .errors import ConfigError
 
 HEIGHT_BIN = 0.05
-
-# Provisional category-channel marker written by projection before an ingest
-# assigns the owning instance id.
-PRESENCE_MARK = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +77,11 @@ class InstanceRecord:
     instance_id: int
     class_id: int
     views: set
-    owners: dict = field(repr=False, compare=False)  # the memory's class -> owner channel
+    smap: SemanticMap = field(repr=False, compare=False)  # the map holding its cells
 
     @property
     def cells(self) -> np.ndarray:  # a fresh (M, M) bool mask
-        return self.owners[self.class_id] == self.instance_id
+        return self.smap.grid[self.class_id] == self.instance_id
 
 
 class SemanticMap:
@@ -138,13 +135,13 @@ class SemanticMap:
 
 
 class InstanceMemory:
-    """Per-instance ids, class ids and views. One int32 owner channel per class holds
-    each cell's owning id (0 for none); ``ingest`` binds the map's category channels."""
+    """Per-instance ids, class ids and views over one map, whose category
+    channels are the only record of which instance owns a cell."""
 
-    def __init__(self, p: int = MappingConfig.dilation_p):
+    def __init__(self, smap: SemanticMap, p: int = MappingConfig.dilation_p):
+        self.smap = smap
         self.p = int(p)
         self.instances: dict = {}
-        self.owners: dict = {}
         self._next_id = 1
 
     def __len__(self):
@@ -152,39 +149,46 @@ class InstanceMemory:
 
     def create(self, detection: Detection) -> int:
         """A new instance owning the detection's cells that no instance owns yet."""
+        _check_category_ids(np.array([detection.class_id]), self.smap.num_categories)
         iid = self._next_id
         self._next_id += 1
-        self.instances[iid] = InstanceRecord(iid, detection.class_id, set(), self.owners)
+        self.instances[iid] = InstanceRecord(iid, detection.class_id, set(), self.smap)
         self._claim(iid, detection)
         return iid
 
     def _claim(self, instance_id: int, detection: Detection) -> np.ndarray:
         """Give the instance the detection's unowned cells; returns their mask."""
-        channel = self.owners.get(detection.class_id)
-        if channel is None:  # a memory used on its own, not through ingest
-            channel = self.owners[detection.class_id] = np.zeros_like(detection.cells, np.int32)
-        new_cells = detection.cells & (channel <= 0)  # a PRESENCE_MARK cell is not owned
+        channel = self.smap.grid[detection.class_id]
+        new_cells = detection.cells & (channel == 0)
         channel[new_cells] = instance_id
         self.instances[instance_id].views.add(detection.bbox)
         return new_cells
 
-    def first_named(self, categories, name: str):
+    def first_named(self, name: str):
         """Lowest-id (first: ids only grow) instance of the category ``name``, or None."""
+        categories = self.smap.categories
         class_id = categories.index(name) if name in categories else None
         return next((r for r in self.instances.values() if r.class_id == class_id), None)
+
+
+def _cell_of(x, y, m: int, cell_size: float, origin: tuple) -> tuple:
+    """Unchecked ``(row, col, on_grid)`` of world point(s) on an m x m grid
+    centred on ``origin``: the one definition of a point being on the map.
+    Whole floats, so that a far point cannot overflow an integer cast."""
+    half = m // 2
+    col = np.floor((np.asarray(x) - origin[0]) / cell_size) + half
+    row = np.floor((np.asarray(y) - origin[1]) / cell_size) + half
+    return row, col, (0 <= row) & (row < m) & (0 <= col) & (col < m)
 
 
 def world_to_cell(x, y, m: int, cell_size: float, origin: tuple) -> tuple:
     """(row, col) of world point(s) on an m x m grid centred on ``origin``: ints
     for scalars, int arrays for arrays. A point off the grid raises ValueError."""
-    half = m // 2
-    col = np.floor((np.asarray(x) - origin[0]) / cell_size).astype(np.int64) + half
-    row = np.floor((np.asarray(y) - origin[1]) / cell_size).astype(np.int64) + half
-    outside = (row < 0) | (row >= m) | (col < 0) | (col >= m)
-    if outside.any():
-        i = np.argmax(outside)  # the first point outside
+    row, col, on_grid = _cell_of(x, y, m, cell_size, origin)
+    if not on_grid.all():
+        i = np.argmin(on_grid)  # the first point off the grid
         raise ValueError(f"world point ({np.ravel(x)[i]}, {np.ravel(y)[i]}) outside map extent")
-    return (row, col) if row.ndim else (int(row), int(col))
+    return (row.astype(np.int64), col.astype(np.int64)) if row.ndim else (int(row), int(col))
 
 
 def _check_category_ids(ids: np.ndarray, num_categories: int):
@@ -295,10 +299,7 @@ def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
     """Instance with equal class and maximal overlap with the detection's cells
     dilated by ``memory.p``; ties resolve to the lowest instance id. None when
     nothing overlaps."""
-    channel = memory.owners.get(detection.class_id)
-    if channel is None:
-        return None
-    ids = channel[dilate(detection.cells, memory.p)]
+    ids = memory.smap.grid[detection.class_id][dilate(detection.cells, memory.p)]
     ids = ids[ids > 0]
     return int(np.bincount(ids).argmax()) if ids.size else None
 
@@ -307,6 +308,7 @@ def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> np.
     """Union the detection into an instance; returns the newly owned cells' mask.
     Cells another same-class instance owns stay with that first owner, so class
     coverage remains a partition."""
+    _check_category_ids(np.array([detection.class_id]), memory.smap.num_categories)
     rec = memory.instances[instance_id]
     if rec.class_id != detection.class_id:
         raise ValueError(
@@ -322,9 +324,9 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
 
     Points are binned into (cell, 5 cm height bin, category) voxels up to the
     height ceiling and summed vertically, marking category presence per cell.
-    Cells inside the sensor disk and all point cells become explored. Category
-    channels get a provisional presence mark; ingest replaces it with the
-    owning instance id.
+    Points whose cell is off the grid are dropped. Cells inside the sensor disk
+    and all point cells become explored. The category channels are left to
+    ``ingest``, which writes each cell's owning instance id.
     """
     x, y, yaw = pose
     if not all(math.isfinite(v) for v in (x, y, yaw)):
@@ -345,14 +347,10 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     pts = cloud.points
     cats = pts[:, 3].astype(np.int64)
     _check_category_ids(cats, smap.num_categories)
-    px, py = pts[:, 0], pts[:, 1]
     z_bin = np.floor(pts[:, 2] / HEIGHT_BIN)
-    ox, oy = smap.origin
-    half_extent = (smap.m // 2) * smap.cell_size
-    keep = ((0 <= z_bin) & (z_bin < int(max_height / HEIGHT_BIN))
-            & (ox - half_extent <= px) & (px < ox + half_extent)
-            & (oy - half_extent <= py) & (py < oy + half_extent))
-    rows, cols = smap.world_to_cell(px[keep], py[keep])
+    rows, cols, on_grid = _cell_of(pts[:, 0], pts[:, 1], smap.m, smap.cell_size, smap.origin)
+    keep = (0 <= z_bin) & (z_bin < int(max_height / HEIGHT_BIN)) & on_grid
+    rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
     cats = cats[keep]
     explored[rows, cols] = 1
 
@@ -364,8 +362,6 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
         for lab, (rs, cs) in enumerate(slices, start=1):
             bbox = (frame_index, (rs.start, cs.start, rs.stop - 1, cs.stop - 1))
             detections.append(Detection(bbox=bbox, class_id=cat, cells=labels == lab))
-        channel = smap.grid[cat]
-        channel[mask & (channel == 0)] = PRESENCE_MARK
     return detections
 
 
@@ -374,12 +370,11 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
            max_height: float = MappingConfig.max_point_height) -> list:
     """Project a frame, then match-or-create instances for its detections.
 
-    Returns the instance ids touched, one per detection in processing order. The
-    category channels become the memory's owner channels (ValueError if it has others).
+    Returns the instance ids touched, one per detection in processing order.
+    ``memory`` must be built on ``smap`` (ValueError otherwise).
     """
-    for class_id in range(smap.num_categories):
-        if memory.owners.setdefault(class_id, smap.grid[class_id]).base is not smap.grid:
-            raise ValueError("instance memory is bound to another map")
+    if memory.smap is not smap:
+        raise ValueError("instance memory is built on another map")
     detections = project_frame(smap, frame.cloud, frame.pose, frame.index,
                                sensor_range, max_height)
     touched_ids = []

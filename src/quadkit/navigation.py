@@ -98,8 +98,6 @@ class ArrivalField:
     not freeze, hold +inf."""
 
     times: np.ndarray
-    goal: tuple
-    cell_size: float
 
     def to_csv(self, path):
         np.savetxt(path, self.times, fmt="%.6f", delimiter=",")
@@ -202,7 +200,7 @@ def _check_cell(cell: tuple, shape: tuple, what: str):
 def _check_passable(costmap: CostMap, cell: tuple, what: str):
     """Raise ValueError unless ``cell`` is a passable cell of the grid."""
     _check_cell(cell, costmap.costs.shape, what)
-    if costmap.obstacle_mask[cell[0], cell[1]]:
+    if costmap.costs[cell[0], cell[1]] >= 1.0:  # as ``obstacle_mask`` has it (NaN passable)
         raise ValueError(f"{what} cell {cell} is impassable")
 
 
@@ -301,7 +299,7 @@ def fmm_solve(costmap: CostMap, goal: tuple,
     field = np.frombuffer(times).reshape(m + 2, w)[1:-1, 1:-1]
     frozen = np.frombuffer(blocked, dtype=np.uint8, count=size).reshape(m + 2, w)[1:-1, 1:-1]
     np.copyto(field, inf, where=frozen == 0)
-    return ArrivalField(times=field, goal=goal, cell_size=costmap.cell_size)
+    return ArrivalField(times=field)
 
 
 def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
@@ -409,11 +407,12 @@ def instance_centroid(mask: np.ndarray) -> tuple:
     return (round(int(rows.sum()) / rows.size), round(int(cols.sum()) / cols.size))
 
 
-def global_goal(goal, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,
-                start: tuple, speed_floor: float = NavConfig.speed_floor) -> tuple:
+def global_goal(goal, memory: InstanceMemory, costmap: CostMap, start: tuple,
+                speed_floor: float = NavConfig.speed_floor) -> tuple:
     """Memory lookup first: exact category-name match (or a direct instance id)
     returns the instance's centroid snapped to a passable cell; otherwise the
-    nearest frontier."""
+    nearest frontier of the memory's map."""
+    smap = memory.smap
     if not smap.explored_mask().any():
         raise ValueError("map has no explored cells")
     if isinstance(goal, int):
@@ -421,15 +420,14 @@ def global_goal(goal, memory: InstanceMemory, smap: SemanticMap, costmap: CostMa
             raise ValueError(f"no instance with id {goal}")
         record = memory.instances[goal]
     else:
-        record = memory.first_named(smap.categories, goal)
+        record = memory.first_named(goal)
     if record is None:
         return frontier_goal(smap, costmap, start, speed_floor)
     return snap_to_free(costmap, instance_centroid(record.cells))
 
 
-def plan_to_target(target, memory: InstanceMemory, smap: SemanticMap, costmap: CostMap,
-                   start: tuple, initial_yaw: float = 0.0,
-                   speed_floor: float = NavConfig.speed_floor,
+def plan_to_target(target, memory: InstanceMemory, costmap: CostMap, start: tuple,
+                   initial_yaw: float = 0.0, speed_floor: float = NavConfig.speed_floor,
                    full_field: bool = False) -> tuple:
     """Global goal, its arrival field, and the descent path from ``start``.
 
@@ -441,7 +439,7 @@ def plan_to_target(target, memory: InstanceMemory, smap: SemanticMap, costmap: C
     """
     goal = field = None
     try:
-        goal = global_goal(target, memory, smap, costmap, start, speed_floor)
+        goal = global_goal(target, memory, costmap, start, speed_floor)
         stop_at = None
         if not full_field:
             stop_at = np.zeros(costmap.costs.shape, dtype=bool)
@@ -455,12 +453,11 @@ def plan_to_target(target, memory: InstanceMemory, smap: SemanticMap, costmap: C
     return goal, field, plan, None
 
 
-def distance_to_instance(memory: InstanceMemory, smap: SemanticMap, name: str,
-                         point: tuple) -> float | None:
+def distance_to_instance(memory: InstanceMemory, name: str, point: tuple) -> float | None:
     """Metres from a world point to the centroid of the lowest-id ``name``
     instance; None when memory holds no such instance."""
-    record = memory.first_named(smap.categories, name)
+    record = memory.first_named(name)
     if record is None:
         return None
-    cx, cy = smap.cell_to_world(*instance_centroid(record.cells))
+    cx, cy = memory.smap.cell_to_world(*instance_centroid(record.cells))
     return math.hypot(point[0] - cx, point[1] - cy)

@@ -105,7 +105,7 @@ class World:
         self.cfg = cfg or ToolkitConfig()
         self.scene = scene
         self.smap = scene.build_map()
-        self.memory = InstanceMemory(p=self.cfg.mapping.dilation_p)
+        self.memory = InstanceMemory(self.smap, p=self.cfg.mapping.dilation_p)
         self.pose = tuple(scene.start_pose)
         self.state = AgentState()
         self.params = None
@@ -140,10 +140,10 @@ class World:
             self.clock += 1
 
     def has_instance(self, category_name: str) -> bool:
-        return self.memory.first_named(self.smap.categories, category_name) is not None
+        return self.memory.first_named(category_name) is not None
 
     def distance_to(self, category_name: str) -> float | None:
-        return distance_to_instance(self.memory, self.smap, category_name, self.pose)
+        return distance_to_instance(self.memory, category_name, self.pose)
 
     def snapshot_hash(self) -> str:
         digest = hashlib.sha256(self.smap.grid.tobytes())
@@ -178,9 +178,8 @@ def _walk_toward(world: World, assignment, target: str) -> str | None:
     """Plan toward ``target`` on a fresh cost map and walk the path. Returns
     the planning error, or None once the path is walked."""
     costmap = build_cost_map(world.smap, assignment, world.cfg.nav.unexplored_cost)
-    _, _, plan, error = plan_to_target(target, world.memory, world.smap, costmap,
-                                       world.pose_cell(), world.pose[2],
-                                       world.cfg.nav.speed_floor)
+    _, _, plan, error = plan_to_target(target, world.memory, costmap, world.pose_cell(),
+                                       world.pose[2], world.cfg.nav.speed_floor)
     if plan is not None:
         world.walk(plan)
     return error

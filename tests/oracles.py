@@ -474,7 +474,7 @@ def fmm_solve_reference(costmap, goal, speed_floor=NavConfig.speed_floor):
             if new_t < times[nr, nc]:
                 times[nr, nc] = new_t
                 heapq.heappush(heap, (new_t, nr, nc))
-    return ArrivalField(times=times, goal=goal, cell_size=costmap.cell_size)
+    return ArrivalField(times=times)
 
 
 def build_cost_map_reference(smap: SemanticMap, assignment: CostAssignment,

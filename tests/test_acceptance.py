@@ -185,7 +185,7 @@ def test_criterion_5_mapping_vs_projection_and_union_find():
         m = 120
         n_classes = 3
         smap = SemanticMap([f"cat{i}" for i in range(n_classes)], m=m)
-        memory = InstanceMemory(p=2)
+        memory = InstanceMemory(smap, p=2)
         expected_cells = {cls: set() for cls in range(n_classes)}
         all_detections = []
         for i in range(100):
@@ -229,7 +229,7 @@ def test_criterion_6_dilation_and_matching():
             assert cells_of(dilate(mask_of(cells, 40), p)) == chebyshev_dilation(cells, p, 40)
         for trial in range(200):
             p = int(rng.integers(0, 4))
-            memory = InstanceMemory(p=p)
+            memory = InstanceMemory(SemanticMap(["a", "b", "c"], m=40), p=p)
             for _ in range(int(rng.integers(1, 8))):
                 r0 = int(rng.integers(0, 35))
                 c0 = int(rng.integers(0, 35))
@@ -353,7 +353,7 @@ def test_criterion_9_cost_ablation_navigation(tmp_path):
                                       out_dir=str(tmp_path / "no_cost"), no_cost=True)
         scene = load_scene(band_scene)
         smap = scene.build_map()
-        memory = InstanceMemory(p=3)
+        memory = InstanceMemory(smap, p=3)
         for frame in scene.frames:
             ingest(smap, memory, frame)
         band = {(int(r), int(c))

@@ -108,7 +108,7 @@ def test_cmd_plan_band_scene_detours(tmp_path):
     from quadkit.mapping import InstanceMemory, ingest, load_scene
     sc = load_scene(scene)
     smap = sc.build_map()
-    memory = InstanceMemory(3)
+    memory = InstanceMemory(smap, 3)
     for frame in sc.frames:
         ingest(smap, memory, frame)
     band = {tuple(c) for c in zip(*(smap.grid[1] != 0).nonzero())}

@@ -81,7 +81,7 @@ def test_keyword_defaults_read_the_config():
     for fn in (project_frame, ingest):
         assert default(fn, "sensor_range") == cfg.mapping.sensor_range
         assert default(fn, "max_height") == cfg.mapping.max_point_height
-    assert InstanceMemory().p == cfg.mapping.dilation_p
+    assert default(InstanceMemory, "p") == cfg.mapping.dilation_p
     assert default(candidate_grid, "cap") == cfg.lss.candidate_cap
     assert default(candidate_grid, "include_gaits") == cfg.lss.grid_gaits
 

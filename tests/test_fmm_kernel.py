@@ -49,8 +49,6 @@ def assert_matches_reference(cm, goal, speed_floor=0.05):
     assert kernel.times.dtype == np.float64
     assert kernel.times.shape == cm.costs.shape
     assert np.array_equal(kernel.times, reference.times)
-    assert kernel.goal == goal
-    assert kernel.cell_size == cm.cell_size
     return kernel.times
 
 

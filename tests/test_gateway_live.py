@@ -60,7 +60,9 @@ def serve(script):
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    # serve_forever checks for shutdown once per poll interval (0.5 s by default)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
     return server, state
 
 

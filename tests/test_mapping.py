@@ -17,7 +17,6 @@ from oracles import (
 )
 from quadkit.errors import ConfigError
 from quadkit.mapping import (
-    PRESENCE_MARK,
     Detection,
     Frame,
     InstanceMemory,
@@ -105,9 +104,8 @@ def test_project_single_point():
     det = detections[0]
     assert det.class_id == 2
     assert cells_of(det.cells) == frozenset({(250, 260)})
-    channel = smap.grid[2]
-    assert channel[250, 260] == PRESENCE_MARK
-    assert (channel != 0).sum() == 1
+    # projection writes no category channel; ingest's claims are its only writer
+    assert not smap.grid[:smap.num_categories].any()
 
 
 def test_project_ignores_points_above_ceiling():
@@ -130,13 +128,30 @@ def test_project_two_clusters_two_detections():
 @pytest.mark.parametrize("point, message", [
     ((0.0, 0.0, 0.1, 2), "category id 2"),
     ((0.0, 0.0, 5.0, -1), "category id -1"),  # checked before the height filter
-    # inside the extent test, but the cell formula floors to column M
-    ((-0.2000000000000002, 0.0, 0.1, 0), "outside map extent"),
 ])
 def test_project_frame_rejects_bad_points_with_value_error(point, message):
     smap = SemanticMap(["floor", "box"], m=100, cell_size=0.05, origin=(-2.7, 0.0))
     with pytest.raises(ValueError, match=message):
         project_frame(smap, LabeledPointCloud((point,)), (-2.7, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("m, cell_size, origin, x, y", [
+    (5, 1.0, (0.0, 0.0), 2.5, 2.5),  # odd M: the centre of cell (4, 4) is on the map
+    # inside a float extent test, but the cell formula floors to column M
+    (480, 0.05, (-7.77, 0.0), 4.2299999999999995, 0.0),
+    (100, 0.05, (-2.7, 0.0), -0.2000000000000002, 0.0),
+], ids=["odd-m-last-cell", "m480-floors-to-m", "m100-floors-to-m"])
+def test_project_frame_keeps_exactly_the_points_world_to_cell_places(m, cell_size, origin,
+                                                                     x, y):
+    smap = SemanticMap(["floor"], m=m, cell_size=cell_size, origin=origin)
+    detections = project_frame(smap, LabeledPointCloud(((x, y, 0.1, 0),)),
+                               (origin[0], origin[1], 0.0))
+    try:
+        expected = {smap.world_to_cell(x, y)}
+    except ValueError:
+        expected = set()
+    assert set().union(*(cells_of(d.cells) for d in detections)) == expected
+    assert expected <= cells_of(smap.explored_mask())
 
 
 def test_dilate_identity_and_single_cell():
@@ -210,7 +225,7 @@ def test_label_components_dense_full_size_map(density):
 
 
 def test_match_detection_semantics():
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(small_map(), p=2)
     det_a = detection({(10, 10), (10, 11)}, class_id=0)
     assert match_detection(det_a, memory) is None
     iid = memory.create(det_a)
@@ -226,13 +241,13 @@ def test_match_detection_semantics():
 
 
 def test_match_detection_largest_overlap_then_lowest_id():
-    memory = InstanceMemory(p=1)
+    memory = InstanceMemory(small_map(), p=1)
     small = memory.create(detection({(0, 0)}, class_id=0))
     big = memory.create(detection({(5, 5), (5, 6), (5, 7)}, class_id=0))
     probe = detection({(1, 1), (4, 5), (4, 6)}, class_id=0)
     assert match_detection(probe, memory) == big
     # exact tie in overlap -> lowest instance id
-    memory2 = InstanceMemory(p=1)
+    memory2 = InstanceMemory(small_map(), p=1)
     first = memory2.create(detection({(0, 0)}, class_id=0))
     memory2.create(detection({(10, 10)}, class_id=0))
     probe2 = detection({(1, 1), (9, 9)}, class_id=0)
@@ -240,7 +255,7 @@ def test_match_detection_largest_overlap_then_lowest_id():
 
 
 def test_merge_semantics():
-    memory = InstanceMemory(p=1)
+    memory = InstanceMemory(small_map(), p=1)
     iid = memory.create(detection({(5, 5), (5, 6)}, class_id=0, frame=0))
     rec = memory.instances[iid]
     # subset: cells unchanged, views grow by one
@@ -260,7 +275,7 @@ def test_merge_semantics():
 
 def test_create_leaves_owned_cells_with_their_first_owner():
     # Same-class records own disjoint cells, a direct create included.
-    memory = InstanceMemory(p=1)
+    memory = InstanceMemory(small_map(), p=1)
     first = memory.create(detection({(5, 5), (5, 6)}, class_id=0, frame=0))
     second = memory.create(detection({(5, 6), (5, 7)}, class_id=0, frame=1))
     other = memory.create(detection({(5, 6)}, class_id=1, frame=2))
@@ -282,7 +297,7 @@ cell_12 = st.tuples(st.integers(0, 11), st.integers(0, 11))
 def test_instance_memory_equals_cell_set_oracle(p, steps):
     # "match" merges into the matched instance or creates one, as ingest does;
     # "create" and "merge" act directly, overlapping same-class records included.
-    memory, oracle = InstanceMemory(p=p), InstanceMemoryOracle(p, m=12)
+    memory, oracle = InstanceMemory(small_map(m=12), p=p), InstanceMemoryOracle(p, m=12)
     for frame, (cells, class_id, op, pick) in enumerate(steps):
         det = detection(cells, class_id=class_id, frame=frame, m=12)
         matched = match_detection(det, memory)
@@ -303,7 +318,7 @@ def test_instance_memory_equals_cell_set_oracle(p, steps):
 
 def test_instance_records_hold_no_arrays_and_read_the_category_channel():
     smap = small_map()
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     ingest(smap, memory, make_frame([(1.0, 1.0, 0.1, 1), (1.05, 1.0, 0.1, 1),
                                      (-1.0, 1.0, 0.1, 0), (1.0, -1.0, 0.1, 1)]))
     assert len(memory) == 3
@@ -311,25 +326,39 @@ def test_instance_records_hold_no_arrays_and_read_the_category_channel():
         assert not any(isinstance(getattr(rec, f.name), np.ndarray)
                        for f in dataclasses.fields(rec))
         assert np.array_equal(rec.cells, smap.grid[rec.class_id] == rec.instance_id)
-    for class_id, channel in memory.owners.items():
-        assert np.shares_memory(channel, smap.grid[class_id])
 
 
 def test_ingest_rejects_a_memory_bound_to_another_map():
     frame = make_frame([(1.0, 1.0, 0.1, 1)])
-    memory = InstanceMemory(p=2)
-    ingest(small_map(), memory, frame)
+    smap = small_map()
+    memory = InstanceMemory(smap, p=2)
+    other = small_map()
     with pytest.raises(ValueError, match="another map"):
-        ingest(small_map(), memory, frame)
-    standalone = InstanceMemory(p=2)
-    standalone.create(detection({(5, 5)}, class_id=1))
-    with pytest.raises(ValueError, match="another map"):
-        ingest(small_map(), standalone, frame)
+        ingest(other, memory, frame)
+    assert not other.grid.any() and not smap.grid.any() and len(memory) == 0
+    ingest(smap, memory, frame)
+    assert len(memory) == 1
+
+
+@pytest.mark.parametrize("class_id", [-1, 2, 5])
+def test_create_and_merge_reject_a_class_id_outside_the_categories(class_id):
+    # -1 would otherwise index the past-position channel and 2 the explored one
+    smap = small_map()
+    memory = InstanceMemory(smap, p=1)
+    iid = memory.create(detection({(5, 5)}, class_id=0))
+    before = smap.grid.copy()
+    bad = detection({(6, 6)}, class_id=class_id)
+    with pytest.raises(ValueError, match=rf"category id {class_id} outside \[0, 2\)"):
+        memory.create(bad)
+    with pytest.raises(ValueError, match=rf"category id {class_id} outside \[0, 2\)"):
+        merge(iid, bad, memory)
+    assert np.array_equal(smap.grid, before)
+    assert list(memory.instances) == [iid] and memory.instances[iid].views == {(0, (5, 5, 5, 5))}
 
 
 def test_ingest_two_frames_one_instance_two_views():
     smap = small_map()
-    memory = InstanceMemory(p=3)
+    memory = InstanceMemory(smap, p=3)
     points = [(1.0, 1.0, 0.1, 1), (1.05, 1.0, 0.1, 1)]
     ingest(smap, memory, make_frame(points, pose=(0.0, 0.0, 0.0), index=0))
     ingest(smap, memory, make_frame(points, pose=(0.5, 0.5, 0.3), index=1))
@@ -340,7 +369,7 @@ def test_ingest_two_frames_one_instance_two_views():
 
 def test_ingest_chain_merges_to_single_instance():
     smap = small_map()
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     # three same-class blobs, each within dilation reach of the previous
     frames = [
         make_frame([(1.0, 1.0, 0.1, 1)], index=0),
@@ -355,7 +384,7 @@ def test_ingest_chain_merges_to_single_instance():
 
 def test_ingest_disjoint_classes_one_instance_each():
     smap = SemanticMap(["a", "b", "c"], m=100)
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     points = [(1.0, 1.0, 0.1, 0), (-1.0, 1.0, 0.1, 1), (1.0, -1.0, 0.1, 2)]
     ids = ingest(smap, memory, make_frame(points))
     assert len(ids) == 3
@@ -365,7 +394,7 @@ def test_ingest_disjoint_classes_one_instance_each():
 def test_ingest_is_deterministic():
     def run():
         smap = small_map()
-        memory = InstanceMemory(p=2)
+        memory = InstanceMemory(smap, p=2)
         rng = np.random.default_rng(11)
         for i in range(5):
             pts = [(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
@@ -382,7 +411,7 @@ def test_ingest_is_deterministic():
 
 def test_ingest_coverage_matches_union_find_oracle():
     smap = small_map()
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     rng = np.random.default_rng(29)
     all_detections = []
     for i in range(30):
@@ -406,7 +435,7 @@ def test_ingest_coverage_matches_union_find_oracle():
 
 def test_ingest_partition_property():
     smap = small_map()
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     rng = np.random.default_rng(31)
     for i in range(20):
         pts = [(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
@@ -425,6 +454,23 @@ def test_ingest_partition_property():
         assert set(owners) == nonzero
         for cell, iid in owners.items():
             assert channel[cell] == iid
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 15), frames=st.lists(
+    st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.integers(0, 2)),
+             max_size=20),
+    min_size=1, max_size=4))
+def test_ingest_leaves_every_category_cell_to_an_instance_of_its_class(m, frames):
+    # odd M and points off the map (the extent is m * 5 cm) included
+    smap = SemanticMap(["a", "b", "c"], m=m, cell_size=0.05)
+    memory = InstanceMemory(smap, p=1)
+    for i, pts in enumerate(frames):
+        ingest(smap, memory, make_frame([(x, y, 0.1, c) for x, y, c in pts], index=i))
+    for class_id in range(smap.num_categories):
+        ids = {i for i, r in memory.instances.items() if r.class_id == class_id}
+        assert set(np.unique(smap.grid[class_id]).tolist()) - {0} == ids
+    assert all(r.cells.any() for r in memory.instances.values())
 
 
 def test_scene_roundtrip(tmp_path):
@@ -451,7 +497,7 @@ def test_class_coverage_is_order_invariant():
 
     def coverage(order):
         smap = small_map()
-        memory = InstanceMemory(p=2)
+        memory = InstanceMemory(smap, p=2)
         for idx in order:
             ingest(smap, memory, frames[idx])
         return {cls: class_coverage(memory, cls) for cls in (0, 1)}
@@ -526,10 +572,10 @@ def test_load_scene_names_the_file_line_of_a_bad_frame_after_blank_lines(tmp_pat
 
 def test_first_named_returns_lowest_id_instance():
     smap = small_map()
-    memory = InstanceMemory(p=0)
+    memory = InstanceMemory(smap, p=0)
     ingest(smap, memory, make_frame([(1.0, 1.0, 0.1, 1)], index=0))
     ingest(smap, memory, make_frame([(-1.0, -1.0, 0.1, 1)], index=1))
     assert len(memory) == 2
-    assert memory.first_named(smap.categories, smap.categories[1]).instance_id == 1
-    assert memory.first_named(smap.categories, smap.categories[0]) is None
-    assert memory.first_named(smap.categories, "no such category") is None
+    assert memory.first_named(smap.categories[1]).instance_id == 1
+    assert memory.first_named(smap.categories[0]) is None
+    assert memory.first_named("no such category") is None

@@ -415,24 +415,24 @@ def test_frontier_goal_names_a_bad_start_cell():
     with pytest.raises(ValueError, match=r"^start cell \(20, 3\) is outside the 20x20 grid$"):
         frontier_goal(smap, cm, (20, 3))
     # plan_to_target reports the frontier step's message as its error
-    goal, field, plan, error = plan_to_target("chair", InstanceMemory(p=2), smap, cm, (10, 10))
+    goal, field, plan, error = plan_to_target("chair", InstanceMemory(smap, p=2), cm, (10, 10))
     assert (goal, field, plan) == (None, None, None)
     assert error == "start cell (10, 10) is impassable"
 
 
 def test_global_goal_memory_hit_and_snap():
     smap = explored_map(("floor", "chair"), m=40)
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     frame = Frame(index=0, pose=(0.0, 0.0, 0.0),
                   cloud=LabeledPointCloud(((0.5, 0.5, 0.2, 1), (0.55, 0.5, 0.2, 1))))
     ingest(smap, memory, frame)
     cm = uniform_costmap(m=40)
     rec = next(iter(memory.instances.values()))
-    goal = global_goal("chair", memory, smap, cm, (5, 5))
+    goal = global_goal("chair", memory, cm, (5, 5))
     assert goal == instance_centroid(rec.cells)
     # snapped off an obstacle cell
     cm.costs[goal] = 1.0
-    goal2 = global_goal("chair", memory, smap, cm, (5, 5))
+    goal2 = global_goal("chair", memory, cm, (5, 5))
     assert goal2 != goal
     assert not cm.obstacle_mask[goal2]
     assert abs(goal2[0] - goal[0]) <= 1 and abs(goal2[1] - goal[1]) <= 1
@@ -440,23 +440,23 @@ def test_global_goal_memory_hit_and_snap():
 
 def test_global_goal_instance_id_direct():
     smap = explored_map(("floor", "chair"), m=40)
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     ingest(smap, memory, Frame(index=0, pose=(0.0, 0.0, 0.0),
                                cloud=LabeledPointCloud(((0.5, 0.5, 0.2, 1),))))
     cm = uniform_costmap(m=40)
     iid = next(iter(memory.instances))
-    goal = global_goal(iid, memory, smap, cm, (5, 5))
+    goal = global_goal(iid, memory, cm, (5, 5))
     assert goal == instance_centroid(memory.instances[iid].cells)
     with pytest.raises(ValueError):
-        global_goal(999, memory, smap, cm, (5, 5))
+        global_goal(999, memory, cm, (5, 5))
 
 
 def test_global_goal_falls_back_to_frontier():
     smap = SemanticMap(["floor", "chair"], m=20)
     smap.grid[smap.explored_channel][5:15, 5:15] = 1
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     cm = uniform_costmap(m=20)
-    goal = global_goal("chair", memory, smap, cm, (10, 10))
+    goal = global_goal("chair", memory, cm, (10, 10))
     assert goal in cells_of(frontier_cells(smap, cm))
 
 
@@ -464,7 +464,7 @@ def test_global_goal_requires_explored_cells():
     smap = SemanticMap(["floor"], m=10)
     cm = uniform_costmap(m=10)
     with pytest.raises(ValueError):
-        global_goal("floor", InstanceMemory(2), smap, cm, (5, 5))
+        global_goal("floor", InstanceMemory(smap, 2), cm, (5, 5))
 
 
 def test_snap_to_free_prefers_nearest_then_lexicographic():
@@ -567,7 +567,7 @@ def test_instance_centroid_returns_python_ints():
 
 def test_global_goal_id_lookup_ignores_category_duplicates():
     smap = explored_map(("floor", "chair"), m=60)
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     # two chair instances far apart
     ingest(smap, memory, Frame(index=0, pose=(0.0, 0.0, 0.0),
                                cloud=LabeledPointCloud(((1.0, 1.0, 0.2, 1),))))
@@ -576,20 +576,20 @@ def test_global_goal_id_lookup_ignores_category_duplicates():
     assert len(memory) == 2
     cm = uniform_costmap(m=60)
     first, second = sorted(memory.instances)
-    by_name = global_goal("chair", memory, smap, cm, (30, 30))
+    by_name = global_goal("chair", memory, cm, (30, 30))
     assert by_name == instance_centroid(memory.instances[first].cells)
-    by_id = global_goal(second, memory, smap, cm, (30, 30))
+    by_id = global_goal(second, memory, cm, (30, 30))
     assert by_id == instance_centroid(memory.instances[second].cells)
     assert by_id != by_name
 
 
 def test_plan_to_target_reports_the_failing_step():
     smap = explored_map(("floor", "chair"), m=40)
-    memory = InstanceMemory(p=2)
+    memory = InstanceMemory(smap, p=2)
     ingest(smap, memory, Frame(index=0, pose=(0.0, 0.0, 0.0),
                                cloud=LabeledPointCloud(((0.5, 0.5, 0.2, 1),))))
     cm = uniform_costmap(m=40)
-    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (5, 5))
+    goal, field, plan, error = plan_to_target("chair", memory, cm, (5, 5))
     assert error is None
     assert goal == instance_centroid(next(iter(memory.instances.values())).cells)
     assert plan.cells[0] == (5, 5) and plan.cells[-1] == goal
@@ -597,14 +597,14 @@ def test_plan_to_target_reports_the_failing_step():
     # wall the start in: the field exists, the path does not
     cm.costs[3:8, 3:8] = 1.0
     cm.costs[5, 5] = 0.0
-    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (5, 5))
+    goal, field, plan, error = plan_to_target("chair", memory, cm, (5, 5))
     assert goal is not None and field is not None and plan is None
     assert "cannot reach" in error
     # a start outside the grid fails at the path step instead of wrapping
-    goal, field, plan, error = plan_to_target("chair", memory, smap, cm, (-1, 5))
+    goal, field, plan, error = plan_to_target("chair", memory, cm, (-1, 5))
     assert field is not None and plan is None
     assert error == "start cell (-1, 5) is outside the 40x40 grid"
     # no goal at all: a fully explored map without the category has no frontier
-    goal, field, plan, error = plan_to_target("sofa", memory, smap, cm, (5, 5))
+    goal, field, plan, error = plan_to_target("sofa", memory, cm, (5, 5))
     assert (goal, field, plan) == (None, None, None)
     assert "no frontier" in error
