@@ -20,9 +20,10 @@ smap = scene.build_map()
 memory = InstanceMemory(smap, p=3)
 for frame in scene.frames:
     ingest(smap, memory, frame)
-print(f"map: {smap.k} channels of {smap.m}x{smap.m} cells "
-      f"({smap.m * smap.cell_size:.0f} m per side)")
-print(f"explored cells: {int(smap.explored_mask().sum())}")
+print(f"map: {smap.num_categories} category channels of {smap.m}x{smap.m} cells "
+      f"({smap.m * smap.cell_size:.0f} m per side), explored and visited masks and a "
+      f"pose cell; hashed as a {len(list(smap.image_planes()))}-plane int32 image")
+print(f"explored cells: {int(smap.explored.sum())}")
 for iid, rec in memory.instances.items():
     print(f"  instance {iid}: class '{scene.categories[rec.class_id]}', "
           f"{np.count_nonzero(rec.cells)} cells, {len(rec.views)} views")

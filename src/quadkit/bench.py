@@ -123,11 +123,11 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     emits the arrival field for diagnosis.
     """
     cfg = load_config(config_path)
-    scene = load_scene(scene_path)
+    # No reference to the scene is kept, so each frame is freed once ingested.
+    world = World(load_scene(scene_path), cfg, root_seed=seed)
     gateway = make_gateway(provider, transcript)
     _prepare(out_dir)
 
-    world = World(scene, cfg, root_seed=seed)
     world.ingest_pending()
     smap, memory = world.smap, world.memory
 
@@ -187,10 +187,11 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
     instruction = scenario.get("instruction", "").strip()
     if not instruction or "scene" not in scenario:
         raise ConfigError(f"scenario {scenario_path} needs 'instruction' and 'scene'")
-    scene = load_scene(os.path.join(base, scenario["scene"]))
     cfg = load_config(config_path)
     if "config" in scenario:
         apply_config_data(cfg, scenario["config"], f"scenario {scenario_path} config")
+    # No reference to the scene is kept, so each frame is freed once ingested.
+    world = World(load_scene(os.path.join(base, scenario["scene"])), cfg, root_seed=seed)
     if transcript is None and provider == "scripted":
         if "transcript" not in scenario:
             raise ConfigError(f"scenario {scenario_path} names no transcript")
@@ -198,7 +199,6 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
     gateway = make_gateway(provider, transcript)
     _prepare(out_dir)
 
-    world = World(scene, cfg, root_seed=seed)
     plan = decompose(instruction, SKILLS, gateway)
     trace = execute(plan, world, gateway)
     trace.to_jsonl(os.path.join(out_dir, "trace.jsonl"))

@@ -1,22 +1,30 @@
 """Top-down semantic instance map and cross-frame instance memory.
 
-The map is a (C + 3) x M x M integer grid at 5 cm cells: C category channels
-holding owning instance ids per cell, then explored, current-position, and
-past-position channels. Labeled points are binned into cells (5 cm height
-bins up to a 2 m ceiling, then summed vertically), connected components per
-category become detections, and detections merge into persistent instance
-records via dilation-overlap matching. Detections and their dilations are M x M
-boolean masks; an instance memory is built on one map, and an instance's cells
-are the cells of its category channel holding its id.
+The map holds, at 5 cm cells, a (C, M, M) int32 owner grid (one channel per
+category, each cell holding its owning instance id or 0), a bool mask of
+explored cells, a bool mask of visited (past-position) cells, and the current
+pose cell. Its canonical image, which map hashes read, is the (C + 3) x M x M
+int32 grid of the category channels followed by the explored,
+current-position and past-position planes of 0/1. Labeled points are binned
+into cells (5 cm height bins up to a 2 m ceiling, then summed vertically),
+connected components per category become detections, and detections merge
+into persistent instance records via dilation-overlap matching. A detection is
+its bounding box plus the bool crop of its cells inside it; matching dilates
+that crop in the box padded by the dilation radius. An instance memory is
+built on one map, and an instance's cells are the cells of its category
+channel holding its id.
 
 The module is numpy only: square dilations are shifted ORs, and the 8-connected
-component labeling is a union-find over the set cells (``_label_components``).
+component labeling is a union-find over row runs of set cells
+(``_label_components``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +73,33 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One connected same-category component of a frame's projected cells."""
+    """One connected same-category component of a frame's projected cells:
+    its inclusive bounding box on the map and the bool crop of the component's
+    cells inside that box. A crop whose shape is not the box's raises
+    ValueError."""
 
-    bbox: tuple  # (frame_index, (r0, c0, r1, c1))
+    bbox: tuple  # (frame_index, (r0, c0, r1, c1)), inclusive
     class_id: int
-    cells: np.ndarray  # (M, M) bool
+    cells: np.ndarray  # (r1 - r0 + 1, c1 - c0 + 1) bool
+
+    def __post_init__(self):
+        r0, c0, r1, c1 = self.bbox[1]
+        if np.shape(self.cells) != (r1 - r0 + 1, c1 - c0 + 1):
+            raise ValueError(f"cells of shape {np.shape(self.cells)} do not crop "
+                             f"the bbox {self.bbox[1]}")
+
+    @property
+    def window(self) -> tuple:
+        """The bbox as a (row_slice, col_slice) of the map."""
+        r0, c0, r1, c1 = self.bbox[1]
+        return slice(r0, r1 + 1), slice(c0, c1 + 1)
+
+    def nonzero(self) -> tuple:
+        """Map (rows, cols) of the cells, so that ``np.nonzero`` of a detection
+        equals ``np.nonzero`` of its full-grid mask."""
+        rows, cols = self.cells.nonzero()
+        r0, c0 = self.bbox[1][:2]
+        return rows + r0, cols + c0
 
 
 @dataclass
@@ -85,7 +115,10 @@ class InstanceRecord:
 
 
 class SemanticMap:
-    """K x M x M integer grid with K = C + 3 channels."""
+    """An M x M map: ``grid`` is the (C, M, M) int32 owner grid, ``explored``
+    and ``visited`` are (M, M) bool masks, and ``current_cell`` is the pose cell
+    (None until ``mark_pose``). ``image_planes`` yields the canonical
+    (C + 3) x M x M int32 image."""
 
     def __init__(self, categories, m: int = 480, cell_size: float = 0.05,
                  origin: tuple = (0.0, 0.0)):
@@ -95,27 +128,14 @@ class SemanticMap:
         self.m = int(m)
         self.cell_size = float(cell_size)
         self.origin = (float(origin[0]), float(origin[1]))
-        self.grid = np.zeros((len(self.categories) + 3, self.m, self.m), dtype=np.int32)
+        self.grid = np.zeros((len(self.categories), self.m, self.m), dtype=np.int32)
+        self.explored = np.zeros((self.m, self.m), dtype=bool)
+        self.visited = np.zeros((self.m, self.m), dtype=bool)
+        self.current_cell = None
 
     @property
     def num_categories(self) -> int:
         return len(self.categories)
-
-    @property
-    def k(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def explored_channel(self) -> int:
-        return self.num_categories
-
-    @property
-    def current_pos_channel(self) -> int:
-        return self.num_categories + 1
-
-    @property
-    def past_pos_channel(self) -> int:
-        return self.num_categories + 2
 
     def world_to_cell(self, x, y) -> tuple:
         return world_to_cell(x, y, self.m, self.cell_size, self.origin)
@@ -123,15 +143,28 @@ class SemanticMap:
     def cell_to_world(self, row: int, col: int) -> tuple:
         return cell_to_world(row, col, self.m, self.cell_size, self.origin)
 
-    def explored_mask(self) -> np.ndarray:
-        return self.grid[self.explored_channel] != 0
-
     def mark_pose(self, row: int, col: int):
-        cur = self.grid[self.current_pos_channel]
-        cur[:] = 0
-        cur[row, col] = 1
-        self.grid[self.past_pos_channel][row, col] = 1
-        self.grid[self.explored_channel][row, col] = 1
+        """Make (row, col) the current cell, and mark it visited and explored.
+        A cell off the grid raises ValueError."""
+        row, col = operator.index(row), operator.index(col)
+        if not (0 <= row < self.m and 0 <= col < self.m):
+            raise ValueError(f"pose cell ({row}, {col}) is outside the "
+                             f"{self.m}x{self.m} grid")
+        self.current_cell = (row, col)
+        self.visited[row, col] = True
+        self.explored[row, col] = True
+
+    def image_planes(self):
+        """The canonical (C + 3) x M x M int32 image, one (M, M) plane at a
+        time: the category channels, then the explored, current-position and
+        past-position planes."""
+        yield from self.grid
+        yield self.explored.astype(np.int32)
+        current = np.zeros((self.m, self.m), dtype=np.int32)
+        if self.current_cell is not None:
+            current[self.current_cell] = 1
+        yield current
+        yield self.visited.astype(np.int32)
 
 
 class InstanceMemory:
@@ -139,6 +172,8 @@ class InstanceMemory:
     channels are the only record of which instance owns a cell."""
 
     def __init__(self, smap: SemanticMap, p: int = MappingConfig.dilation_p):
+        if p < 0:
+            raise ValueError("dilation radius must be >= 0")
         self.smap = smap
         self.p = int(p)
         self.instances: dict = {}
@@ -156,13 +191,14 @@ class InstanceMemory:
         self._claim(iid, detection)
         return iid
 
-    def _claim(self, instance_id: int, detection: Detection) -> np.ndarray:
-        """Give the instance the detection's unowned cells; returns their mask."""
-        channel = self.smap.grid[detection.class_id]
-        new_cells = detection.cells & (channel == 0)
-        channel[new_cells] = instance_id
+    def _claim(self, instance_id: int, detection: Detection) -> Detection:
+        """Give the instance the detection's unowned cells; returns them as a
+        detection over the same bbox."""
+        owners = self.smap.grid[detection.class_id][detection.window]
+        new_cells = detection.cells & (owners == 0)
+        owners[new_cells] = instance_id
         self.instances[instance_id].views.add(detection.bbox)
-        return new_cells
+        return dataclasses.replace(detection, cells=new_cells)
 
     def first_named(self, name: str):
         """Lowest-id (first: ids only grow) instance of the category ``name``, or None."""
@@ -238,38 +274,40 @@ def _label_components(mask: np.ndarray) -> tuple:
     the raster order of their first cell (0 off the mask), and one
     ``(row_slice, col_slice)`` bounding box per label.
 
-    Hook-and-compress union-find (Shiloach & Vishkin 1982) over the set cells
-    only. Each set cell is joined to its E, SW, S and SE neighbours; the larger
-    root of every unjoined pair is hooked onto the smaller and pointers are
-    jumped to a fixed point, until every pair shares a root. A root never
-    points lower than itself, so it ends as its component's first cell. The
-    work grows with the set cells and the number of rounds: the sparse masks
-    of the bundled scenes label as fast as with ``ndimage`` or faster, but a
-    dense random 480 x 480 mask is slower (50% set: about 50 ms against 9 ms
-    on a 2-vCPU Xeon).
+    Hook-and-compress union-find (Shiloach & Vishkin 1982) over the row runs
+    of set cells. A run joins each run of the row above that it touches
+    8-connectedly: a contiguous range of the raster-sorted runs, found by two
+    binary searches. The larger root of every unjoined pair is hooked onto the
+    smaller and pointers are jumped to a fixed point, until every pair shares
+    a root. A root never points lower than itself, so it ends as its
+    component's first run. Labels are written by a cumulative sum of +label
+    at each run's start and -label just past its end. The work grows with the
+    runs, not the set cells: a dense block is a few runs per row.
     """
     h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    stride = w + 2  # padded by one cell, so no neighbour wraps or leaves the grid
+    stride = w + 2  # padded by one cell, so no run wraps or leaves the grid
     padded = np.zeros((h + 2, stride), dtype=bool)
     padded[1:-1, 1:-1] = mask
     flat = padded.ravel()
-    cells = np.flatnonzero(flat)  # ascending, so a cell's position is its raster rank
-    if cells.size == 0:
-        return labels, []
-    firsts, seconds = [], []  # positions in ``cells`` of each joined pair's ends
-    for offset in (1, stride - 1, stride, stride + 1):  # E, SW, S, SE
-        both = flat[cells + offset]
-        firsts.append(np.flatnonzero(both))
-        seconds.append(np.searchsorted(cells, cells[both] + offset))
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
-    parent = np.arange(cells.size)
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1  # flat starts and ends unset
+    starts, stops = edges[0::2], edges[1::2]  # each run is flat[start:stop]
+    if starts.size == 0:
+        return np.zeros((h, w), dtype=np.int32), []
+    runs = np.arange(starts.size)
+    # The runs a run touches in the row above: from the first one ending at or
+    # after its first cell's up-left neighbour to the last one starting at or
+    # before its last cell's up-right neighbour.
+    lo = np.searchsorted(stops, starts - stride - 1, side="right")
+    counts = np.searchsorted(starts, stops - stride + 1) - lo
+    lower = np.repeat(runs, counts)
+    upper = np.arange(lower.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    parent = runs.copy()
     while True:
-        root_a, root_b = parent[first], parent[second]
+        root_a, root_b = parent[upper], parent[lower]
         apart = root_a != root_b
         if not apart.any():
             break
-        first, second = first[apart], second[apart]  # a joined pair stays joined
+        upper, lower = upper[apart], lower[apart]  # a joined pair stays joined
         root_a, root_b = root_a[apart], root_b[apart]
         np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
         while True:
@@ -278,18 +316,22 @@ def _label_components(mask: np.ndarray) -> tuple:
                 break
             parent = jumped
     # roots rank in raster order, which is ndimage's numbering
-    rank = np.cumsum(parent == np.arange(cells.size), dtype=np.int32)
-    cell_labels = rank[parent]
-    rows, cols = cells // stride - 1, cells % stride - 1
-    labels[rows, cols] = cell_labels
+    rank = np.cumsum(parent == runs, dtype=np.int32)
+    run_labels = rank[parent]
+    marks = np.zeros(flat.size, dtype=np.int32)
+    marks[starts] = run_labels
+    marks[stops] = -run_labels
+    np.cumsum(marks, out=marks)
+    labels = marks.reshape(h + 2, stride)[1:-1, 1:-1].copy()
     k = int(rank[-1])
-    index = cell_labels - 1
+    index = run_labels - 1
+    rows, first_cols, last_cols = starts // stride - 1, starts % stride - 1, stops % stride - 2
     r0, c0 = np.full(k, h), np.full(k, w)
     r1, c1 = np.full(k, -1), np.full(k, -1)
     np.minimum.at(r0, index, rows)
-    np.minimum.at(c0, index, cols)
+    np.minimum.at(c0, index, first_cols)
     np.maximum.at(r1, index, rows)
-    np.maximum.at(c1, index, cols)
+    np.maximum.at(c1, index, last_cols)
     slices = [(slice(a, b + 1), slice(c, d + 1))
               for a, c, b, d in zip(r0.tolist(), c0.tolist(), r1.tolist(), c1.tolist())]
     return labels, slices
@@ -298,16 +340,27 @@ def _label_components(mask: np.ndarray) -> tuple:
 def match_detection(detection: Detection, memory: InstanceMemory) -> int | None:
     """Instance with equal class and maximal overlap with the detection's cells
     dilated by ``memory.p``; ties resolve to the lowest instance id. None when
-    nothing overlaps."""
-    ids = memory.smap.grid[detection.class_id][dilate(detection.cells, memory.p)]
+    nothing overlaps. A class id outside [0, C) raises ValueError.
+
+    The dilation is taken in the detection's bbox padded by ``p`` and clipped
+    to the grid, which holds every cell the full-grid dilation reaches."""
+    smap, p = memory.smap, memory.p
+    _check_category_ids(np.array([detection.class_id]), smap.num_categories)
+    rows, cols = detection.window
+    top, left = max(rows.start - p, 0), max(cols.start - p, 0)
+    bottom, right = min(rows.stop + p, smap.m), min(cols.stop + p, smap.m)
+    padded = np.zeros((bottom - top, right - left), dtype=bool)
+    padded[rows.start - top:rows.stop - top, cols.start - left:cols.stop - left] = (
+        detection.cells)
+    ids = smap.grid[detection.class_id][top:bottom, left:right][dilate(padded, p)]
     ids = ids[ids > 0]
     return int(np.bincount(ids).argmax()) if ids.size else None
 
 
-def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> np.ndarray:
-    """Union the detection into an instance; returns the newly owned cells' mask.
-    Cells another same-class instance owns stay with that first owner, so class
-    coverage remains a partition."""
+def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> Detection:
+    """Union the detection into an instance; returns the newly owned cells as a
+    detection over the same bbox. Cells another same-class instance owns stay
+    with that first owner, so class coverage remains a partition."""
     _check_category_ids(np.array([detection.class_id]), memory.smap.num_categories)
     rec = memory.instances[instance_id]
     if rec.class_id != detection.class_id:
@@ -315,6 +368,21 @@ def merge(instance_id: int, detection: Detection, memory: InstanceMemory) -> np.
             f"class mismatch: instance {instance_id} has class {rec.class_id}, "
             f"detection has {detection.class_id}")
     return memory._claim(instance_id, detection)
+
+
+def _kept_cells(smap: SemanticMap, points: np.ndarray, max_height: float) -> tuple:
+    """(rows, cols, category ids), as int64 arrays, of the points whose 5 cm
+    height bin lies below the ceiling's and whose cell is on the grid. A
+    category id outside [0, C) raises ValueError."""
+    _check_category_ids(points[:, 3], smap.num_categories)
+    # floor(z / HEIGHT_BIN) >= 0 exactly when z >= 0
+    keep = (points[:, 2] >= 0) & (np.floor(points[:, 2] / HEIGHT_BIN)
+                                  < int(max_height / HEIGHT_BIN))
+    rows, cols, on_grid = _cell_of(points[:, 0], points[:, 1], smap.m, smap.cell_size,
+                                   smap.origin)
+    keep &= on_grid
+    return (rows[keep].astype(np.int64), cols[keep].astype(np.int64),
+            points[keep, 3].astype(np.int64))
 
 
 def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
@@ -325,8 +393,10 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     Points are binned into (cell, 5 cm height bin, category) voxels up to the
     height ceiling and summed vertically, marking category presence per cell.
     Points whose cell is off the grid are dropped. Cells inside the sensor disk
-    and all point cells become explored. The category channels are left to
-    ``ingest``, which writes each cell's owning instance id.
+    and all point cells become explored. Each category is labeled inside the
+    bounding box of the kept point cells, and each detection crops its own
+    bbox. The category channels are left to ``ingest``, which writes each
+    cell's owning instance id.
     """
     x, y, yaw = pose
     if not all(math.isfinite(v) for v in (x, y, yaw)):
@@ -334,34 +404,35 @@ def project_frame(smap: SemanticMap, cloud: LabeledPointCloud, pose: tuple,
     pr, pc = smap.world_to_cell(x, y)
     smap.mark_pose(pr, pc)
 
-    explored = smap.grid[smap.explored_channel]
     radius_cells = int(sensor_range / smap.cell_size)
     r0 = max(0, pr - radius_cells)
     r1 = min(smap.m, pr + radius_cells + 1)
     c0 = max(0, pc - radius_cells)
     c1 = min(smap.m, pc + radius_cells + 1)
-    disk_rows, disk_cols = np.mgrid[r0:r1, c0:c1]
+    disk_rows, disk_cols = np.ogrid[r0:r1, c0:c1]
     disk = (disk_rows - pr) ** 2 + (disk_cols - pc) ** 2 <= radius_cells ** 2
-    explored[r0:r1, c0:c1][disk] = 1
+    smap.explored[r0:r1, c0:c1] |= disk
 
-    pts = cloud.points
-    cats = pts[:, 3].astype(np.int64)
-    _check_category_ids(cats, smap.num_categories)
-    z_bin = np.floor(pts[:, 2] / HEIGHT_BIN)
-    rows, cols, on_grid = _cell_of(pts[:, 0], pts[:, 1], smap.m, smap.cell_size, smap.origin)
-    keep = (0 <= z_bin) & (z_bin < int(max_height / HEIGHT_BIN)) & on_grid
-    rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
-    cats = cats[keep]
-    explored[rows, cols] = 1
+    rows, cols, cats = _kept_cells(smap, cloud.points, max_height)
+    smap.explored[rows, cols] = True
+    if not rows.size:
+        return []
 
+    # Labeling in the points' bbox gives the full grid's components, in the
+    # same raster order, shifted by the box's corner.
+    top, left = int(rows.min()), int(cols.min())
+    rows -= top
+    cols -= left
+    box = (int(rows.max()) + 1, int(cols.max()) + 1)
     detections = []
     for cat in np.unique(cats).tolist():
-        mask = np.zeros((smap.m, smap.m), dtype=bool)
+        mask = np.zeros(box, dtype=bool)
         mask[rows[cats == cat], cols[cats == cat]] = True
         labels, slices = _label_components(mask)
         for lab, (rs, cs) in enumerate(slices, start=1):
-            bbox = (frame_index, (rs.start, cs.start, rs.stop - 1, cs.stop - 1))
-            detections.append(Detection(bbox=bbox, class_id=cat, cells=labels == lab))
+            bbox = (frame_index, (top + rs.start, left + cs.start,
+                                  top + rs.stop - 1, left + cs.stop - 1))
+            detections.append(Detection(bbox=bbox, class_id=cat, cells=labels[rs, cs] == lab))
     return detections
 
 

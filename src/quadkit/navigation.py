@@ -168,7 +168,7 @@ def build_cost_map(smap: SemanticMap, assignment: CostAssignment,
     A cell's gait follows its dominant (highest-cost) category, the first
     channel winning ties: the categories are visited by (cost descending,
     channel) and each sets the gait of the cells no earlier one settled."""
-    costs = np.where(smap.explored_mask(), 0.0, unexplored_cost)
+    costs = np.where(smap.explored, 0.0, unexplored_cost)
     gait = np.zeros((smap.m, smap.m), dtype=np.int8)
     settled = np.zeros((smap.m, smap.m), dtype=bool)
     present = np.empty((smap.m, smap.m), dtype=bool)
@@ -347,7 +347,7 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
 
 def frontier_cells(smap: SemanticMap, costmap: CostMap) -> np.ndarray:
     """Mask of the explored, passable cells 8-adjacent to unexplored space."""
-    explored = smap.explored_mask()
+    explored = smap.explored
     near_unknown = _square_dilation(~explored, 1)  # not dilate: its calls count instance matches
     return explored & near_unknown & ~costmap.obstacle_mask
 
@@ -413,7 +413,7 @@ def global_goal(goal, memory: InstanceMemory, costmap: CostMap, start: tuple,
     returns the instance's centroid snapped to a passable cell; otherwise the
     nearest frontier of the memory's map."""
     smap = memory.smap
-    if not smap.explored_mask().any():
+    if not smap.explored.any():
         raise ValueError("map has no explored cells")
     if isinstance(goal, int):
         if goal not in memory.instances:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .adaptation import locate_simulate_select
@@ -99,11 +100,14 @@ class ExecutionTrace:
 
 
 class World:
-    """Mutable episode state: map, memory, agent pose/state, pending frames."""
+    """Mutable episode state: map, memory, agent pose/state, pending frames.
+
+    The world keeps only the scene's frames it has not ingested yet, so a
+    frame (and its points) is freed once ingested unless the caller still
+    holds the scene."""
 
     def __init__(self, scene: Scene, cfg: ToolkitConfig | None = None, root_seed: int = 0):
         self.cfg = cfg or ToolkitConfig()
-        self.scene = scene
         self.smap = scene.build_map()
         self.memory = InstanceMemory(self.smap, p=self.cfg.mapping.dilation_p)
         self.pose = tuple(scene.start_pose)
@@ -111,18 +115,17 @@ class World:
         self.params = None
         self.clock = 0
         self.root_seed = root_seed
-        self._next_frame = 0
+        self._pending = deque(scene.frames)
         self._frame_counter = len(scene.frames)
 
     def pose_cell(self) -> tuple:
         return self.smap.world_to_cell(self.pose[0], self.pose[1])
 
     def ingest_pending(self):
-        while self._next_frame < len(self.scene.frames):
-            frame = self.scene.frames[self._next_frame]
-            ingest(self.smap, self.memory, frame,
+        while self._pending:
+            ingest(self.smap, self.memory, self._pending[0],
                    self.cfg.mapping.sensor_range, self.cfg.mapping.max_point_height)
-            self._next_frame += 1
+            self._pending.popleft()
 
     def observe_here(self):
         """Pose-only observation: extends explored space, detects nothing."""
@@ -146,7 +149,9 @@ class World:
         return distance_to_instance(self.memory, category_name, self.pose)
 
     def snapshot_hash(self) -> str:
-        digest = hashlib.sha256(self.smap.grid.tobytes())
+        digest = hashlib.sha256()  # the canonical (C + 3) x M x M int32 map image
+        for plane in self.smap.image_planes():
+            digest.update(plane)
         # nonzero() is row-major, i.e. sorted; tolist() keeps numpy reprs out of the text.
         digest.update(str(sorted(
             (i, r.class_id, tuple(zip(*(a.tolist() for a in r.cells.nonzero()))))

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 from quadkit.gateway import Gateway, ScriptedProvider
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# One float64 grid of the 480 x 480 map the memory guards use, in bytes.
+GRID_480 = 480 * 480 * 8
 
 
 def fixture_text(name: str) -> str:
@@ -22,6 +26,19 @@ def make_gateway(entries, log_path=None) -> Gateway:
     """
     records = [{"template_id": t, "response": r} for t, r in entries]
     return Gateway(ScriptedProvider(records), log_path=log_path)
+
+
+def traced_peak_over_entry(fn):
+    """``fn()`` and the most memory it held at once above what it started with."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - entry
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from quadkit.adaptation import (
     locate_ranges,
     manual_params,
 )
-from quadkit.config import NavConfig, derive_seed
+from quadkit.config import MappingConfig, NavConfig, derive_seed
 from quadkit.locomotion import (
     GAIT_NAMES,
     GAITS,
@@ -32,7 +32,13 @@ from quadkit.locomotion import (
     level_range,
     sample_grid,
 )
-from quadkit.mapping import SemanticMap
+from quadkit.mapping import (
+    HEIGHT_BIN,
+    Detection,
+    SemanticMap,
+    _check_category_ids,
+    _label_components,
+)
 from quadkit.navigation import ArrivalField, CostAssignment, CostMap
 from quadkit.rewards import (
     EpisodeReport,
@@ -288,8 +294,22 @@ def mask_of(cells, m):
 
 
 def cells_of(mask):
-    """Set of (row, col) int tuples of a mask's set cells."""
+    """Set of (row, col) int tuples of a mask's set cells; a ``Detection``'s
+    ``nonzero`` gives them in map coordinates."""
     return {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
+
+
+def detection_of(cells, class_id=0, frame=0):
+    """The detection of a non-empty set of map cells: their bounding box and
+    its bool crop."""
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    r0, c0 = min(rows), min(cols)
+    crop = np.zeros((max(rows) - r0 + 1, max(cols) - c0 + 1), dtype=bool)
+    for r, c in cells:
+        crop[r - r0, c - c0] = True
+    return Detection(bbox=(frame, (r0, c0, max(rows), max(cols))), class_id=class_id,
+                     cells=crop)
 
 
 def flood_fill_labels(mask):
@@ -341,7 +361,7 @@ def union_find_clusters(detections, p, m):
     """Transitive closure of same-class dilated-overlap matching over a
     detection batch: returns per-class merged cell coverage sets."""
     uf = UnionFind(len(detections))
-    cells = [cells_of(d.cells) for d in detections]
+    cells = [cells_of(d) for d in detections]
     dilated = [chebyshev_dilation(c, p, m) for c in cells]
     for i in range(len(detections)):
         for j in range(i + 1, len(detections)):
@@ -487,8 +507,7 @@ def build_cost_map_reference(smap: SemanticMap, assignment: CostAssignment,
     ``navigation.build_cost_map`` as it was before it worked in place: a
     float64 ``best_cost`` grid picks each cell's dominant category, channel by
     channel. The in-place version must give equal costs and gaits."""
-    explored = smap.explored_mask()
-    costs = np.where(explored, 0.0, unexplored_cost)
+    costs = np.where(smap.explored, 0.0, unexplored_cost)
     gait = np.zeros((smap.m, smap.m), dtype=np.int8)
     best_cost = np.full((smap.m, smap.m), -1.0)
     obstacle_names = set(assignment.obstacles)
@@ -527,3 +546,54 @@ def nearest_free_cell(obstacles, cell):
                 best_key = key
                 best = (r, c)
     return best
+
+
+def project_frame_reference(smap: SemanticMap, cloud, pose, frame_index=0,
+                            sensor_range=MappingConfig.sensor_range,
+                            max_height=MappingConfig.max_point_height) -> list:
+    """``mapping.project_frame`` as it was before it labeled in the points'
+    bounding box: each category is labeled on a full (M, M) mask, and each
+    detection is ``(bbox, class_id, full (M, M) bool mask)``. Marks the pose
+    and the explored cells on ``smap`` as the library does."""
+    x, y, _ = pose
+    half = smap.m // 2
+    pr = int(math.floor((y - smap.origin[1]) / smap.cell_size)) + half
+    pc = int(math.floor((x - smap.origin[0]) / smap.cell_size)) + half
+    smap.mark_pose(pr, pc)
+    radius = int(sensor_range / smap.cell_size)
+    for r in range(max(0, pr - radius), min(smap.m, pr + radius + 1)):
+        for c in range(max(0, pc - radius), min(smap.m, pc + radius + 1)):
+            if (r - pr) ** 2 + (c - pc) ** 2 <= radius ** 2:
+                smap.explored[r, c] = True
+    pts = cloud.points
+    cats = pts[:, 3].astype(np.int64)
+    _check_category_ids(cats, smap.num_categories)
+    z_bin = np.floor(pts[:, 2] / HEIGHT_BIN)
+    rows = np.floor((pts[:, 1] - smap.origin[1]) / smap.cell_size) + half
+    cols = np.floor((pts[:, 0] - smap.origin[0]) / smap.cell_size) + half
+    keep = ((0 <= z_bin) & (z_bin < int(max_height / HEIGHT_BIN))
+            & (0 <= rows) & (rows < smap.m) & (0 <= cols) & (cols < smap.m))
+    rows, cols, cats = rows[keep].astype(np.int64), cols[keep].astype(np.int64), cats[keep]
+    smap.explored[rows, cols] = True
+    detections = []
+    for cat in np.unique(cats).tolist():
+        mask = np.zeros((smap.m, smap.m), dtype=bool)
+        mask[rows[cats == cat], cols[cats == cat]] = True
+        labels, slices = _label_components(mask)
+        for lab, (rs, cs) in enumerate(slices, start=1):
+            bbox = (frame_index, (rs.start, cs.start, rs.stop - 1, cs.stop - 1))
+            detections.append((bbox, cat, labels == lab))
+    return detections
+
+
+def map_image_reference(smap: SemanticMap) -> np.ndarray:
+    """The map's canonical (C + 3) x M x M int32 image, built whole: the
+    category channels, then the explored, current-position and past-position
+    planes of 0/1."""
+    image = np.zeros((smap.num_categories + 3, smap.m, smap.m), dtype=np.int32)
+    image[:smap.num_categories] = smap.grid
+    image[-3][smap.explored] = 1
+    if smap.current_cell is not None:
+        image[-2][smap.current_cell] = 1
+    image[-1][smap.visited] = 1
+    return image

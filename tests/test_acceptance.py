@@ -15,6 +15,7 @@ from oracles import (
     cells_of,
     chebyshev_dilation,
     contact_table,
+    detection_of,
     dijkstra_times,
     gait_phase_table,
     mask_of,
@@ -45,7 +46,6 @@ from quadkit.locomotion import (
     timing_reference,
 )
 from quadkit.mapping import (
-    Detection,
     Frame,
     InstanceMemory,
     LabeledPointCloud,
@@ -180,7 +180,7 @@ def test_criterion_5_mapping_vs_projection_and_union_find():
     with criterion(5, "mapping coverage and instance merging oracles", 30.0):
         for c in (1, 5, 20):
             smap = SemanticMap([f"cat{i}" for i in range(c)], m=64)
-            assert smap.k == c + 3
+            assert len(list(smap.image_planes())) == c + 3
         rng = np.random.default_rng(42)
         m = 120
         n_classes = 3
@@ -237,19 +237,13 @@ def test_criterion_6_dilation_and_matching():
                          for dr in range(int(rng.integers(1, 4)))
                          for dc in range(int(rng.integers(1, 4)))}
                 cls = int(rng.integers(0, 3))
-                det = Detection(bbox=(0, (r0, c0, r0, c0)), class_id=cls,
-                                cells=mask_of(cells, 40))
-                memory.create(det)
+                memory.create(detection_of(cells, cls, frame=0))
             pr = int(rng.integers(0, 35))
             pc = int(rng.integers(0, 35))
-            probe_cells = mask_of({(pr + dr, pc + dc) for dr in range(2)
-                                   for dc in range(2)}, 40)
+            probe_cells = {(pr + dr, pc + dc) for dr in range(2) for dc in range(2)}
             probe_cls = int(rng.integers(0, 3))
-            probe = Detection(bbox=(1, (pr, pc, pr + 1, pc + 1)),
-                              class_id=probe_cls,
-                              cells=probe_cells)
-            got = match_detection(probe, memory)
-            dilated = cells_of(dilate(probe_cells, p))
+            got = match_detection(detection_of(probe_cells, probe_cls, frame=1), memory)
+            dilated = chebyshev_dilation(probe_cells, p, 40)
             overlaps = {
                 iid: len(dilated & cells_of(rec.cells))
                 for iid, rec in memory.instances.items()
@@ -292,7 +286,7 @@ def test_criterion_7_fmm_vs_dijkstra():
 def _frontier_map(rng, m=40):
     """Constructed map: random wall segments, partially explored interior."""
     smap = SemanticMap(["floor"], m=m)
-    explored = smap.grid[smap.explored_channel]
+    explored = smap.explored
     explored[2:m - 2, 2:m - 2] = 1
     costs = np.zeros((m, m))
     for _ in range(int(rng.integers(2, 6))):

@@ -280,7 +280,7 @@ def test_frontier_goal_is_the_full_field_minimum(data):
     smap = SemanticMap(["floor"], m=m)
     r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
     c0, c1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
-    explored = smap.grid[smap.explored_channel]
+    explored = smap.explored
     explored[r0:r1, c0:c1] = 1
     for cell in data.draw(st.lists(grid_cells((m, m)), max_size=3)):
         explored[cell] = 0

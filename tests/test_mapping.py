@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,12 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from conftest import GRID_480, traced_peak_over_entry
 from oracles import (
     InstanceMemoryOracle,
     cells_of,
     chebyshev_dilation,
+    detection_of,
     flood_fill_labels,
+    map_image_reference,
     mask_of,
+    project_frame_reference,
     union_find_clusters,
 )
 from quadkit.errors import ConfigError
@@ -43,10 +48,9 @@ def make_frame(points, pose=(0.0, 0.0, 0.0), index=0):
 
 
 def detection(cells, class_id=0, frame=0, m=100):
-    rows = [c[0] for c in cells]
-    cols = [c[1] for c in cells]
-    return Detection(bbox=(frame, (min(rows), min(cols), max(rows), max(cols))),
-                     class_id=class_id, cells=mask_of(cells, m))
+    """A detection of the given cells of an m x m map (a crop of their bbox)."""
+    assert all(0 <= r < m and 0 <= c < m for r, c in cells)
+    return detection_of(cells, class_id, frame)
 
 
 def class_coverage(memory, class_id):
@@ -55,11 +59,17 @@ def class_coverage(memory, class_id):
 
 
 def test_channel_layout_k_equals_c_plus_3():
+    # C int32 owner channels and two bool masks; the canonical image has C + 3 planes
     for c in (1, 5, 20):
         smap = SemanticMap([f"cat{i}" for i in range(c)], m=64)
-        assert smap.k == c + 3
-        assert smap.grid.shape == (c + 3, 64, 64)
-        assert not smap.grid.any()
+        assert smap.grid.shape == (c, 64, 64) and smap.grid.dtype == np.int32
+        assert smap.explored.shape == smap.visited.shape == (64, 64)
+        assert smap.explored.dtype == smap.visited.dtype == bool
+        assert smap.current_cell is None
+        planes = list(smap.image_planes())
+        assert len(planes) == c + 3
+        assert all(p.shape == (64, 64) and p.dtype == np.int32 for p in planes)
+        assert not map_image_reference(smap).any()
 
 
 def test_world_to_cell_examples():
@@ -81,19 +91,33 @@ def test_cell_world_roundtrip():
 def test_current_position_channel_single_cell():
     smap = small_map()
     project_frame(smap, LabeledPointCloud(()), (0.0, 0.0, 0.0))
-    assert smap.grid[smap.current_pos_channel].sum() == 1
+    assert smap.current_cell == (50, 50)
+    assert map_image_reference(smap)[-2].sum() == 1
     project_frame(smap, LabeledPointCloud(()), (1.0, 1.0, 0.0))
-    assert smap.grid[smap.current_pos_channel].sum() == 1
-    assert smap.grid[smap.past_pos_channel].sum() == 2
+    assert smap.current_cell == (70, 70)
+    image = map_image_reference(smap)
+    assert image[-2].sum() == 1 and image[-2][70, 70] == 1
+    assert cells_of(smap.visited) == {(50, 50), (70, 70)}
+    assert image[-1].sum() == 2
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (100, 0), (0, 100), (-100, 5)])
+def test_mark_pose_rejects_a_cell_off_the_grid(cell):
+    # a negative index would otherwise wrap to the far edge of the grid
+    smap = small_map()
+    smap.mark_pose(3, 4)
+    with pytest.raises(ValueError, match=r"outside the 100x100 grid"):
+        smap.mark_pose(*cell)
+    assert smap.current_cell == (3, 4)
+    assert cells_of(smap.visited) == cells_of(smap.explored) == {(3, 4)}
 
 
 def test_project_empty_cloud_updates_only_explored_and_pose():
     smap = small_map()
     detections = project_frame(smap, LabeledPointCloud(()), (0.0, 0.0, 0.0))
     assert detections == []
-    assert smap.grid[smap.explored_channel].any()
-    for ci in range(smap.num_categories):
-        assert not smap.grid[ci].any()
+    assert smap.explored.any()
+    assert not smap.grid.any()
 
 
 def test_project_single_point():
@@ -103,9 +127,10 @@ def test_project_single_point():
     assert len(detections) == 1
     det = detections[0]
     assert det.class_id == 2
-    assert cells_of(det.cells) == frozenset({(250, 260)})
+    assert det.bbox == (0, (250, 260, 250, 260)) and det.cells.shape == (1, 1)
+    assert cells_of(det) == frozenset({(250, 260)})
     # projection writes no category channel; ingest's claims are its only writer
-    assert not smap.grid[:smap.num_categories].any()
+    assert not smap.grid.any()
 
 
 def test_project_ignores_points_above_ceiling():
@@ -122,7 +147,7 @@ def test_project_two_clusters_two_detections():
     detections = project_frame(smap, LabeledPointCloud(tuple(points)), (0.0, 0.0, 0.0))
     assert len(detections) == 2
     assert all(d.class_id == 1 for d in detections)
-    assert all(len(cells_of(d.cells)) == 2 for d in detections)
+    assert all(len(cells_of(d)) == 2 and d.cells.shape == (1, 2) for d in detections)
 
 
 @pytest.mark.parametrize("point, message", [
@@ -150,8 +175,8 @@ def test_project_frame_keeps_exactly_the_points_world_to_cell_places(m, cell_siz
         expected = {smap.world_to_cell(x, y)}
     except ValueError:
         expected = set()
-    assert set().union(*(cells_of(d.cells) for d in detections)) == expected
-    assert expected <= cells_of(smap.explored_mask())
+    assert set().union(*(cells_of(d) for d in detections)) == expected
+    assert expected <= cells_of(smap.explored)
 
 
 def test_dilate_identity_and_single_cell():
@@ -240,6 +265,31 @@ def test_match_detection_semantics():
     assert match_detection(det_d, memory) is None
 
 
+@pytest.mark.parametrize("class_id", [-1, 2])
+def test_match_detection_rejects_a_class_id_outside_the_categories(class_id):
+    # -1 would read the last category's channel and match instance 1; 2 would
+    # raise a raw IndexError
+    smap = small_map()
+    memory = InstanceMemory(smap, p=1)
+    smap.mark_pose(5, 5)
+    memory.create(detection({(5, 5)}, class_id=1))
+    with pytest.raises(ValueError, match=rf"category id {class_id} outside \[0, 2\)"):
+        match_detection(detection({(5, 5)}, class_id=class_id), memory)
+
+
+def test_detection_cells_must_crop_the_bbox():
+    with pytest.raises(ValueError, match="do not crop the bbox"):
+        Detection(bbox=(0, (5, 5, 6, 7)), class_id=0, cells=np.ones((2, 2), dtype=bool))
+    det = detection({(5, 5), (6, 7)})
+    assert det.cells.shape == (2, 3) and det.window == (slice(5, 7), slice(5, 8))
+    assert cells_of(det) == {(5, 5), (6, 7)}
+
+
+def test_instance_memory_rejects_a_negative_dilation_radius():
+    with pytest.raises(ValueError, match="dilation radius"):
+        InstanceMemory(small_map(), p=-1)
+
+
 def test_match_detection_largest_overlap_then_lowest_id():
     memory = InstanceMemory(small_map(), p=1)
     small = memory.create(detection({(0, 0)}, class_id=0))
@@ -316,6 +366,83 @@ def test_instance_memory_equals_cell_set_oracle(p, steps):
             assert rec.views == oracle.views[iid]
 
 
+# A world coordinate on an m x m map of 5 cm cells: anywhere from a little off
+# the grid on one side to a little off it on the other, or exactly on a cell
+# edge (the grid's own edges included) or a hair either side of one.
+def coordinates(m):
+    half = m * 0.05 / 2
+    edge = st.builds(lambda k, nudge: (k - m // 2) * 0.05 + nudge,
+                     st.integers(-1, m + 1), st.sampled_from([0.0, 1e-9, -1e-9]))
+    return st.one_of(st.floats(-half - 0.2, half + 0.2), edge)
+
+
+@st.composite
+def projections(draw):
+    m = draw(st.integers(1, 25))
+    cats = ["a", "b", "c"]
+    xy = coordinates(m)
+    points = draw(st.lists(st.tuples(xy, xy, st.sampled_from([-0.01, 0.0, 0.3, 1.99, 2.0]),
+                                     st.integers(0, len(cats) - 1)), max_size=60))
+    pose_cell = draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
+    sensor_range = draw(st.sampled_from([0.0, 0.05, 0.17, 0.5, 3.0]))
+    return m, cats, points, pose_cell, sensor_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projections(), frame_index=st.integers(0, 5))
+@example(case=(7, ["a", "b", "c"], [], (3, 3), 0.17), frame_index=0)  # an empty frame
+@example(case=(5, ["a", "b", "c"], [(0.125, 0.125, 0.1, 0), (-0.125, -0.125, 0.1, 0),
+                                    (-0.126, 0.0, 0.1, 1), (0.1, 0.0, 0.1, 2)],
+               (0, 4), 0.05), frame_index=2)  # both grid edges of odd M, one point off
+def test_project_frame_crops_equal_the_full_grid_reference(case, frame_index):
+    m, cats, points, (pr, pc), sensor_range = case
+    got_map, want_map = (SemanticMap(cats, m=m, cell_size=0.05) for _ in range(2))
+    pose = got_map.cell_to_world(pr, pc) + (0.0,)
+    cloud = LabeledPointCloud(tuple(points))
+    got = project_frame(got_map, cloud, pose, frame_index, sensor_range)
+    want = project_frame_reference(want_map, cloud, pose, frame_index, sensor_range)
+    assert [(d.bbox, d.class_id) for d in got] == [(bbox, cls) for bbox, cls, _ in want]
+    for det, (_, _, full) in zip(got, want):
+        placed = np.zeros((m, m), dtype=bool)
+        placed[det.window] = det.cells
+        assert np.array_equal(placed, full)
+        assert cells_of(det) == cells_of(full)
+    assert np.array_equal(got_map.explored, want_map.explored)
+    assert got_map.current_cell == want_map.current_cell == (pr, pc)
+    assert np.array_equal(got_map.visited, want_map.visited)
+    assert not got_map.grid.any()
+
+
+def plan_like_frame(index, row, col, m=480):
+    """A frame like the 480 x 480 plan benchmark's: a 70-cell floor patch, a
+    rug patch, two boxes and a chair around the pose cell (row, col)."""
+    half = m // 2
+
+    def patch(r0, c0, side, z, cat):
+        rows, cols = np.mgrid[r0:r0 + side, c0:c0 + side]
+        x, y = (cols.ravel() - half + 0.5) * 0.05, (rows.ravel() - half + 0.5) * 0.05
+        return np.column_stack([x, y, np.full(x.size, z), np.full(x.size, cat)])
+
+    points = np.concatenate([
+        patch(row - 35, col - 35, 70, 0.0, 0), patch(row - 10, col - 20, 40, 0.01, 1),
+        patch(row - 55, col - 10, 20, 0.4, 2), patch(row + 35, col - 5, 20, 0.4, 2),
+        patch(row - 3, col + 25, 6, 0.45, 3)])
+    pose = ((col - half + 0.5) * 0.05, (row - half + 0.5) * 0.05, 0.0)
+    return Frame(index=index, pose=pose, cloud=LabeledPointCloud(points))
+
+
+def test_ingest_of_a_plan_like_frame_holds_under_a_quarter_grid():
+    smap = SemanticMap(["floor", "rug", "box", "chair"], m=480, cell_size=0.05)
+    memory = InstanceMemory(smap, p=3)
+    ingest(smap, memory, plan_like_frame(0, 240, 100))
+    frame = plan_like_frame(1, 250, 140)  # overlaps the first: matches and merges
+    touched, peak = traced_peak_over_entry(lambda: ingest(smap, memory, frame))
+    # the frame's point-sized temporaries, the sensor disk and the bbox-sized
+    # labeling; no (M, M) array per detection or per category
+    assert peak < 0.25 * GRID_480
+    assert touched == [1, 2, 6, 7, 8]  # the floor and the rug merge; the rest is new
+
+
 def test_instance_records_hold_no_arrays_and_read_the_category_channel():
     smap = small_map()
     memory = InstanceMemory(smap, p=2)
@@ -335,14 +462,17 @@ def test_ingest_rejects_a_memory_bound_to_another_map():
     other = small_map()
     with pytest.raises(ValueError, match="another map"):
         ingest(other, memory, frame)
-    assert not other.grid.any() and not smap.grid.any() and len(memory) == 0
+    for untouched in (other, smap):
+        assert not map_image_reference(untouched).any()
+        assert untouched.current_cell is None
+    assert len(memory) == 0
     ingest(smap, memory, frame)
     assert len(memory) == 1
 
 
 @pytest.mark.parametrize("class_id", [-1, 2, 5])
 def test_create_and_merge_reject_a_class_id_outside_the_categories(class_id):
-    # -1 would otherwise index the past-position channel and 2 the explored one
+    # -1 would otherwise index the last category channel and 2 raise IndexError
     smap = small_map()
     memory = InstanceMemory(smap, p=1)
     iid = memory.create(detection({(5, 5)}, class_id=0))
@@ -400,7 +530,7 @@ def test_ingest_is_deterministic():
             pts = [(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
                     0.1, int(rng.integers(0, 2))) for _ in range(20)]
             ingest(smap, memory, make_frame(pts, index=i))
-        return (smap.grid.copy(),
+        return (map_image_reference(smap),
                 {i: (r.class_id, frozenset(cells_of(r.cells)), frozenset(r.views))
                  for i, r in memory.instances.items()})
     grid_a, mem_a = run()

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import fixture_text, make_gateway
+from conftest import GRID_480, fixture_text, make_gateway, traced_peak_over_entry
 from oracles import (
     build_cost_map_reference,
     cells_of,
@@ -44,7 +43,7 @@ def uniform_costmap(m=40, cost=0.0):
 def explored_map(categories=("floor",), m=60):
     """Semantic map with everything explored (no frontier)."""
     smap = SemanticMap(categories, m=m, cell_size=0.05)
-    smap.grid[smap.explored_channel][:] = 1
+    smap.explored[:] = 1
     return smap
 
 
@@ -132,7 +131,7 @@ def cost_scenes(draw):
         if draw(st.booleans()):  # otherwise the channel stays empty
             smap.grid[ci] = np.array(draw(ids)).reshape(m, m)
     explored = st.lists(st.booleans(), min_size=m * m, max_size=m * m)
-    smap.grid[smap.explored_channel] = np.array(draw(explored)).reshape(m, m)
+    smap.explored[:] = np.array(draw(explored)).reshape(m, m)
     cost = st.one_of(st.sampled_from([0, 1, 0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
     replied = draw(st.lists(st.sampled_from(CATEGORY_NAMES), unique=True))
     terrain = tuple(TerrainCost(name, draw(cost), draw(st.integers(0, 1))) for name in replied)
@@ -151,28 +150,11 @@ def test_build_cost_map_equals_the_reference(scene, unexplored_cost, zero_costs)
     assert np.array_equal(got.gait, want.gait)
 
 
-# One float64 grid of the 480 x 480 map the memory guards use, in bytes.
-GRID_480 = 480 * 480 * 8
-
-
-def traced_peak_over_entry(fn):
-    """``fn()`` and the most memory it held at once above what it started with."""
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak - entry
-
-
 def map_480():
     """A 480 x 480 semantic map: a floor band, an overlapping rug, boxes, and
     an unexplored margin."""
     smap = SemanticMap(["floor", "rug", "box"], m=480, cell_size=0.05)
-    smap.grid[smap.explored_channel][40:440, 40:440] = 1
+    smap.explored[40:440, 40:440] = 1
     smap.grid[0][40:440, 40:440] = 1
     smap.grid[1][200:300, 100:400] = 2
     for r in range(60, 420, 90):
@@ -322,7 +304,7 @@ def test_extract_path_unreachable_start():
 
 def test_frontier_cells_and_goal():
     smap = SemanticMap(["floor"], m=20)
-    explored = smap.grid[smap.explored_channel]
+    explored = smap.explored
     explored[5:15, 5:15] = 1
     cm = uniform_costmap(m=20)
     cells = cells_of(frontier_cells(smap, cm))
@@ -336,7 +318,7 @@ def test_frontier_cells_and_goal():
 def assert_frontier_matches_oracle(explored, obstacles):
     m = len(explored)
     smap = SemanticMap(["floor"], m=m)
-    smap.grid[smap.explored_channel] = explored
+    smap.explored[:] = explored
     cm = uniform_costmap(m=m)
     cm.costs[obstacles] = 1.0
     oracle = {cell for cell in chebyshev_dilation(cells_of(~explored), 1, m)
@@ -366,7 +348,7 @@ def test_frontier_cells_match_oracle_on_every_tiny_grid(m):
 
 def test_frontier_goal_single_candidate():
     smap = SemanticMap(["floor"], m=10)
-    explored = smap.grid[smap.explored_channel]
+    explored = smap.explored
     explored[:, :] = 1
     explored[0, 0] = 0  # single unexplored corner
     cm = uniform_costmap(m=10)
@@ -381,7 +363,7 @@ def test_frontier_goal_single_candidate():
 
 def test_frontier_goal_geodesic_not_euclidean():
     smap = SemanticMap(["floor"], m=21)
-    explored = smap.grid[smap.explored_channel]
+    explored = smap.explored
     explored[:, :] = 1
     # two unexplored pockets: one euclidean-near but walled off, one farther but open
     explored[10, 2] = 0
@@ -407,7 +389,7 @@ def test_frontier_exploration_complete():
 
 def test_frontier_goal_names_a_bad_start_cell():
     smap = SemanticMap(["floor", "chair"], m=20)
-    smap.grid[smap.explored_channel][5:15, 5:15] = 1
+    smap.explored[5:15, 5:15] = 1
     cm = uniform_costmap(m=20)
     cm.costs[10, 10] = 1.0
     with pytest.raises(ValueError, match=r"^start cell \(10, 10\) is impassable$"):
@@ -453,7 +435,7 @@ def test_global_goal_instance_id_direct():
 
 def test_global_goal_falls_back_to_frontier():
     smap = SemanticMap(["floor", "chair"], m=20)
-    smap.grid[smap.explored_channel][5:15, 5:15] = 1
+    smap.explored[5:15, 5:15] = 1
     memory = InstanceMemory(smap, p=2)
     cm = uniform_costmap(m=20)
     goal = global_goal("chair", memory, cm, (10, 10))

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text, make_gateway
+from oracles import cells_of, map_image_reference
 from quadkit.config import ToolkitConfig
 from quadkit.errors import ParseError, SchemaError
 from quadkit.mapping import Frame, LabeledPointCloud, Scene
@@ -296,7 +301,7 @@ def test_find_explores_frontiers_then_fails_gracefully():
     assert "blue clothes" in trace.records[0].detail
     assert world.clock > 0  # it actually walked exploration legs
     # exploration observations extended the explored area
-    assert world.smap.explored_mask().sum() > 0
+    assert world.smap.explored.sum() > 0
 
 
 def test_world_walk_updates_pose_and_clock():
@@ -309,8 +314,8 @@ def test_world_walk_updates_pose_and_clock():
             world, gw)
     assert world.clock > start_clock
     assert world.pose[0] > 0.5  # moved east toward the clothes
-    cur = world.smap.grid[world.smap.current_pos_channel]
-    assert cur.sum() == 1
+    assert world.smap.current_cell == world.pose_cell()
+    assert map_image_reference(world.smap)[-2].sum() == 1
 
 
 def test_snapshot_hash_of_bundled_scene_is_pinned():
@@ -319,3 +324,39 @@ def test_snapshot_hash_of_bundled_scene_is_pinned():
     world = World(load_scene(asset_path("scenes", "long_horizon.jsonl")), ToolkitConfig())
     world.ingest_pending()
     assert world.snapshot_hash() == "afb4b4d2a99999d9"
+
+
+def snapshot_hash_reference(world) -> str:
+    """The map hash from the whole canonical image and each instance's sorted cells."""
+    digest = hashlib.sha256(map_image_reference(world.smap).tobytes())
+    digest.update(str(sorted((i, r.class_id, tuple(sorted(cells_of(r.cells))))
+                             for i, r in world.memory.instances.items())).encode())
+    return digest.hexdigest()[:16]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(82, 101), walks=st.lists(
+    st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), min_size=1, max_size=5),
+    max_size=3))
+def test_snapshot_hash_equals_the_hash_of_the_canonical_image(m, walks):
+    world = make_world(simple_scene(m=m))
+    assert world.smap.current_cell is None
+    assert world.snapshot_hash() == snapshot_hash_reference(world)
+    world.ingest_pending()
+    assert world.snapshot_hash() == snapshot_hash_reference(world)
+    for walk in walks:
+        for r, c in walk:
+            world.smap.mark_pose(min(r, m - 1), min(c, m - 1))
+        world.observe_here()
+        assert world.snapshot_hash() == snapshot_hash_reference(world)
+
+
+def test_world_frees_each_frame_once_ingested():
+    scene = simple_scene()
+    points = [weakref.ref(frame.cloud.points) for frame in scene.frames]
+    world = make_world(scene)
+    del scene
+    assert all(ref() is not None for ref in points)
+    world.ingest_pending()
+    assert all(ref() is None for ref in points)
+    assert len(world.memory) == 2
