@@ -316,6 +316,7 @@ def test_world_walk_updates_pose_and_clock():
     assert world.pose[0] > 0.5  # moved east toward the clothes
     assert world.smap.current_cell == world.pose_cell()
     assert map_image_reference(world.smap)[-2].sum() == 1
+    assert world.snapshot_hash() == snapshot_hash_reference(world)
 
 
 def test_snapshot_hash_of_bundled_scene_is_pinned():
