@@ -6,7 +6,7 @@ parameter adaptation, semantic instance mapping, fast-marching navigation,
 and long-horizon task execution over a skill library.
 """
 
-from .config import ToolkitConfig, derive_seed, load_config
+from .config import RewardConfig, SimConfig, ToolkitConfig, derive_seed, load_config
 from .locomotion import (
     GAITS,
     BehaviorParams,
@@ -23,7 +23,6 @@ from .locomotion import (
 )
 from .rewards import (
     EpisodeReport,
-    RewardConfig,
     StepSample,
     episode_percent,
     r_stance_velocity,
@@ -31,7 +30,7 @@ from .rewards import (
     r_velocity_xy,
     r_velocity_yaw,
 )
-from .surrogate import SimConfig, Trajectory, efficiency, ideal_profile, simulate
+from .surrogate import Trajectory, efficiency, ideal_profile, simulate
 from .terrain import (
     DownhillSlope,
     DownsideStair,

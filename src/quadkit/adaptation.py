@@ -25,15 +25,14 @@ A candidate's gait is its ``GAITS`` preset name, as in a ``LevelSelection``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LssConfig, ToolkitConfig, derive_seed
-from .errors import ConfigError, ParseError
+from .config import LssConfig, RewardConfig, SimConfig, ToolkitConfig, derive_seed
+from .errors import ConfigError, ParseError, is_finite, json_object, read_json
 from .gateway import (
     PARSE_TEMPERATURE,
     SAMPLING_TEMPERATURE,
@@ -62,12 +61,10 @@ from .locomotion import (
 )
 from .rewards import (
     EpisodeReport,
-    RewardConfig,
     _phase_percents,
     _yaw_terms,
 )
 from .surrogate import (
-    SimConfig,
     _episode_noise,
     _foot_arrays,
     _gait_schedule,
@@ -347,31 +344,21 @@ def determining_pick(selection: LevelSelection, gateway: Gateway,
     return BehaviorParams(gait=selection.gait, **values)
 
 
-def manual_params(path) -> BehaviorParams:
-    """Load a human-authored parameter file (strictly validated, no clamping)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot load params file {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"params file {path} must hold a JSON object")
+def _params(value) -> BehaviorParams:
+    """The five parameters, each a finite number, and an optional gait preset."""
+    data = json_object(value, (*PARAMETERS, "gait"))
     gait = data.get("gait", "trotting")
     if not isinstance(gait, str) or gait not in GAITS:
-        raise ConfigError(f"params file {path}: unknown gait {gait!r}; "
-                          f"valid: {', '.join(GAIT_NAMES)}")
-    values = {}
+        raise ValueError(f"unknown gait {gait!r}; valid: {', '.join(GAIT_NAMES)}")
     for name in PARAMETERS:
-        if name not in data:
-            raise ConfigError(f"params file {path}: missing '{name}'")
-        if type(data[name]) not in (int, float):
-            raise ConfigError(f"params file {path}: {name} must be a number, "
-                              f"not {type(data[name]).__name__}")
-        values[name] = float(data[name])
-    try:
-        return BehaviorParams(gait=gait, **values).validate()
-    except ValueError as err:
-        raise ConfigError(f"params file {path}: {err}") from None
+        if not (type(data[name]) in (int, float) and is_finite(data[name])):
+            raise ValueError(f"{name} must be a finite number, not {data[name]!r}")
+    return BehaviorParams(gait=gait, **{name: float(data[name]) for name in PARAMETERS}).validate()
+
+
+def manual_params(path) -> BehaviorParams:
+    """Load a human-authored parameter file (strictly validated, no clamping)."""
+    return read_json("params file", path, _params)
 
 
 def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,

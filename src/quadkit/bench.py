@@ -18,8 +18,8 @@ from .adaptation import (
     run_benchmark,
     write_candidates,
 )
-from .config import apply_config_data, load_config
-from .errors import ConfigError
+from .config import ToolkitConfig, apply_config_data, load_config
+from .errors import ConfigError, json_object, read_json
 from .gateway import Gateway, LiveProvider, ScriptedProvider
 from .mapping import load_scene
 from .navigation import assign_costs, build_cost_map, distance_to_instance, plan_to_target
@@ -78,7 +78,7 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
         try:
             cfg.sim.validate()
         except ValueError as err:
-            raise ConfigError(f"{err}, not {noise_scale}") from None
+            raise ConfigError(str(err)) from None
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, not {runs}")
     if not terrains:
@@ -165,31 +165,36 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     return result, plan
 
 
+SCENARIO_KEYS = ("instruction", "scene", "transcript", "config")
+
+
+def load_scenario(path, cfg: ToolkitConfig) -> dict:
+    """Read a scenario file: a non-blank string ``instruction``, a string
+    ``scene``, an optional string ``transcript``, and an optional ``config``
+    object, merged onto ``cfg``; a malformed file raises ConfigError."""
+
+    def parse(value):
+        scenario = json_object(value, SCENARIO_KEYS)
+        for key in ("instruction", "scene", "transcript"):
+            if not isinstance(scenario.get(key, ""), str):
+                raise ValueError(f"'{key}' must be a string, not {type(scenario[key]).__name__}")
+        if not scenario.get("instruction", "").strip() or "scene" not in scenario:
+            raise ValueError("needs 'instruction' and 'scene'")
+        if "config" in scenario:
+            apply_config_data(cfg, scenario["config"], f"scenario {path} config")
+        return scenario
+
+    # Opened with this module's ``open``, so a wrapper bound to that name sees it.
+    return read_json("scenario", path, parse, opener=open)
+
+
 def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out",
              provider: str = "scripted", transcript=None):
     """Run a bundled scenario: decompose, execute, evaluate, and write the trace."""
-    try:
-        fh = open(scenario_path)
-    except OSError as err:
-        raise ConfigError(f"cannot read scenario {scenario_path}: {err}") from None
-    with fh:
-        try:
-            scenario = json.load(fh)
-        except ValueError as err:
-            raise ConfigError(f"scenario {scenario_path} is not valid JSON: {err}") from None
-    if not isinstance(scenario, dict):
-        raise ConfigError(f"scenario {scenario_path} must hold a JSON object")
-    for key in ("instruction", "scene", "transcript"):
-        if key in scenario and not isinstance(scenario[key], str):
-            raise ConfigError(f"scenario {scenario_path}: '{key}' must be a string, "
-                              f"not {type(scenario[key]).__name__}")
-    base = os.path.dirname(os.path.abspath(scenario_path))
-    instruction = scenario.get("instruction", "").strip()
-    if not instruction or "scene" not in scenario:
-        raise ConfigError(f"scenario {scenario_path} needs 'instruction' and 'scene'")
     cfg = load_config(config_path)
-    if "config" in scenario:
-        apply_config_data(cfg, scenario["config"], f"scenario {scenario_path} config")
+    scenario = load_scenario(scenario_path, cfg)
+    base = os.path.dirname(os.path.abspath(scenario_path))
+    instruction = scenario["instruction"].strip()
     # No reference to the scene is kept, so each frame is freed once ingested.
     world = World(load_scene(os.path.join(base, scenario["scene"])), cfg, root_seed=seed)
     if transcript is None and provider == "scripted":

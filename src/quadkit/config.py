@@ -1,21 +1,21 @@
 """Toolkit configuration: compiled-in defaults plus a JSON config file loader.
 
-One file configures the level-range table, reward sigmas, simulation, LSS
-search, mapping, and navigation settings.
+Each section's defaults are defined here and nowhere else: the level-range
+table, reward sigmas, simulation, LSS search, mapping and navigation. One
+UTF-8 JSON file, read through ``errors.read_json``, overrides any of them; an
+unknown key, a wrong type, an out-of-range value or a number too large for a
+float is a ``ConfigError`` naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, is_finite, json_object, read_json
 from .locomotion import GAIT_NAMES, GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
-from .rewards import RewardConfig
-from .surrogate import SimConfig
 
 
 def _check_range(section, name: str, low: float, high: float = math.inf,
@@ -23,12 +23,42 @@ def _check_range(section, name: str, low: float, high: float = math.inf,
     """Raise ValueError, starting with ``name``, unless the field is finite and
     in [low, high] (or (low, high] with ``low_open``)."""
     v = getattr(section, name)
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite")
+    if not is_finite(v):
+        raise ValueError(f"{name} must be finite, not {v}")
     if v < low or v > high or (low_open and v == low):
         bound = (f"in {'(' if low_open else '['}{low}, {high}]" if high < math.inf
                  else f"{'>' if low_open else '>='} {low}")
         raise ValueError(f"{name} must be {bound}, not {v}")
+
+
+@dataclass
+class RewardConfig:
+    sigma_vxy: float = 0.25
+    sigma_wz: float = 0.25
+    sigma_cf: float = 100.0
+    sigma_cv: float = 0.25
+    # Audit mode: score the stance term over the commanded-swing feet too.
+    swing_selector_on_stance: bool = False
+    # Normalize phase terms by a flat 4 feet instead of the realized selection count.
+    flat_phase_max: bool = False
+
+    def validate(self) -> "RewardConfig":
+        for name in ("sigma_vxy", "sigma_wz", "sigma_cf", "sigma_cv"):
+            _check_range(self, name, 0, low_open=True)
+        return self
+
+
+@dataclass
+class SimConfig:
+    steps: int = 250
+    dt: float = 0.02
+    noise_scale: float = 0.05
+
+    def validate(self) -> "SimConfig":
+        _check_range(self, "steps", 1)
+        _check_range(self, "dt", 0, low_open=True)
+        _check_range(self, "noise_scale", 0)
+        return self
 
 
 @dataclass
@@ -87,38 +117,33 @@ class ToolkitConfig:
         return dataclasses.asdict(self)
 
 
-def _checked_values(cls, data: dict, section: str) -> dict:
+def _checked_values(cls, data, section: str) -> dict:
     """``data`` type-checked against the field defaults of dataclass ``cls``."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    values = {}
-    for key, value in data.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key '{key}' in section '{section}'")
+    for key, value in _object(data, section, tuple(defaults)).items():
         # Exact types, so a bool never passes for a number; an int is a valid float.
         expected = type(defaults[key])
         if not (type(value) is expected or (expected, type(value)) == (float, int)):
             raise ConfigError(f"{section}.{key} must be {expected.__name__}, "
                               f"not {type(value).__name__}")
-        values[key] = value
-    return values
+    return data
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, not {type(value).__name__}")
-    return value
+def _object(value, what: str, keys) -> dict:
+    try:
+        return json_object(value, keys)
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from None
 
 
 def _is_interval(iv) -> bool:
     return (isinstance(iv, (list, tuple)) and len(iv) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in iv))
+            and all(type(v) in (int, float) and is_finite(v) for v in iv))
 
 
 def _level_ranges(value, current: dict) -> dict:
     merged = dict(current)
-    for name, intervals in _object(value, "level_ranges").items():
-        if name not in PARAMETERS:
-            raise ConfigError(f"unknown parameter '{name}' in level_ranges")
+    for name, intervals in _object(value, "level_ranges", PARAMETERS).items():
         if not (isinstance(intervals, (list, tuple)) and len(intervals) == 5
                 and all(_is_interval(iv) for iv in intervals)):
             raise ConfigError(f"level_ranges.{name} must be 5 [lo, hi] finite number pairs")
@@ -141,12 +166,7 @@ def load_config(path=None) -> ToolkitConfig:
     cfg = ToolkitConfig()
     if path is None:
         return cfg
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot load config {path}: {err}") from None
-    return apply_config_data(cfg, data, f"config {path}")
+    return read_json("config", path, lambda data: apply_config_data(cfg, data, f"config {path}"))
 
 
 def apply_config_data(cfg: ToolkitConfig, data: dict, source: str = "config") -> ToolkitConfig:
@@ -162,22 +182,13 @@ def apply_config_data(cfg: ToolkitConfig, data: dict, source: str = "config") ->
 
 
 def _merge(cfg: ToolkitConfig, data):
-    sections = {
-        "reward": cfg.reward,
-        "sim": cfg.sim,
-        "lss": cfg.lss,
-        "mapping": cfg.mapping,
-        "nav": cfg.nav,
-    }
-    for key, value in _object(data, "the top level").items():
-        if key in sections:
-            section = sections[key]
-            for name, v in _checked_values(section, _object(value, key), key).items():
-                setattr(section, name, v)
-        elif key == "level_ranges":
+    sections = {key: getattr(cfg, key) for key in ("reward", "sim", "lss", "mapping", "nav")}
+    for key, value in _object(data, "the top level", (*sections, "level_ranges")).items():
+        if key == "level_ranges":
             cfg.level_ranges = _level_ranges(value, cfg.level_ranges)
         else:
-            raise ConfigError(f"unknown top-level key '{key}'")
+            for name, v in _checked_values(sections[key], value, key).items():
+                setattr(sections[key], name, v)
     for key, section in sections.items():
         try:
             section.validate()

@@ -26,6 +26,8 @@ from .errors import (
     SchemaError,
     ScriptExhaustedError,
     TranscriptMismatchError,
+    json_object,
+    read_json_lines,
 )
 from .locomotion import (
     GAIT_NAMES,
@@ -61,6 +63,21 @@ class ChatRequest:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+TRANSCRIPT_KEYS = ("template_id", "response", "request_hash", "ordinal")
+
+
+def _transcript_entry(value) -> dict:
+    """A transcript line: string ``template_id`` and ``response``, and an
+    optional string ``request_hash``."""
+    entry = json_object(value, TRANSCRIPT_KEYS)
+    if not {"template_id", "response"} <= entry.keys():
+        raise ValueError("needs 'template_id' and 'response'")
+    for key in ("template_id", "response", "request_hash"):
+        if not isinstance(entry.get(key, ""), str):
+            raise ValueError(f"'{key}' must be a string")
+    return entry
+
+
 class ScriptedProvider:
     """Replays canned responses per template id, in file order.
 
@@ -82,28 +99,7 @@ class ScriptedProvider:
     @classmethod
     def from_file(cls, path) -> "ScriptedProvider":
         """Read a transcript; a malformed line raises ConfigError naming the file and line."""
-        entries = []
-        try:
-            fh = open(path)
-        except OSError as err:
-            raise ConfigError(f"cannot read transcript {path}: {err}") from None
-        with fh:
-            for n, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError as err:
-                    raise ConfigError(f"transcript {path}, line {n}: {err}") from None
-                if not isinstance(entry, dict) or not {"template_id", "response"} <= entry.keys():
-                    raise ConfigError(f"transcript {path}, line {n}: expected an object with "
-                                      "'template_id' and 'response'")
-                for key in ("template_id", "response", "request_hash"):
-                    if not isinstance(entry.get(key, ""), str):
-                        raise ConfigError(f"transcript {path}, line {n}: '{key}' must be "
-                                          "a string")
-                entries.append(entry)
-        return cls(entries, model=str(path))
+        return cls(read_json_lines("transcript", path, _transcript_entry), model=str(path))
 
     def complete(self, request: ChatRequest) -> list:
         out = []

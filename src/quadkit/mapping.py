@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MappingConfig
-from .errors import ConfigError
+from .errors import ConfigError, is_finite, json_object, read_json_lines
 
 HEIGHT_BIN = 0.05
 
@@ -114,14 +114,30 @@ class InstanceRecord:
         return self.smap.grid[self.class_id] == self.instance_id
 
 
+@dataclass
+class Scene:
+    """A synthetic labeled capture: category inventory plus observation frames.
+    Its defaults are what a scene header without that key means, and a map's."""
+
+    categories: list
+    frames: list = field(default_factory=list)
+    m: int = 480
+    cell_size: float = 0.05
+    start_pose: tuple = (0.0, 0.0, 0.0)
+    origin: tuple = (0.0, 0.0)
+
+    def build_map(self) -> SemanticMap:
+        return SemanticMap(self.categories, self.m, self.cell_size, self.origin)
+
+
 class SemanticMap:
     """An M x M map: ``grid`` is the (C, M, M) int32 owner grid, ``explored``
     and ``visited`` are (M, M) bool masks, and ``current_cell`` is the pose cell
     (None until ``mark_pose``). ``image_planes`` yields the canonical
     (C + 3) x M x M int32 image."""
 
-    def __init__(self, categories, m: int = 480, cell_size: float = 0.05,
-                 origin: tuple = (0.0, 0.0)):
+    def __init__(self, categories, m: int = Scene.m, cell_size: float = Scene.cell_size,
+                 origin: tuple = Scene.origin):
         if not categories:
             raise ValueError("need at least one category")
         self.categories = list(categories)
@@ -459,58 +475,47 @@ def ingest(smap: SemanticMap, memory: InstanceMemory, frame: Frame,
     return touched_ids
 
 
-@dataclass
-class Scene:
-    """A synthetic labeled capture: category inventory plus observation frames."""
+HEADER_KEYS = ("categories", "M", "cell_size", "start_pose", "origin")
+FRAME_KEYS = ("pose", "points")
 
-    categories: list
-    m: int
-    cell_size: float
-    frames: list
-    start_pose: tuple = (0.0, 0.0, 0.0)
-    origin: tuple = (0.0, 0.0)
 
-    def build_map(self) -> SemanticMap:
-        return SemanticMap(self.categories, self.m, self.cell_size, self.origin)
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and is_finite(value)
 
 
 def _pose(value, m: int, cell_size: float, origin: tuple) -> tuple:
     """A finite (x, y, yaw) whose (x, y) lies on the scene's map."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(_finite_number(v) for v in value)):
+        raise ValueError(f"pose must be three finite numbers [x, y, yaw], not {value!r}")
     pose = tuple(float(v) for v in value)
-    if len(pose) != 3:
-        raise ValueError(f"pose {list(value)} is not [x, y, yaw]")
-    if not all(math.isfinite(v) for v in pose):
-        raise ValueError(f"pose {list(value)} must be finite")
     world_to_cell(pose[0], pose[1], m, cell_size, origin)
     return pose
 
 
-def _finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _scene_header(rec: dict) -> Scene:
+def _scene_header(rec) -> Scene:
     """The frameless Scene a header record describes; a bad field raises
     ValueError naming it."""
+    rec = json_object(rec, HEADER_KEYS)
     categories = rec["categories"]
     if not (isinstance(categories, list) and categories
             and all(isinstance(name, str) for name in categories)
             and len(set(categories)) == len(categories)):
         raise ValueError(f"categories must be a non-empty list of distinct strings, "
                          f"not {categories!r}")
-    m = rec.get("M", 480)
+    m = rec.get("M", Scene.m)
     if type(m) is not int or m <= 0:
         raise ValueError(f"M must be a positive integer, not {m!r}")
-    cell_size = rec.get("cell_size", 0.05)
+    cell_size = rec.get("cell_size", Scene.cell_size)
     if not (_finite_number(cell_size) and cell_size > 0):
         raise ValueError(f"cell_size must be a finite number > 0, not {cell_size!r}")
-    origin = rec.get("origin", [0.0, 0.0])
-    if not (isinstance(origin, list) and len(origin) == 2
+    origin = rec.get("origin", Scene.origin)
+    if not (isinstance(origin, (list, tuple)) and len(origin) == 2
             and all(_finite_number(v) for v in origin)):
         raise ValueError(f"origin must be two finite numbers, not {origin!r}")
     origin = tuple(origin)
-    return Scene(categories=categories, m=m, cell_size=float(cell_size), frames=[],
-                 start_pose=_pose(rec.get("start_pose", (0.0, 0.0, 0.0)), m, cell_size, origin),
+    return Scene(categories=categories, m=m, cell_size=float(cell_size),
+                 start_pose=_pose(rec.get("start_pose", Scene.start_pose), m, cell_size, origin),
                  origin=origin)
 
 
@@ -519,30 +524,20 @@ def load_scene(path) -> Scene:
 
     A malformed file raises ConfigError naming the path and the 1-based line.
     """
-    try:
-        fh = open(path)
-    except OSError as err:
-        raise ConfigError(f"cannot read scene file {path}: {err}") from None
     scene = None
-    with fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("expected a JSON object")
-                if scene is None:
-                    scene = _scene_header(rec)
-                else:
-                    cloud = LabeledPointCloud(points=rec.get("points", []))
-                    _check_category_ids(cloud.points[:, 3], len(scene.categories))
-                    pose = _pose(rec["pose"], scene.m, scene.cell_size, scene.origin)
-                    scene.frames.append(Frame(index=len(scene.frames), pose=pose, cloud=cloud))
-            except KeyError as err:
-                raise ConfigError(f"scene file {path}, line {n}: missing field {err}") from None
-            except (ValueError, TypeError) as err:
-                raise ConfigError(f"scene file {path}, line {n}: {err}") from None
+
+    def parse(rec):
+        nonlocal scene
+        if scene is None:
+            scene = _scene_header(rec)
+            return
+        rec = json_object(rec, FRAME_KEYS)
+        cloud = LabeledPointCloud(points=rec.get("points", []))
+        _check_category_ids(cloud.points[:, 3], len(scene.categories))
+        pose = _pose(rec["pose"], scene.m, scene.cell_size, scene.origin)
+        scene.frames.append(Frame(index=len(scene.frames), pose=pose, cloud=cloud))
+
+    read_json_lines("scene file", path, parse)
     if scene is None:
         raise ConfigError(f"scene file {path} is empty")
     return scene

@@ -16,30 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RewardConfig
 from .locomotion import CommandVector, GaitOffsets, desired_contact
 
 # Per-term maxima of the scalar training-style reward (xy, yaw, swing, stance).
 SCALAR_WEIGHTS = (1.0, 1.0, 0.08, 0.08)
-
-
-@dataclass
-class RewardConfig:
-    sigma_vxy: float = 0.25
-    sigma_wz: float = 0.25
-    sigma_cf: float = 100.0
-    sigma_cv: float = 0.25
-    # Audit mode: score the stance term over the commanded-swing feet too.
-    swing_selector_on_stance: bool = False
-    # Normalize phase terms by a flat 4 feet instead of the realized selection count.
-    flat_phase_max: bool = False
-
-    def validate(self) -> "RewardConfig":
-        for name in ("sigma_vxy", "sigma_wz", "sigma_cf", "sigma_cv"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        return self
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimConfig
 from .locomotion import (
     GAIT_NAMES,
     GAITS,
@@ -55,25 +56,6 @@ GAIT_MISMATCH_FACTOR = 0.8
 # seeds per terrain and 6 (gait, frequency) schedules in all, so 16 entries
 # keep each reused within a terrain.
 _CACHE_SIZE = 16
-
-
-@dataclass
-class SimConfig:
-    steps: int = 250
-    dt: float = 0.02
-    noise_scale: float = 0.05
-
-    def validate(self) -> "SimConfig":
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        for name in ("noise_scale", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        return self
 
 
 # Per-terrain optima. The uphill row follows the expert level choices used in
@@ -246,7 +228,7 @@ def describe_profile(profile: LevelSelection) -> str:
 
 
 __all__ = [
-    "SimConfig", "IDEAL_PROFILES", "Trajectory",
+    "IDEAL_PROFILES", "Trajectory",
     "ideal_profile", "efficiency", "grid_efficiency", "simulate", "ideal_params",
     "BODY_WEIGHT_N", "SPURIOUS_FORCE_N", "SLIP_SCALE", "RHO",
     "GAIT_MISMATCH_FACTOR", "describe_profile",

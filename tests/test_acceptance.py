@@ -33,7 +33,7 @@ from quadkit.adaptation import (
     select_best,
 )
 from quadkit.bench import asset_path, cmd_plan, cmd_task
-from quadkit.config import ToolkitConfig
+from quadkit.config import SimConfig, ToolkitConfig
 from quadkit.gateway import parse_cost_json, parse_levels
 from quadkit.locomotion import (
     GAIT_NAMES,
@@ -67,7 +67,7 @@ from quadkit.rewards import (
     r_velocity_xy,
     r_velocity_yaw,
 )
-from quadkit.surrogate import SimConfig, simulate
+from quadkit.surrogate import simulate
 from quadkit.terrain import terrain_by_name
 
 

@@ -35,7 +35,7 @@ from quadkit.adaptation import (
     write_candidates,
 )
 from quadkit.cli import main
-from quadkit.config import ToolkitConfig
+from quadkit.config import RewardConfig, SimConfig, ToolkitConfig
 from quadkit.errors import ConfigError, ParseError
 from quadkit.gateway import parse_levels
 from quadkit.locomotion import (
@@ -50,8 +50,8 @@ from quadkit.locomotion import (
     level_midpoint,
     level_name,
 )
-from quadkit.rewards import RewardConfig, episode_percent, episode_velocity_percent
-from quadkit.surrogate import IDEAL_PROFILES, SimConfig, ideal_params, simulate
+from quadkit.rewards import episode_percent, episode_velocity_percent
+from quadkit.surrogate import IDEAL_PROFILES, ideal_params, simulate
 from quadkit.terrain import UphillSlope, terrain_by_name
 
 UPHILL_SELECTION = LevelSelection(

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import sys
@@ -415,3 +416,18 @@ def test_cmd_plan_pads_costs_with_configured_unexplored_cost(tmp_path, monkeypat
     (assignment,) = assignments
     assert assignment.terrain
     assert all(t.cost == 0.9 for t in assignment.terrain)
+
+
+def test_cmd_task_opens_its_scenario_through_the_bench_module_open(tmp_path, monkeypatch):
+    # A wrapper bound to ``quadkit.bench.open`` (a tracer's) sees the scenario read.
+    import quadkit.bench as bench
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "open", spy, raising=False)
+    scenario = asset_path("scenarios", "long_horizon.json")
+    cmd_task(scenario, out_dir=str(tmp_path))
+    assert opened[0] == scenario

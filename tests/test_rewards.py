@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import episode_percent_steps, episode_phase, samples_of, trajectory_of
+from quadkit.config import RewardConfig, SimConfig
 from quadkit.locomotion import (
     GAITS,
     BehaviorParams,
@@ -11,7 +12,6 @@ from quadkit.locomotion import (
 )
 from quadkit.rewards import (
     EpisodeReport,
-    RewardConfig,
     StepSample,
     episode_percent,
     episode_velocity_percent,
@@ -21,7 +21,7 @@ from quadkit.rewards import (
     r_velocity_yaw,
     scalar_reward,
 )
-from quadkit.surrogate import SimConfig, ideal_params, simulate
+from quadkit.surrogate import ideal_params, simulate
 from quadkit.terrain import UphillSlope
 
 CMD = CommandVector(1.0, 0.0, 0.0)

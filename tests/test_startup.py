@@ -97,3 +97,42 @@ def test_every_absolute_import_is_stdlib_numpy_or_quadkit():
             outside += [f"{os.path.basename(path)}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+# The functions that may decode JSON: the input-file reader, and the parsers of
+# a live endpoint's response body and of model replies, which are no files.
+JSON_DECODERS = {
+    ("errors.py", "_parsed"), ("gateway.py", "_reply_texts"), ("gateway.py", "parse_cost_json"),
+    ("tasks.py", "parse_subgoals"),
+}
+
+
+def json_decoding_functions() -> set:
+    """(file, innermost enclosing function) of each ``json.load``/``json.loads``
+    call in quadkit; ``<module>`` for a call outside any function."""
+    found = set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            found.add((os.path.basename(path), function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(glob.glob(os.path.join(SRC, "quadkit", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        visit(tree, path, "<module>")
+        for node in ast.walk(tree):  # no alias can hide a decoder from the search
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.add((os.path.basename(path), "from json import"))
+    return found
+
+
+def test_only_the_input_reader_decodes_json_from_files():
+    found = json_decoding_functions()
+    assert found - JSON_DECODERS == set()
+    assert ("errors.py", "_parsed") in found

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import contact_table, efficiency_reference, episode_phase, simulate_reference
+from quadkit.config import SimConfig
 from quadkit.locomotion import (
     GAITS,
     GLOBAL_RANGES,
@@ -20,7 +21,6 @@ from quadkit.rewards import episode_percent, episode_velocity_percent
 from quadkit.surrogate import (
     GAIT_MISMATCH_FACTOR,
     IDEAL_PROFILES,
-    SimConfig,
     efficiency,
     grid_efficiency,
     ideal_params,
