@@ -13,12 +13,14 @@ A candidate grid is a ``CandidateTable``: an ``(N, 5)`` float array in
 ``PARAMETERS`` order plus the N gait names. ``select_best`` scores it as
 ``(candidates, steps)`` arrays, a block of candidates at a time (every
 candidate shares the episode seed and so the velocity noise), ranks it with
-one ``np.lexsort`` and builds only the winner as a ``BehaviorParams``. The
-direct variants score their one parameter set as a one-row table.
-``evaluate`` scores a benchmark row's evaluation episodes as one
-``(runs, steps)`` batch. ``surrogate.simulate`` followed by
-``rewards.episode_velocity_percent`` or ``rewards.episode_percent`` remains the
-per-episode reference, and every score equals it exactly.
+one ``np.lexsort`` and builds only the winner as a ``BehaviorParams``.
+``run_benchmark`` lets every variant pick on a terrain first, in order, and
+then scores the terrain's rows in one ``score_terrain`` pass: the direct
+variants' adapt-seed episodes and every row's evaluation episodes as one
+blocked batch. ``evaluate`` and ``adapt`` are its one-row cases.
+``surrogate.simulate`` followed by ``rewards.episode_velocity_percent`` or
+``rewards.episode_percent`` remains the per-episode reference, and every score
+equals it exactly.
 
 A candidate's gait is its ``GAITS`` preset name, as in a ``LevelSelection``.
 """
@@ -68,7 +70,6 @@ from .surrogate import (
     _episode_noise,
     _foot_arrays,
     _gait_schedule,
-    efficiency,
     grid_efficiency,
     ideal_profile,
 )
@@ -81,9 +82,10 @@ BENCHMARK_COMMAND = CommandVector(1.0, 0.0, 0.0)
 # gait name.
 _TIE_ORDER = ("body_height", "step_frequency", "swing_height", "body_pitch", "stance_width")
 
-# select_best scores its grid in row blocks of about this many (candidate,
-# step) cells, so each of its two float64 temporaries stays near 64 KiB
-# whatever the grid size (a 4096-candidate grid would otherwise need 8 MiB each).
+# select_best and score_terrain score in row blocks of about this many
+# (episode, step) cells, so each float64 temporary stays near 64 KiB whatever
+# the grid size or run count (a 4096-candidate grid would otherwise need 8 MiB
+# each).
 _SCORE_BLOCK = 1 << 13
 
 VARIANT_KINDS = ("manual", "auto", "auto_prior", "auto_lss_sampling", "auto_lss_determining")
@@ -313,9 +315,9 @@ def _midpoint_options(ranges=None) -> dict:
             for name in PARAMETERS}
 
 
-def determining_request(terrain_description: str, ranges=None) -> ChatRequest:
-    """The midpoint-picking request: one reply at the parsing temperature."""
-    options = _midpoint_options(ranges)
+def determining_request(terrain_description: str, options: dict) -> ChatRequest:
+    """The midpoint-picking request over ``_midpoint_options``: one reply at
+    the parsing temperature."""
     lines = []
     for name in PROMPT_PARAM_ORDER:
         opts = ", ".join(f"{v:g}" for v in options[name])
@@ -330,7 +332,7 @@ def determining_pick(selection: LevelSelection, gateway: Gateway,
     """Ask the model to choose directly among the five interval midpoints per
     parameter; assembled without any simulation."""
     options = _midpoint_options(ranges)
-    request = determining_request(terrain_description, ranges)
+    request = determining_request(terrain_description, options)
 
     def parse_pick(text):
         values = parse_numeric_values(text)
@@ -361,23 +363,47 @@ def manual_params(path) -> BehaviorParams:
     return read_json("params file", path, _params)
 
 
-def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
-          cfg: ToolkitConfig, seed: int = 0) -> AdaptationResult:
-    """Run one adaptation for (variant, terrain) and return the chosen params."""
+def _pick(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway, cfg: ToolkitConfig,
+          seed: int):
+    """The variant's choice on ``terrain``, with its gateway calls: the
+    sampling variant's ``select_best`` result under episode ``seed``, or a
+    direct variant's ``BehaviorParams``, not yet scored."""
     description = TERRAIN_DESCRIPTIONS.get(terrain.name, f"There is {terrain.name}.")
     if variant.kind == "auto_lss_sampling":
         return locate_simulate_select(description, terrain, gateway, cfg, seed)
     if variant.kind == "manual":
-        params = manual_params(variant.params_file)
-    elif variant.kind == "auto_lss_determining":
+        return manual_params(variant.params_file)
+    if variant.kind == "auto_lss_determining":
         selection = locate_ranges(description, gateway)
-        params = determining_pick(selection, gateway, description, cfg.level_ranges)
-    else:
-        params = direct_params(description, gateway, with_prior=variant.kind == "auto_prior")
-    table = CandidateTable.of([params])
-    percents = _velocity_percents(table, terrain, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seed)
-    return AdaptationResult(params=params, candidate_percents=percents.tolist(),
-                            candidates=table)
+        return determining_pick(selection, gateway, description, cfg.level_ranges)
+    return direct_params(description, gateway, with_prior=variant.kind == "auto_prior")
+
+
+def _adapt_terrain(variants, terrain: TerrainSpec, gateway: Gateway, cfg: ToolkitConfig,
+                   adapt_seeds, seeds) -> tuple:
+    """Every variant's ``AdaptationResult`` on ``terrain`` and its episode
+    reports under the evaluation ``seeds``.
+
+    The variants pick in order, each with its gateway calls, and then one
+    ``score_terrain`` pass scores the rows: a direct variant's percent under
+    its adapt seed and every row's evaluation episodes.
+    """
+    picks = [_pick(v, terrain, gateway, cfg, seed) for v, seed in zip(variants, adapt_seeds)]
+    scored = [isinstance(pick, AdaptationResult) for pick in picks]
+    params = [pick.params if done else pick for pick, done in zip(picks, scored)]
+    percents, reports = score_terrain(
+        terrain, params, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seeds,
+        [None if done else seed for seed, done in zip(adapt_seeds, scored)])
+    results = [pick if done else AdaptationResult(pick, [pct], CandidateTable.of([pick]))
+               for pick, done, pct in zip(picks, scored, percents)]
+    return results, reports
+
+
+def adapt(variant: MethodVariant, terrain: TerrainSpec, gateway: Gateway,
+          cfg: ToolkitConfig, seed: int = 0) -> AdaptationResult:
+    """Run one adaptation for (variant, terrain) and return the chosen params:
+    a benchmark terrain with one variant and no evaluation episode."""
+    return _adapt_terrain([variant], terrain, gateway, cfg, [seed], [])[0][0]
 
 
 @dataclass
@@ -391,50 +417,92 @@ class BenchRow:
         return self.report.csv_row(self.terrain, self.variant)
 
 
+def score_terrain(terrain: TerrainSpec, params, cmd: CommandVector, sim_cfg: SimConfig,
+                  reward_cfg: RewardConfig | None, seeds, adapt_seeds=None) -> tuple:
+    """Score a terrain's rows in one pass; row ``i`` is ``params[i]``.
+
+    Returns ``(percents, reports)``. ``reports[i]`` holds row ``i``'s
+    ``EpisodeReport`` under each of ``seeds``, in order, and each equals
+    ``episode_percent(simulate(terrain, params[i], cmd, sim_cfg, seed), cmd,
+    reward_cfg)``. ``percents[i]`` is its xy-velocity percent under
+    ``adapt_seeds[i]``, equal to ``episode_velocity_percent`` of that episode,
+    or None where there is no adapt seed.
+
+    One ``grid_efficiency`` table gives every row's efficiency, and the
+    evaluation seeds' noise is stacked once. Each (row, seed) episode is one
+    row of the ``_velocity_xy_sums`` batch and each evaluation episode one row
+    of the ``_yaw_terms`` batch, a block of at most ``_SCORE_BLOCK`` (episode,
+    step) cells at a time. The phase terms do not depend on the seed and are
+    computed once per row, with the same float operations as the reference.
+    """
+    sim_cfg.validate()
+    cmd.validate()
+    e = grid_efficiency(CandidateTable.of(params), ideal_profile(terrain))
+    reward_cfg = (reward_cfg or RewardConfig()).validate()
+    n, rows, runs = sim_cfg.steps, len(params), len(seeds)
+    direct = np.flatnonzero([seed is not None for seed in adapt_seeds or ()])
+    noise = [_episode_noise(seed, sim_cfg.noise_scale, n)
+             for seed in [*seeds, *(adapt_seeds[i] for i in direct)]]
+    noise_v = np.reshape([v for v, _ in noise], (len(noise), n))
+    noise_w = np.reshape([w for _, w in noise[:runs]], (runs, n))
+    # Episode k is row ``row[k]`` under noise ``col[k]``: the evaluation
+    # episodes row by row, then the direct rows under their adapt seeds.
+    row = np.concatenate([np.repeat(np.arange(rows), runs), direct])
+    col = np.concatenate([np.tile(np.arange(runs), rows), runs + np.arange(len(direct))])
+    wz_e = cmd.wz * e
+    xy = np.empty(len(row))
+    yaw = np.empty(rows * runs)
+    block = max(1, _SCORE_BLOCK // n)
+    for lo in range(0, len(row), block):
+        r, c = row[lo:lo + block], col[lo:lo + block]
+        mult = noise_v[c]
+        mult += e[r, None]
+        xy[lo:lo + block] = _velocity_xy_sums(mult, cmd, reward_cfg.sigma_vxy)
+        k = len(yaw[lo:lo + block])  # the evaluation episodes of this block
+        if k:
+            w_z = noise_w[c[:k]]
+            w_z += wz_e[r[:k], None]
+            yaw[lo:lo + k] = _yaw_terms(w_z, cmd, reward_cfg).sum(axis=1)
+    xy = (100.0 * xy / n).tolist()
+    yaw = (100.0 * yaw / n).tolist()
+    reports = []
+    for i, (p, e_i) in enumerate(zip(params, e.tolist())):
+        contact, load = _gait_schedule(p.gait, p.step_frequency, sim_cfg.dt, n)
+        phase = _phase_percents(contact, *_foot_arrays(e_i, contact, load, cmd), reward_cfg)
+        episodes = slice(i * runs, (i + 1) * runs)
+        reports.append([EpisodeReport(v, w, *phase) for v, w in zip(xy[episodes], yaw[episodes])])
+    percents = [None] * rows
+    for k, i in enumerate(direct.tolist()):
+        percents[i] = xy[rows * runs + k]
+    return percents, reports
+
+
 def evaluate(terrain: TerrainSpec, params: BehaviorParams, cmd: CommandVector,
              sim_cfg: SimConfig, reward_cfg: RewardConfig | None, seeds) -> list:
-    """Episode reports of ``params`` on ``terrain``, one per seed, in order.
-
-    The episodes share their params and differ only in seed, so they are
-    scored as one ``(runs, steps)`` batch: the velocity terms per row of the
-    stacked noise, the phase terms, which do not depend on the seed, once.
-    Each report equals ``episode_percent(simulate(terrain, params, cmd,
-    sim_cfg, seed), cmd, reward_cfg)``, with the same float operations.
-    """
+    """Episode reports of ``params`` on ``terrain``, one per seed, in order:
+    the one-row case of ``score_terrain``."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("evaluate needs at least one seed")
-    sim_cfg.validate()
-    cmd.validate()
-    e = efficiency(params, ideal_profile(terrain))
-    reward_cfg = (reward_cfg or RewardConfig()).validate()
-    noise = [_episode_noise(seed, sim_cfg.noise_scale, sim_cfg.steps) for seed in seeds]
-    contact, load = _gait_schedule(params.gait, params.step_frequency, sim_cfg.dt, sim_cfg.steps)
-    xy = _velocity_xy_sums(e + np.stack([v for v, _ in noise]), cmd, reward_cfg.sigma_vxy)
-    yaw = _yaw_terms(cmd.wz * e + np.stack([w for _, w in noise]), cmd, reward_cfg).sum(axis=1)
-    phase = _phase_percents(contact, *_foot_arrays(e, contact, load, cmd), reward_cfg)
-    n = sim_cfg.steps
-    return [EpisodeReport(v, w, *phase)
-            for v, w in zip((100.0 * xy / n).tolist(), (100.0 * yaw / n).tolist())]
+    return score_terrain(terrain, [params], cmd, sim_cfg, reward_cfg, seeds)[1][0]
 
 
 def run_benchmark(variants, terrains, runs: int, cfg: ToolkitConfig,
                   gateway: Gateway, root_seed: int = 0) -> list:
     """Adapt once per (terrain, variant), then average evaluation episodes over
     ``runs`` seeds. Evaluation seeds are shared across variants so rows are
-    paired."""
+    paired, and each terrain's rows are scored in one ``score_terrain`` pass."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     rows = []
     for terrain_name in terrains:
         spec = terrain_by_name(terrain_name)
         seeds = [derive_seed(root_seed, "eval", terrain_name, run) for run in range(runs)]
-        for variant in variants:
-            result = adapt(variant, spec, gateway, cfg,
-                           seed=derive_seed(root_seed, "adapt", terrain_name, variant.kind))
-            reports = evaluate(spec, result.params, BENCHMARK_COMMAND, cfg.sim, cfg.reward, seeds)
+        adapt_seeds = [derive_seed(root_seed, "adapt", terrain_name, v.kind) for v in variants]
+        results, reports = _adapt_terrain(variants, spec, gateway, cfg, adapt_seeds, seeds)
+        for variant, result, row_reports in zip(variants, results, reports):
             avg = EpisodeReport(*[
-                sum(r.as_tuple()[i] for r in reports) / len(reports) for i in range(4)
+                sum(r.as_tuple()[i] for r in row_reports) / len(row_reports) for i in range(4)
             ])
             rows.append(BenchRow(terrain_name, variant.kind, avg, result))
     return rows

@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, is_finite, json_object, read_json
 from .locomotion import GAIT_NAMES, GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
 
+# Most map cells a scene header may ask for: categories x M x M, the cells of
+# the int32 owner grid. At the ceiling that grid is 64 MiB, and with one
+# category a solve adds two float64 M x M grids of 128 MiB each. The largest
+# bundled or benchmark scene, plan-480, has 4 x 480 x 480 = 921,600 cells.
+MAX_SCENE_CELLS = 1 << 24
+
 
 def _check_range(section, name: str, low: float, high: float = math.inf,
                  low_open: bool = False):

@@ -10,6 +10,7 @@ replayed; the ``quadkit`` commands pass none, so a CLI run logs nothing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -257,8 +258,10 @@ class Gateway:
         return responses
 
 
+@functools.lru_cache(maxsize=None)
 def load_template(name: str) -> str:
-    """Load a prompt template text asset by stem name."""
+    """Load a prompt template text asset by stem name, read once per process.
+    An unknown name raises on every call: a failed read is not cached."""
     ref = resources.files("quadkit.assets.prompts").joinpath(f"{name}.txt")
     return ref.read_text()
 

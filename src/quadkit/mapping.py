@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MappingConfig
+from .config import MAX_SCENE_CELLS, MappingConfig
 from .errors import ConfigError, is_finite, json_object, read_json_lines
 
 HEIGHT_BIN = 0.05
@@ -506,6 +506,9 @@ def _scene_header(rec) -> Scene:
     m = rec.get("M", Scene.m)
     if type(m) is not int or m <= 0:
         raise ValueError(f"M must be a positive integer, not {m!r}")
+    if len(categories) * m * m > MAX_SCENE_CELLS:
+        raise ValueError(f"M={m} makes {len(categories)} x {m} x {m} map cells, over the "
+                         f"ceiling of {MAX_SCENE_CELLS}")
     cell_size = rec.get("cell_size", Scene.cell_size)
     if not (_finite_number(cell_size) and cell_size > 0):
         raise ValueError(f"cell_size must be a finite number > 0, not {cell_size!r}")

@@ -15,6 +15,7 @@ from oracles import (
     select_best_reference,
     selection_key,
 )
+from quadkit import adaptation
 from quadkit.adaptation import (
     BENCHMARK_COMMAND,
     TERRAIN_DESCRIPTIONS,
@@ -31,6 +32,7 @@ from quadkit.adaptation import (
     random_baseline_percent,
     rows_to_csv,
     run_benchmark,
+    score_terrain,
     select_best,
     write_candidates,
 )
@@ -394,6 +396,59 @@ def test_evaluate_equals_per_episode_reference(runs, steps, values, gait, terrai
     expected = [episode_percent(simulate(terrain, params, cmd, sim_cfg, seed), cmd, reward_cfg)
                 for seed in seeds]
     assert [r.as_tuple() for r in reports] == [r.as_tuple() for r in expected]
+
+
+ROW_PARAMS = st.builds(
+    lambda gait, values: BehaviorParams(gait=gait, **values), st.sampled_from(GAIT_NAMES),
+    st.fixed_dictionaries({name: st.floats(*GLOBAL_RANGES[name]) for name in PARAMETERS}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.lists(ROW_PARAMS, min_size=1, max_size=4),
+       adapt=st.lists(st.one_of(st.none(), st.integers(0, 2**32 - 1)), min_size=4, max_size=4),
+       runs=st.integers(1, 12), steps=st.integers(1, 300),
+       terrain_name=st.sampled_from(sorted(IDEAL_PROFILES)), root=st.integers(0, 2**32 - 1),
+       noise_scale=st.sampled_from([0.0, 0.05, 0.4]), dt=st.sampled_from([0.005, 0.02]),
+       cmd=st.sampled_from([BENCHMARK_COMMAND, CommandVector(0.6, -0.35, 0.4)]))
+# a pronking row beside a trotting one, and 4 x 12 x 250 cells: two blocks
+@example(params=[BehaviorParams(gait="pronking", body_height=0.15, step_frequency=3.0,
+                                body_pitch=0.1, stance_width=0.25, swing_height=0.2),
+                 ideal_params(UphillSlope()), ideal_params(UphillSlope()),
+                 BehaviorParams(gait="bounding", body_height=0.1, step_frequency=4.0,
+                                body_pitch=-0.2, stance_width=0.1, swing_height=0.05)],
+         adapt=[5, None, 7, 5], runs=12, steps=250, terrain_name="uphill_slope", root=0,
+         noise_scale=0.05, dt=0.02, cmd=BENCHMARK_COMMAND)
+def test_score_terrain_equals_per_row_evaluate_and_per_episode_reference(
+        params, adapt, runs, steps, terrain_name, root, noise_scale, dt, cmd):
+    # Rows of any gait and frequency, inside or off the ideal intervals; each
+    # row's reports equal its own evaluate and one simulate per episode, and
+    # each adapt-seed percent one simulate under that seed.
+    terrain = terrain_by_name(terrain_name)
+    sim_cfg = SimConfig(steps=steps, dt=dt, noise_scale=noise_scale)
+    reward_cfg = RewardConfig()
+    seeds = [root + run for run in range(runs)]
+    adapt_seeds = adapt[:len(params)]
+    percents, reports = score_terrain(terrain, params, cmd, sim_cfg, reward_cfg, seeds,
+                                      adapt_seeds)
+    for row, seed, percent, row_reports in zip(params, adapt_seeds, percents, reports):
+        assert row_reports == evaluate(terrain, row, cmd, sim_cfg, reward_cfg, seeds)
+        assert row_reports == [episode_percent(simulate(terrain, row, cmd, sim_cfg, s), cmd,
+                                               reward_cfg) for s in seeds]
+        assert percent == (None if seed is None else episode_velocity_percent(
+            simulate(terrain, row, cmd, sim_cfg, seed), cmd, reward_cfg))
+
+
+@pytest.mark.parametrize("block", [1, 250, 251, 7 * 250])
+def test_score_terrain_is_the_same_in_any_block_size(monkeypatch, block):
+    terrain = UphillSlope()
+    params = [ideal_params(terrain),
+              BehaviorParams(gait="pronking", body_height=0.3, step_frequency=2.0,
+                             body_pitch=0.3, stance_width=0.3, swing_height=0.05)]
+    args = (terrain, params, BENCHMARK_COMMAND, SimConfig(), RewardConfig(), list(range(5)),
+            [None, 11])
+    whole = score_terrain(*args)
+    monkeypatch.setattr(adaptation, "_SCORE_BLOCK", block)
+    assert score_terrain(*args) == whole
 
 
 def test_evaluate_scores_pronking_no_swing_episode_as_vacuous_100():

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from oracles import run_benchmark_reference
-from quadkit import rewards, surrogate
-from quadkit.adaptation import MethodVariant
+from quadkit import mapping, rewards, surrogate
+from quadkit.adaptation import TERRAIN_DESCRIPTIONS, MethodVariant, direct_request
 from quadkit.bench import (
     DEFAULT_TERRAINS,
     DEFAULT_VARIANTS,
@@ -18,7 +18,7 @@ from quadkit.bench import (
     make_gateway,
 )
 from quadkit.cli import main
-from quadkit.config import ToolkitConfig
+from quadkit.config import MAX_SCENE_CELLS, ToolkitConfig
 from quadkit.errors import ConfigError
 
 
@@ -66,6 +66,40 @@ def test_cmd_adapt_scores_without_per_episode_calls_and_equals_reference(tmp_pat
     assert sorted(p.name for p in tmp_path.glob("candidates_*.csv")) == sorted(dumps)
     for name, text in dumps.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+def test_cmd_adapt_every_variant_in_any_order_equals_reference(tmp_path, monkeypatch):
+    # All five variants, not in VARIANT_KINDS order, at a non-default seed:
+    # manual reads a params file, auto_prior answers from the transcript.
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"body_height": 0.12, "step_frequency": 2.4,
+                                  "swing_height": 0.09, "body_pitch": -0.1,
+                                  "stance_width": 0.3, "gait": "bounding"}))
+    with open(asset_path("transcripts", "benchmark.jsonl")) as fh:
+        entries = [json.loads(line) for line in fh]
+    for terrain in DEFAULT_TERRAINS:
+        digest = direct_request(TERRAIN_DESCRIPTIONS[terrain], with_prior=True).digest()
+        replies = [e["response"] for e in entries if e["template_id"] == "auto"][:3]
+        entries += [{"template_id": "auto_prior", "request_hash": digest,
+                     "response": reply.replace("trotting", "pronking")} for reply in replies]
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    kinds = ("auto_lss_determining", "manual", "auto_prior", "auto_lss_sampling", "auto")
+    simulated = count_calls(monkeypatch, surrogate.simulate)
+    scored = count_calls(monkeypatch, rewards.episode_percent)
+    out = tmp_path / "out"
+    cmd_adapt(variants=kinds, runs=4, seed=11, transcript=str(transcript), out_dir=str(out),
+              manual_params_file=str(params))
+    assert (len(simulated), len(scored)) == (0, 0)
+    monkeypatch.undo()
+    benchmark, dumps = run_benchmark_reference(
+        [MethodVariant(kind, str(params) if kind == "manual" else None) for kind in kinds],
+        DEFAULT_TERRAINS, 4, ToolkitConfig(), make_gateway("scripted", str(transcript)),
+        root_seed=11)
+    assert (out / "benchmark.csv").read_bytes() == benchmark.encode()
+    assert sorted(p.name for p in out.glob("candidates_*.csv")) == sorted(dumps)
+    for name, text in dumps.items():
+        assert (out / name).read_bytes() == text.encode(), name
 
 
 def test_cmd_adapt_rerun_is_byte_identical(tmp_path):
@@ -271,6 +305,25 @@ def test_cli_plan_malformed_scene_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "no_pose.jsonl" in err and "line 2" in err
+
+
+def test_cli_plan_scene_over_the_cell_ceiling_exits_2_before_any_map(tmp_path, capsys,
+                                                                    monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SemanticMap was built")
+
+    monkeypatch.setattr(mapping.SemanticMap, "__init__", refuse)
+    scene = tmp_path / "huge.jsonl"
+    scene.write_text(json.dumps({"categories": ["floor"], "M": 1000000000}) + "\n"
+                     + json.dumps({"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 0]]}) + "\n")
+    code = main(["plan", "--scene", str(scene), "--instruction", "Go to the chair",
+                 "--transcript", asset_path("transcripts", "plan_band.jsonl"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert "huge.jsonl, line 1: M=1000000000" in err
+    assert f"ceiling of {MAX_SCENE_CELLS}" in err
 
 
 def test_cli_plan_transcript_hash_mismatch_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import fixture_text, make_gateway
+from quadkit import gateway
 from quadkit.errors import (
     ConfigError,
     ParseError,
@@ -112,6 +113,26 @@ def test_templates_load_with_slots():
     rendered = load_template("cost_map").format(instruction="Go to the chair")
     assert '"target_object": "red cabinet"' in rendered
     assert "Go to the chair" in rendered
+
+
+def test_load_template_reads_each_template_once_per_process(monkeypatch):
+    opened = []
+    files = gateway.resources.files
+
+    def counted(package):
+        opened.append(package)
+        return files(package)
+
+    load_template.cache_clear()
+    monkeypatch.setattr(gateway.resources, "files", counted)
+    texts = [load_template(name) for _ in range(3) for name in ("auto", "locate_levels")]
+    assert len(opened) == 2
+    assert texts[:2] * 3 == texts
+    # A failed read is not cached: an unknown name raises on every call.
+    for calls in (3, 4):
+        with pytest.raises(OSError):
+            load_template("no_such_template")
+        assert len(opened) == calls
 
 
 def test_parse_levels_verbatim_example():

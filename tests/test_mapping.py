@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
     project_frame_reference,
     union_find_clusters,
 )
+from quadkit.config import MAX_SCENE_CELLS
 from quadkit.errors import ConfigError
 from quadkit.mapping import (
     Detection,
@@ -698,6 +700,38 @@ def test_load_scene_names_the_file_line_of_a_bad_frame_after_blank_lines(tmp_pat
                     '{"pose": [0, 0, 0], "points": [[0.1, 0.1, 0.1, 7]]}\n')
     with pytest.raises(ConfigError, match=r"bad\.jsonl, line 7: "):
         load_scene(path)
+
+
+@pytest.mark.parametrize("categories, m", [(["floor"], 4096), (["a", "b", "c", "d"], 2048)])
+def test_load_scene_takes_a_header_at_the_cell_ceiling_and_refuses_one_past_it(tmp_path,
+                                                                               categories, m):
+    # C x M x M = MAX_SCENE_CELLS exactly. load_scene reads the header only
+    # and builds no map, so neither size is allocated here.
+    assert len(categories) * m * m == MAX_SCENE_CELLS
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps({"categories": categories, "M": m}) + "\n")
+    assert load_scene(path).m == m
+    path.write_text(json.dumps({"categories": categories, "M": m + 1}) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_scene(path)
+    assert f"big.jsonl, line 1: M={m + 1} makes" in str(err.value)
+    assert f"ceiling of {MAX_SCENE_CELLS}" in str(err.value)
+
+
+def test_load_scene_header_size_loads_within_the_ceiling_or_names_m(tmp_path):
+    path = tmp_path / "header.jsonl"
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 8), m=st.one_of(st.integers(1, 5000), st.integers(1, 10**30)))
+    def check(c, m):
+        path.write_text(json.dumps({"categories": [f"c{i}" for i in range(c)], "M": m}) + "\n")
+        if c * m * m <= MAX_SCENE_CELLS:
+            assert load_scene(path).m == m
+        else:
+            with pytest.raises(ConfigError, match=rf"line 1: M={m} makes {c} x {m} x {m}"):
+                load_scene(path)
+
+    check()
 
 
 def test_first_named_returns_lowest_id_instance():

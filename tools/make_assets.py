@@ -14,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from quadkit.adaptation import (
     PROMPT_LABELS,
     TERRAIN_DESCRIPTIONS,
+    _midpoint_options,
     determining_request,
     direct_request,
     locate_request,
@@ -127,7 +128,7 @@ def write_benchmark_transcript():
             entries.append(("auto", direct_request(description), reply))
         for _ in range(6):
             entries.append(("locate_levels", locate_request(description), level_reply(profile)))
-        entries.append(("determining", determining_request(description),
+        entries.append(("determining", determining_request(description, _midpoint_options()),
                         determining_reply(terrain)))
     path = os.path.join(ASSETS, "transcripts", "benchmark.jsonl")
     write_transcript(path, entries)
