@@ -1,13 +1,13 @@
 """Reproducible experiment entry points: adaptation benchmark, path planning,
-and long-horizon scenarios. Each command writes its artifacts plus a manifest
-sufficient to re-execute the run."""
+and long-horizon scenarios. Each command writes its artifacts and a
+manifest.json: ``cmd_<command>(**args)`` with the manifest's seed, provider,
+transcript and config_path re-runs it. This module opens its own files with
+the module-level ``open``, so a wrapper bound to that name sees them."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 
 from .adaptation import (
@@ -18,7 +18,7 @@ from .adaptation import (
     run_benchmark,
     write_candidates,
 )
-from .config import ToolkitConfig, apply_config_data, load_config
+from .config import MAX_EPISODE_STEPS, MAX_RUNS, ToolkitConfig, apply_config_data, load_config
 from .errors import ConfigError, json_object, read_json
 from .gateway import Gateway, LiveProvider, ScriptedProvider
 from .mapping import load_scene
@@ -28,25 +28,6 @@ from .terrain import TERRAIN_TYPES
 
 DEFAULT_TERRAINS = tuple(TERRAIN_DESCRIPTIONS)
 DEFAULT_VARIANTS = ("auto", "auto_lss_sampling", "auto_lss_determining")
-
-
-@dataclass
-class RunManifest:
-    command: str
-    seed: int
-    provider: str
-    transcript: str | None
-    out_dir: str
-    config_path: str | None
-    args: dict
-    config: dict
-
-    def write(self):
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def asset_path(*parts) -> str:
@@ -63,8 +44,20 @@ def make_gateway(provider: str, transcript=None, log_path=None) -> Gateway:
     raise ConfigError(f"unknown provider '{provider}' (use scripted or live)")
 
 
-def _prepare(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(command: str, out_dir, cfg: ToolkitConfig, args: dict, seed: int,
+                    provider: str, transcript, config_path):
+    """Write ``out_dir/manifest.json``; an absent transcript or config path is null."""
+    _write_json(os.path.join(out_dir, "manifest.json"), {
+        "command": command, "seed": seed, "provider": provider, "out_dir": str(out_dir),
+        "transcript": str(transcript) if transcript else None,
+        "config_path": str(config_path) if config_path else None,
+        "args": args, "config": cfg.as_dict()})
 
 
 def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 10,
@@ -81,6 +74,11 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
             raise ConfigError(str(err)) from None
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, not {runs}")
+    if runs > MAX_RUNS:
+        raise ConfigError(f"runs must be <= {MAX_RUNS}, not {runs}")
+    if runs * cfg.sim.steps > MAX_EPISODE_STEPS:
+        raise ConfigError(f"runs x sim.steps must be <= {MAX_EPISODE_STEPS}, "
+                          f"not {runs} x {cfg.sim.steps} = {runs * cfg.sim.steps}")
     if not terrains:
         raise ConfigError(f"no terrain given; valid: {', '.join(TERRAIN_TYPES)}")
     if not variants:
@@ -95,7 +93,7 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
         transcript = asset_path("transcripts", "benchmark.jsonl")
     gateway = make_gateway(provider, transcript)
 
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     rows = run_benchmark(variant_objs, list(terrains), runs, cfg, gateway, root_seed=seed)
     csv_path = os.path.join(out_dir, "benchmark.csv")
     rows_to_csv(rows, csv_path)
@@ -103,13 +101,11 @@ def cmd_adapt(terrains=DEFAULT_TERRAINS, variants=DEFAULT_VARIANTS, runs: int = 
         dump = os.path.join(out_dir, f"candidates_{row.terrain}_{row.variant}.csv")
         with open(dump, "w") as fh:
             write_candidates(fh, row.result)
-    RunManifest(
-        command="adapt", seed=seed, provider=provider, transcript=transcript,
-        out_dir=out_dir, config_path=str(config_path) if config_path else None,
-        args={"terrains": list(terrains), "variants": list(variants), "runs": runs,
-              "noise_scale": cfg.sim.noise_scale},
-        config=cfg.as_dict(),
-    ).write()
+    _write_manifest("adapt", out_dir, cfg, {
+        "terrains": list(terrains), "variants": list(variants), "runs": runs,
+        "noise_scale": cfg.sim.noise_scale,
+        "manual_params_file": str(manual_params_file) if manual_params_file else None,
+    }, seed, provider, transcript, config_path)
     return rows
 
 
@@ -126,7 +122,7 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
     # No reference to the scene is kept, so each frame is freed once ingested.
     world = World(load_scene(scene_path), cfg, root_seed=seed)
     gateway = make_gateway(provider, transcript)
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     world.ingest_pending()
     smap, memory = world.smap, world.memory
@@ -152,16 +148,10 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
         if dist is not None:
             result["distance_m"] = round(dist, 6)
             result["reached"] = dist <= cfg.nav.success_radius
-    with open(os.path.join(out_dir, "result.json"), "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    RunManifest(
-        command="plan", seed=seed, provider=provider,
-        transcript=str(transcript) if transcript else None, out_dir=out_dir,
-        config_path=str(config_path) if config_path else None,
-        args={"scene": str(scene_path), "instruction": instruction, "no_cost": no_cost},
-        config=cfg.as_dict(),
-    ).write()
+    _write_json(os.path.join(out_dir, "result.json"), result)
+    _write_manifest("plan", out_dir, cfg, {
+        "scene_path": str(scene_path), "instruction": instruction, "no_cost": no_cost,
+    }, seed, provider, transcript, config_path)
     return result, plan
 
 
@@ -202,7 +192,7 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
             raise ConfigError(f"scenario {scenario_path} names no transcript")
         transcript = os.path.join(base, scenario["transcript"])
     gateway = make_gateway(provider, transcript)
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     plan = decompose(instruction, SKILLS, gateway)
     trace = execute(plan, world, gateway)
@@ -211,10 +201,6 @@ def cmd_task(scenario_path, config_path=None, seed: int = 0, out_dir: str = "out
         fh.write("index,skill,status\n")
         for i, sg in enumerate(plan):
             fh.write(f"{i},{sg.skill_name},{sg.status}\n")
-    RunManifest(
-        command="task", seed=seed, provider=provider, transcript=str(transcript),
-        out_dir=out_dir, config_path=str(config_path) if config_path else None,
-        args={"scenario": str(scenario_path), "instruction": instruction},
-        config=cfg.as_dict(),
-    ).write()
+    _write_manifest("task", out_dir, cfg, {"scenario_path": str(scenario_path)},
+                    seed, provider, transcript, config_path)
     return trace, plan, world

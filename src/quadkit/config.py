@@ -23,6 +23,12 @@ from .locomotion import GAIT_NAMES, GLOBAL_RANGES, LEVEL_RANGES, PARAMETERS
 # bundled or benchmark scene, plan-480, has 4 x 480 x 480 = 921,600 cells.
 MAX_SCENE_CELLS = 1 << 24
 
+# Most evaluation runs (--runs) and episode steps (runs x sim.steps, so also
+# sim.steps) per adapt terrain; the default is 10 x 250. With four variants a
+# terrain peaks near 39 MiB at 1 x 131,072 and 22 MiB at 16,384 x 8.
+MAX_RUNS = 1 << 14
+MAX_EPISODE_STEPS = 1 << 17
+
 
 def _check_range(section, name: str, low: float, high: float = math.inf,
                  low_open: bool = False):
@@ -61,7 +67,7 @@ class SimConfig:
     noise_scale: float = 0.05
 
     def validate(self) -> "SimConfig":
-        _check_range(self, "steps", 1)
+        _check_range(self, "steps", 1, MAX_EPISODE_STEPS)
         _check_range(self, "dt", 0, low_open=True)
         _check_range(self, "noise_scale", 0)
         return self

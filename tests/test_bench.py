@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from oracles import run_benchmark_reference
-from quadkit import mapping, rewards, surrogate
+from quadkit import bench, mapping, rewards, surrogate
 from quadkit.adaptation import TERRAIN_DESCRIPTIONS, MethodVariant, direct_request
 from quadkit.bench import (
     DEFAULT_TERRAINS,
@@ -18,8 +18,9 @@ from quadkit.bench import (
     make_gateway,
 )
 from quadkit.cli import main
-from quadkit.config import MAX_SCENE_CELLS, ToolkitConfig
+from quadkit.config import MAX_EPISODE_STEPS, MAX_RUNS, MAX_SCENE_CELLS, ToolkitConfig
 from quadkit.errors import ConfigError
+from quadkit.gateway import Gateway, ScriptedProvider
 
 
 def test_cmd_adapt_default_grid_row_count(tmp_path):
@@ -484,3 +485,128 @@ def test_cmd_task_opens_its_scenario_through_the_bench_module_open(tmp_path, mon
     scenario = asset_path("scenarios", "long_horizon.json")
     cmd_task(scenario, out_dir=str(tmp_path))
     assert opened[0] == scenario
+
+
+def assert_reruns_from_manifest(out, rerun):
+    """Re-run the command from ``out/manifest.json`` into ``rerun``: every other
+    artifact is byte-identical, and the manifest differs only in ``out_dir``."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    command = getattr(bench, f"cmd_{manifest['command']}")
+    command(**manifest["args"], seed=manifest["seed"], provider=manifest["provider"],
+            transcript=manifest["transcript"], config_path=manifest["config_path"],
+            out_dir=str(rerun))
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (rerun / name).read_bytes(), name
+    assert json.loads((rerun / "manifest.json").read_text()) == {**manifest,
+                                                                 "out_dir": str(rerun)}
+    return manifest
+
+
+def test_cmd_adapt_with_manual_params_and_config_reruns_from_its_manifest(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"body_height": 0.12, "step_frequency": 2.4,
+                                  "swing_height": 0.09, "body_pitch": -0.1,
+                                  "stance_width": 0.3, "gait": "bounding"}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sim": {"steps": 120}}))
+    cmd_adapt(terrains=("uphill_slope",), variants=("auto", "manual"), runs=2, seed=5,
+              config_path=config, noise_scale=0.1, manual_params_file=params,
+              out_dir=str(tmp_path / "a"))
+    manifest = assert_reruns_from_manifest(tmp_path / "a", tmp_path / "b")
+    assert manifest["args"]["manual_params_file"] == str(params)
+    assert manifest["config_path"] == str(config)
+    assert manifest["config"]["sim"] == {"steps": 120, "dt": 0.02, "noise_scale": 0.1}
+
+
+def test_cmd_plan_reruns_from_its_manifest(tmp_path):
+    cmd_plan(asset_path("scenes", "band.jsonl"), "Go to the chair", seed=2,
+             transcript=asset_path("transcripts", "plan_band.jsonl"), no_cost=True,
+             out_dir=str(tmp_path / "a"))
+    manifest = assert_reruns_from_manifest(tmp_path / "a", tmp_path / "b")
+    assert manifest["config_path"] is None
+
+
+def test_cmd_task_reruns_from_its_manifest(tmp_path):
+    cmd_task(asset_path("scenarios", "long_horizon.json"), seed=4, out_dir=str(tmp_path / "a"))
+    manifest = assert_reruns_from_manifest(tmp_path / "a", tmp_path / "b")
+    assert manifest["transcript"] == os.path.join(
+        os.path.dirname(asset_path("scenarios", "long_horizon.json")),
+        "../transcripts/long_horizon.jsonl")
+
+
+def test_live_cmd_task_records_no_transcript_and_reruns_from_its_manifest(tmp_path,
+                                                                         monkeypatch):
+    # A scripted gateway stands in for the live one, so no network is needed.
+    def scripted(provider, transcript=None, log_path=None):
+        assert (provider, transcript) == ("live", None)
+        return Gateway(ScriptedProvider.from_file(
+            asset_path("transcripts", "long_horizon.jsonl")))
+
+    monkeypatch.setattr(bench, "make_gateway", scripted)
+    cmd_task(asset_path("scenarios", "long_horizon.json"), provider="live",
+             out_dir=str(tmp_path / "a"))
+    manifest = assert_reruns_from_manifest(tmp_path / "a", tmp_path / "b")
+    assert (manifest["provider"], manifest["transcript"]) == ("live", None)
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("runs, steps, message", [
+    (MAX_RUNS, MAX_EPISODE_STEPS // MAX_RUNS, None),
+    (MAX_RUNS + 1, 1, f"runs must be <= {MAX_RUNS}, not {MAX_RUNS + 1}"),
+    (2, MAX_EPISODE_STEPS // 2, None),
+    (3, MAX_EPISODE_STEPS // 3 + 1, f"runs x sim.steps must be <= {MAX_EPISODE_STEPS}, "
+     f"not 3 x {MAX_EPISODE_STEPS // 3 + 1} = {MAX_EPISODE_STEPS + 1}"),
+    (1, MAX_EPISODE_STEPS, None),
+    (1, MAX_EPISODE_STEPS + 1, f"cfg.json: sim.steps must be in [1, {MAX_EPISODE_STEPS}], "
+     f"not {MAX_EPISODE_STEPS + 1}"),
+], ids=["runs-edge", "runs-past", "episode-steps-edge", "episode-steps-past", "steps-edge",
+        "steps-past"])
+def test_cli_adapt_run_ceilings_exit_2_before_the_benchmark(tmp_path, capsys, monkeypatch,
+                                                            runs, steps, message):
+    # At a ceiling the command reaches run_benchmark (stubbed, so nothing is
+    # allocated); one past it exits 2 naming the field, its value and the ceiling.
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(bench, "run_benchmark", refuse)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sim": {"steps": steps}}))
+    argv = ["adapt", "--terrains", "uphill_slope", "--runs", str(runs),
+            "--config", str(config), "--out", str(tmp_path / "out")]
+    if message is None:
+        with pytest.raises(Reached):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, kwargs, count", [
+    (cmd_adapt, {"runs": 1}, 16),  # 15 candidates_*.csv and manifest.json
+    (cmd_plan, {"scene_path": asset_path("scenes", "band.jsonl"),
+                "instruction": "Go to the chair",
+                "transcript": asset_path("transcripts", "plan_band.jsonl")}, 2),
+    (cmd_task, {"scenario_path": asset_path("scenarios", "long_horizon.json")}, 3),
+], ids=["adapt", "plan", "task"])
+def test_each_command_opens_its_files_through_the_bench_module_open(tmp_path, monkeypatch,
+                                                                    command, kwargs, count):
+    # perfbench's tracer binds ``quadkit.bench.open`` and counts these files as
+    # ``bench.artifacts.calls`` (with the one artifact each pipeline writes itself).
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "open", spy, raising=False)
+    command(out_dir=str(tmp_path), **kwargs)
+    assert len(opened) == count, opened
+    assert opened[-1] == "manifest.json"
