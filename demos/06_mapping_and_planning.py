@@ -36,8 +36,8 @@ result_nc, plan_nc = cmd_plan(scene_path, "Go to the chair", transcript=transcri
 
 band_channel = scene.categories.index("blue mattress")
 band = {(int(r), int(c)) for r, c in zip(*np.nonzero(smap.grid[band_channel]))}
-print(f"\nwith costs:    {len(plan.waypoints)} waypoints, "
+print(f"\nwith costs:    {len(plan.cells)} path cells, "
       f"crosses mattress: {bool(set(plan.cells) & band)}, reached: {result['reached']}")
-print(f"without costs: {len(plan_nc.waypoints)} waypoints, "
+print(f"without costs: {len(plan_nc.cells)} path cells, "
       f"crosses mattress: {bool(set(plan_nc.cells) & band)}, reached: {result_nc['reached']}")
 print(f"\ncost-map PGMs and arrival-field CSVs in {out}")

@@ -144,7 +144,7 @@ def cmd_plan(scene_path, instruction: str, config_path=None, seed: int = 0,
         field.to_csv(os.path.join(out_dir, "arrival.csv"))
     if plan is not None:
         plan.to_jsonl(os.path.join(out_dir, "plan.jsonl"))
-        dist = distance_to_instance(memory, target, plan.waypoints[-1].world)
+        dist = distance_to_instance(memory, target, plan.world[-1])
         if dist is not None:
             result["distance_m"] = round(dist, 6)
             result["reached"] = dist <= cfg.nav.success_radius

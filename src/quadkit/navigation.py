@@ -3,7 +3,7 @@
 The local policy turns model-assigned per-category costs into an M x M cost
 map (cost 1 = impassable), solves |grad T| = 1/F with F = clamp(1 - cost,
 speed_floor, 1) by a first-order upwind fast-marching sweep on a 4-neighbor
-stencil, and extracts waypoint paths by steepest descent over 8 neighbors.
+stencil, and plans paths by steepest descent over 8 neighbors.
 The solver keys its heap by (t, k), with k a cell's flat row-major index in
 a grid padded with a one-cell obstacle border; k orders ties as (row, col)
 does and the update applies the same float operations in the same order, so
@@ -17,8 +17,10 @@ a ``stop_at`` mask it ends once the first mask cell and every queued cell of
 that same time are frozen. Frozen cells then hold their full-solve times and
 the cells it did not freeze hold +inf. Frontier choice stops at the first
 frontier, and path descent at the start, because neither reads a later cell.
-The global policy resolves goals from instance memory and falls back to the
-geodesically nearest frontier cell.
+A path is its cells: ``descend_field`` returns the descent's cells, and only
+``path_from_cells`` turns cells into world points, gait flags and actions.
+The global policy resolves a category name from instance memory and falls
+back to the geodesically nearest frontier cell.
 """
 
 from __future__ import annotations
@@ -103,28 +105,21 @@ class ArrivalField:
         np.savetxt(path, self.times, fmt="%.6f", delimiter=",")
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    cell: tuple
-    world: tuple
-
-
 @dataclass
 class PathPlan:
-    """Ordered waypoints plus per-segment gait flags and positional offsets."""
+    """A path's cells and the world points of their centres, plus one gait
+    flag and one (dx, dy, dyaw) action per segment; ``path_from_cells``
+    builds it."""
 
-    waypoints: list
+    cells: list  # (row, col) per point
+    world: list  # (x, y) per point
     gait_flags: list
     actions: list  # (dx, dy, dyaw) per segment
 
-    @property
-    def cells(self) -> list:
-        return [w.cell for w in self.waypoints]
-
     def to_jsonl(self, path):
         with open(path, "w") as fh:
-            for i, wp in enumerate(self.waypoints):
-                rec = {"cell": list(wp.cell), "world": [round(v, 6) for v in wp.world]}
+            for i, (cell, point) in enumerate(zip(self.cells, self.world)):
+                rec = {"cell": list(cell), "world": [round(v, 6) for v in point]}
                 if i > 0:
                     rec["gait"] = int(self.gait_flags[i - 1])
                     rec["action"] = [round(v, 6) for v in self.actions[i - 1]]
@@ -302,14 +297,12 @@ def fmm_solve(costmap: CostMap, goal: tuple,
     return ArrivalField(times=field)
 
 
-def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
-                 initial_yaw: float = 0.0) -> PathPlan:
-    """Steepest descent over 8-neighbors of the arrival field until the goal.
+def descend_field(field: ArrivalField, start: tuple) -> list:
+    """Cells of the steepest descent over 8-neighbors of the arrival field,
+    from ``start`` to the goal.
 
-    Arrival time strictly decreases along the path, so it terminates and never
-    touches an obstacle cell. Actions are (dx, dy, dyaw) offsets between
-    consecutive waypoints with yaw facing the travel direction.
-    """
+    Arrival time strictly decreases along the cells, so the descent
+    terminates and never touches an obstacle cell."""
     times = field.times
     m, n = times.shape
     _check_cell(start, (m, n), "start")
@@ -329,20 +322,31 @@ def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
             raise UnreachableError(f"descent stalled at {(r, c)}")
         r, c = best
         cells.append(best)
-    waypoints = [Waypoint(cell=cell, world=cell_to_world(*cell, costmap.m, costmap.cell_size,
-                                                         costmap.origin))
-                 for cell in cells]
+    return cells
+
+
+def path_from_cells(cells: list, costmap: CostMap, initial_yaw: float = 0.0) -> PathPlan:
+    """The path through ``cells`` in order: each cell's world centre, and per
+    segment the gait bit of the cell it enters and the (dx, dy, dyaw) action,
+    the yaw facing the travel direction and starting at ``initial_yaw``."""
+    world = [cell_to_world(*cell, costmap.m, costmap.cell_size, costmap.origin)
+             for cell in cells]
     gait_flags = [int(costmap.gait[cell]) for cell in cells[1:]]
     actions = []
     yaw = initial_yaw
-    for prev, cur in zip(waypoints, waypoints[1:]):
-        dx = cur.world[0] - prev.world[0]
-        dy = cur.world[1] - prev.world[1]
+    for (x0, y0), (x1, y1) in zip(world, world[1:]):
+        dx = x1 - x0
+        dy = y1 - y0
         heading = math.atan2(dy, dx)
-        dyaw = math.remainder(heading - yaw, math.tau)
-        actions.append((dx, dy, dyaw))
+        actions.append((dx, dy, math.remainder(heading - yaw, math.tau)))
         yaw = heading
-    return PathPlan(waypoints=waypoints, gait_flags=gait_flags, actions=actions)
+    return PathPlan(cells=cells, world=world, gait_flags=gait_flags, actions=actions)
+
+
+def extract_path(field: ArrivalField, start: tuple, costmap: CostMap,
+                 initial_yaw: float = 0.0) -> PathPlan:
+    """The steepest-descent path from ``start`` to the field's goal."""
+    return path_from_cells(descend_field(field, start), costmap, initial_yaw)
 
 
 def frontier_cells(smap: SemanticMap, costmap: CostMap) -> np.ndarray:
@@ -407,20 +411,15 @@ def instance_centroid(mask: np.ndarray) -> tuple:
     return (round(int(rows.sum()) / rows.size), round(int(cols.sum()) / cols.size))
 
 
-def global_goal(goal, memory: InstanceMemory, costmap: CostMap, start: tuple,
+def global_goal(goal: str, memory: InstanceMemory, costmap: CostMap, start: tuple,
                 speed_floor: float = NavConfig.speed_floor) -> tuple:
-    """Memory lookup first: exact category-name match (or a direct instance id)
-    returns the instance's centroid snapped to a passable cell; otherwise the
-    nearest frontier of the memory's map."""
+    """Memory lookup first: the lowest-id instance of the category named
+    ``goal`` gives its centroid snapped to a passable cell; with no such
+    instance, the nearest frontier of the memory's map."""
     smap = memory.smap
     if not smap.explored.any():
         raise ValueError("map has no explored cells")
-    if isinstance(goal, int):
-        if goal not in memory.instances:
-            raise ValueError(f"no instance with id {goal}")
-        record = memory.instances[goal]
-    else:
-        record = memory.first_named(goal)
+    record = memory.first_named(goal)
     if record is None:
         return frontier_goal(smap, costmap, start, speed_floor)
     return snap_to_free(costmap, instance_centroid(record.cells))

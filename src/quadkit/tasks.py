@@ -135,11 +135,9 @@ class World:
                self.cfg.mapping.sensor_range, self.cfg.mapping.max_point_height)
 
     def walk(self, plan):
-        yaw = self.pose[2]
-        for wp, action in zip(plan.waypoints[1:], plan.actions):
-            yaw = math.atan2(action[1], action[0])
-            self.pose = (wp.world[0], wp.world[1], yaw)
-            self.smap.mark_pose(*wp.cell)
+        for cell, (x, y), (dx, dy, _) in zip(plan.cells[1:], plan.world[1:], plan.actions):
+            self.pose = (x, y, math.atan2(dy, dx))
+            self.smap.mark_pose(*cell)
             self.clock += 1
 
     def has_instance(self, category_name: str) -> bool:

@@ -6,6 +6,7 @@ library code they check.
 
 import heapq
 import itertools
+import json
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ from quadkit.mapping import (
     _check_category_ids,
     _label_components,
 )
-from quadkit.navigation import ArrivalField, CostAssignment, CostMap
+from quadkit.navigation import ArrivalField, CostAssignment, CostMap, TerrainCost
 from quadkit.rewards import (
     EpisodeReport,
     StepSample,
@@ -597,3 +598,120 @@ def map_image_reference(smap: SemanticMap) -> np.ndarray:
         image[-2][smap.current_cell] = 1
     image[-1][smap.visited] = 1
     return image
+
+
+def plan_reference(scene, reply: dict, cfg, no_cost: bool = False) -> tuple:
+    """``bench.cmd_plan`` composed from the per-layer references: the scene's
+    frames through ``project_frame_reference`` and ``InstanceMemoryOracle``,
+    the cost reply ``reply`` (the decoded JSON object) through
+    ``build_cost_map_reference``, the goal from ``nearest_free_cell`` or a
+    full-field frontier search, and the path by a full-field 8-neighbour
+    descent of ``fmm_solve_reference``'s field.
+
+    Returns ``(plan_text, result_text, cost_map)``: the text ``plan.jsonl``
+    and ``result.json`` must hold (``plan_text`` is None when no path is
+    found) and the reference cost map."""
+    smap = SemanticMap(scene.categories, scene.m, scene.cell_size, scene.origin)
+    m, cell_size, origin = smap.m, smap.cell_size, smap.origin
+    half = m // 2
+
+    def world_of(cell):
+        return ((cell[1] - half + 0.5) * cell_size + origin[0],
+                (cell[0] - half + 0.5) * cell_size + origin[1])
+
+    memory = InstanceMemoryOracle(cfg.mapping.dilation_p, m)
+    for frame in scene.frames:
+        for bbox, class_id, full in project_frame_reference(
+                smap, frame.cloud, frame.pose, frame.index, cfg.mapping.sensor_range,
+                cfg.mapping.max_point_height):
+            cells = cells_of(full)
+            iid = memory.match(cells, class_id)
+            if iid is None:
+                memory.create(cells, class_id, bbox)
+            else:
+                memory.merge(iid, cells, bbox)
+    for iid, cells in memory.cells.items():
+        for cell in cells:
+            smap.grid[memory.classes[iid]][cell] = iid
+
+    listed = [TerrainCost(entry["type"], float(entry["cost"]), int(entry["gait"]))
+              for entry in reply["terrain"]]
+    named = {entry.type for entry in listed}
+    listed += [TerrainCost(name, cfg.nav.unexplored_cost, 0) for name in scene.categories
+               if name not in named]
+    assignment = CostAssignment(reply["target_object"], tuple(reply["obstacles"]),
+                                tuple(listed))
+    costmap = build_cost_map_reference(smap, assignment, cfg.nav.unexplored_cost, no_cost)
+    blocked = costmap.costs >= 1.0
+    target = assignment.target_object
+    x, y, yaw = scene.start_pose
+    start = (int(math.floor((y - origin[1]) / cell_size)) + half,
+             int(math.floor((x - origin[0]) / cell_size)) + half)
+    class_id = scene.categories.index(target) if target in scene.categories else None
+    ids = sorted(iid for iid, cls in memory.classes.items() if cls == class_id)
+    centroid = None
+    if ids:
+        rows, cols = zip(*memory.cells[ids[0]])
+        centroid = (round(sum(rows) / len(rows)), round(sum(cols) / len(cols)))
+
+    def plan():
+        """(goal, path cells, error), each None when not reached."""
+        if centroid is not None:
+            goal = nearest_free_cell(blocked, centroid)
+            if goal is None:
+                return None, None, "cost map has no passable cells"
+        else:
+            frontier = [(r, c) for r in range(m) for c in range(m)
+                        if smap.explored[r, c] and not blocked[r, c]
+                        and any(not smap.explored[r + dr, c + dc]
+                                for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                                if 0 <= r + dr < m and 0 <= c + dc < m)]
+            if not frontier:
+                return None, None, "no frontier cells remain"
+            if blocked[start]:
+                return None, None, f"start cell {start} is impassable"
+            from_start = fmm_solve_reference(costmap, start, cfg.nav.speed_floor).times
+            t, r, c = min((from_start[cell], *cell) for cell in frontier)
+            if t == math.inf:
+                return None, None, "no reachable frontier cells remain"
+            goal = (r, c)
+        times = fmm_solve_reference(costmap, goal, cfg.nav.speed_floor).times
+        if not math.isfinite(times[start]):
+            return goal, None, f"start cell {start} cannot reach the goal"
+        cells = [start]
+        while times[cells[-1]] > 0.0:
+            r, c = cells[-1]
+            step = min((times[r + dr, c + dc], r + dr, c + dc)
+                       for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                       if 0 <= r + dr < m and 0 <= c + dc < m)
+            assert step[0] < times[r, c], "a full field always descends"
+            cells.append(step[1:])
+        return goal, cells, None
+
+    goal, cells, error = plan()
+    result = {"target": target, "goal_cell": None if goal is None else list(goal),
+              "reached": False, "distance_m": None, "no_cost": no_cost}
+    if error is not None:
+        result["error"] = error
+    plan_text = None
+    if cells is not None:
+        lines = []
+        heading = yaw
+        for i, cell in enumerate(cells):
+            rec = {"cell": list(cell), "world": [round(v, 6) for v in world_of(cell)]}
+            if i > 0:
+                (x0, y0), (x1, y1) = world_of(cells[i - 1]), world_of(cell)
+                dx, dy = x1 - x0, y1 - y0
+                turn = math.remainder(math.atan2(dy, dx) - heading, math.tau)
+                heading = math.atan2(dy, dx)
+                rec["gait"] = int(costmap.gait[cell])
+                rec["action"] = [round(v, 6) for v in (dx, dy, turn)]
+            lines.append(json.dumps(rec) + "\n")
+        plan_text = "".join(lines)
+        if centroid is not None:
+            cx, cy = world_of(centroid)
+            end = world_of(cells[-1])
+            distance = math.hypot(end[0] - cx, end[1] - cy)
+            result["distance_m"] = round(distance, 6)
+            result["reached"] = distance <= cfg.nav.success_radius
+    return plan_text, json.dumps(result, indent=2, sort_keys=True) + "\n", costmap

@@ -380,7 +380,7 @@ def test_cmd_plan_empty_scene_explores(tmp_path):
     # unknown target: the plan heads for the nearest frontier instead
     assert result["reached"] is False
     assert result["distance_m"] is None
-    assert plan is not None and len(plan.waypoints) >= 1
+    assert plan is not None and len(plan.cells) >= 1
     assert os.path.exists(tmp_path / "out" / "plan.jsonl")
 
 

@@ -24,12 +24,14 @@ from quadkit.navigation import (
     TerrainCost,
     assign_costs,
     build_cost_map,
+    descend_field,
     extract_path,
     fmm_solve,
     frontier_cells,
     frontier_goal,
     global_goal,
     instance_centroid,
+    path_from_cells,
     plan_to_target,
     snap_to_free,
 )
@@ -294,6 +296,34 @@ def test_extract_path_gait_flags_follow_cell_bits():
     assert any(flags) and not all(flags)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), yaw=st.floats(-3.2, 3.2),
+       origin=st.sampled_from([(0.0, 0.0), (0.3, -0.45)]))
+def test_path_from_cells_builds_the_descent_either_way(seed, m, yaw, origin):
+    rng = np.random.default_rng(seed)
+    costs = rng.choice([0.0, 0.3, 0.8], size=(m, m))
+    costs[rng.random((m, m)) < 0.15] = 1.0
+    goal = (int(rng.integers(m)), int(rng.integers(m)))
+    costs[goal] = 0.0
+    cm = CostMap(costs=costs, gait=rng.integers(0, 2, (m, m)).astype(np.int8), cell_size=0.05,
+                 origin=origin)
+    field = fmm_solve(cm, goal)
+    start = divmod(int(np.argmax(np.where(np.isfinite(field.times), field.times, -1.0))), m)
+    cells = descend_field(field, start)
+    forward = extract_path(field, start, cm, initial_yaw=yaw)
+    assert forward == path_from_cells(cells, cm, yaw)
+    # reversed: the path from the field's root out to ``start``
+    back = path_from_cells(cells[::-1], cm, yaw)
+    assert back.cells == cells[::-1] and back.world == forward.world[::-1]
+    assert back.gait_flags == [int(cm.gait[cell]) for cell in cells[::-1][1:]]
+    assert ([(dx, dy) for dx, dy, _ in back.actions]
+            == [(-dx, -dy) for dx, dy, _ in reversed(forward.actions)])
+    heading = yaw
+    for dx, dy, dyaw in back.actions:
+        assert dyaw == math.remainder(math.atan2(dy, dx) - heading, math.tau)
+        heading = math.atan2(dy, dx)
+
+
 def test_extract_path_unreachable_start():
     cm = uniform_costmap(m=11)
     cm.costs[:, 5] = 1.0  # wall splits the map
@@ -420,19 +450,6 @@ def test_global_goal_memory_hit_and_snap():
     assert abs(goal2[0] - goal[0]) <= 1 and abs(goal2[1] - goal[1]) <= 1
 
 
-def test_global_goal_instance_id_direct():
-    smap = explored_map(("floor", "chair"), m=40)
-    memory = InstanceMemory(smap, p=2)
-    ingest(smap, memory, Frame(index=0, pose=(0.0, 0.0, 0.0),
-                               cloud=LabeledPointCloud(((0.5, 0.5, 0.2, 1),))))
-    cm = uniform_costmap(m=40)
-    iid = next(iter(memory.instances))
-    goal = global_goal(iid, memory, cm, (5, 5))
-    assert goal == instance_centroid(memory.instances[iid].cells)
-    with pytest.raises(ValueError):
-        global_goal(999, memory, cm, (5, 5))
-
-
 def test_global_goal_falls_back_to_frontier():
     smap = SemanticMap(["floor", "chair"], m=20)
     smap.explored[5:15, 5:15] = 1
@@ -526,7 +543,7 @@ def test_exports(tmp_path):
     assert (tmp_path / "cost.pgm").read_text().startswith("P2")
     rows = np.loadtxt(tmp_path / "arrival.csv", delimiter=",")
     assert rows.shape == (10, 10)
-    assert len((tmp_path / "plan.jsonl").read_text().splitlines()) == len(plan.waypoints)
+    assert len((tmp_path / "plan.jsonl").read_text().splitlines()) == len(plan.cells)
 
 
 def test_assign_costs_empty_terrain_reply_all_defaults():
@@ -547,7 +564,7 @@ def test_instance_centroid_returns_python_ints():
     assert json.loads(json.dumps(centroid)) == [4, 12]
 
 
-def test_global_goal_id_lookup_ignores_category_duplicates():
+def test_global_goal_takes_the_lowest_id_of_a_duplicated_category():
     smap = explored_map(("floor", "chair"), m=60)
     memory = InstanceMemory(smap, p=2)
     # two chair instances far apart
@@ -560,9 +577,7 @@ def test_global_goal_id_lookup_ignores_category_duplicates():
     first, second = sorted(memory.instances)
     by_name = global_goal("chair", memory, cm, (30, 30))
     assert by_name == instance_centroid(memory.instances[first].cells)
-    by_id = global_goal(second, memory, cm, (30, 30))
-    assert by_id == instance_centroid(memory.instances[second].cells)
-    assert by_id != by_name
+    assert by_name != instance_centroid(memory.instances[second].cells)
 
 
 def test_plan_to_target_reports_the_failing_step():
