@@ -1,32 +1,13 @@
-"""Build the five benchmark terrains and query their geometry. Exports each
-heightfield as a PGM image next to this script (inspect with any viewer)."""
+"""The five benchmark terrains. A terrain is its name: the prompts describe it
+in fixed text, and the surrogate scores parameters by their distance from its
+fixed ideal profile."""
 
-import os
-import tempfile
-
-from quadkit.terrain import TERRAIN_TYPES, build, height_at, slope_roughness
-
-out_dir = os.path.join(tempfile.gettempdir(), "quadkit_terrain_demo")
-os.makedirs(out_dir, exist_ok=True)
+from quadkit.adaptation import TERRAIN_DESCRIPTIONS
+from quadkit.surrogate import describe_profile, ideal_profile
+from quadkit.terrain import TERRAIN_TYPES
 
 for name, cls in TERRAIN_TYPES.items():
     spec = cls()
-    hf = build(spec)
-    print(f"\n=== {name} {spec} ===")
-    print("  height at origin:", height_at(hf, 0.0, 0.0))
-    # sample the profile along +x
-    xs = (0.5, 1.0, 1.5, 2.0, 3.0)
-    profile = ", ".join(f"h({x})={height_at(hf, x, 0.0):+.3f}" for x in xs)
-    print("  profile:", profile)
-    stats = slope_roughness(hf, (-3.5, -3.5, 3.5, 3.5))
-    print(f"  mean gradient {stats['mean_gradient']:.4f}, "
-          f"height span {stats['height_span']:.3f} m")
-    path = os.path.join(out_dir, f"{name}.pgm")
-    hf.to_pgm(path)
-    print("  wrote", path)
-
-# The ascending stair climbs one 0.1 m step per 0.5 m beyond the platform.
-stair = build(TERRAIN_TYPES["upside_stair"]())
-edge = TERRAIN_TYPES["upside_stair"]().platform_size / 2
-print("\nascending stair, 1.3 m past the platform edge:",
-      height_at(stair, edge + 1.3, 0.0), "m (two steps)")
+    print(f"\n=== {name} ===")
+    print("  description:", TERRAIN_DESCRIPTIONS[name])
+    print("  ideal profile:", describe_profile(ideal_profile(spec)))

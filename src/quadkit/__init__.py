@@ -34,13 +34,9 @@ from .surrogate import Trajectory, efficiency, ideal_profile, simulate
 from .terrain import (
     DownhillSlope,
     DownsideStair,
-    Heightfield,
     UnevenGround,
     UphillSlope,
     UpsideStair,
-    build,
-    height_at,
-    slope_roughness,
     terrain_by_name,
 )
 
@@ -54,7 +50,7 @@ __all__ = [
     "RewardConfig", "StepSample", "EpisodeReport", "episode_percent",
     "r_velocity_xy", "r_velocity_yaw", "r_swing_force", "r_stance_velocity",
     "SimConfig", "Trajectory", "simulate", "efficiency", "ideal_profile",
-    "Heightfield", "UphillSlope", "DownhillSlope", "UpsideStair", "DownsideStair",
-    "UnevenGround", "build", "height_at", "slope_roughness", "terrain_by_name",
+    "UphillSlope", "DownhillSlope", "UpsideStair", "DownsideStair", "UnevenGround",
+    "terrain_by_name",
     "__version__",
 ]

@@ -259,22 +259,6 @@ def random_baseline_reference(terrain, n, cfg, root_seed=0):
     return total / n
 
 
-def bilinear_oracle(heights, resolution, origin, x, y):
-    """Reimplementation of cell-center bilinear interpolation."""
-    n = heights.shape[0]
-    u = (x - origin[0]) / resolution - 0.5
-    v = (y - origin[1]) / resolution - 0.5
-    u = min(max(u, 0.0), n - 1.0)
-    v = min(max(v, 0.0), n - 1.0)
-    j = min(int(math.floor(u)), n - 2)
-    i = min(int(math.floor(v)), n - 2)
-    fx, fy = u - j, v - i
-    return (heights[i, j] * (1 - fx) * (1 - fy)
-            + heights[i, j + 1] * fx * (1 - fy)
-            + heights[i + 1, j] * (1 - fx) * fy
-            + heights[i + 1, j + 1] * fx * fy)
-
-
 def chebyshev_dilation(cells, p, m=None):
     """Per-cell square expansion, the slow way."""
     out = set()
