@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadkit.adaptation import TERRAIN_DESCRIPTIONS
+from quadkit.adaptation import TERRAIN_DESCRIPTIONS, direct_request, locate_request
 from quadkit.surrogate import IDEAL_PROFILES
 from quadkit.terrain import TERRAIN_TYPES, UphillSlope, terrain_by_name, write_pgm
 
@@ -25,6 +25,46 @@ def test_a_terrain_is_its_name():
     for cls in TERRAIN_TYPES.values():
         assert dataclasses.fields(cls) == ()
     assert set(TERRAIN_TYPES) == set(TERRAIN_DESCRIPTIONS) == set(IDEAL_PROFILES)
+
+
+@pytest.mark.parametrize("name", sorted(TERRAIN_TYPES))
+def test_terrain_by_name_gives_the_named_spec(name):
+    spec = terrain_by_name(name)
+    assert type(spec) is TERRAIN_TYPES[name]
+    assert spec.name == name
+    assert spec == TERRAIN_TYPES[name]() and hash(spec) == hash(TERRAIN_TYPES[name]())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.name = "lava_field"
+
+
+@pytest.mark.parametrize("name", ["lava_field", "", "Uphill_Slope", " uphill_slope", "uphill-slope"])
+def test_terrain_by_name_rejects_a_name_not_in_the_table(name):
+    # Names are matched exactly: no case folding, trimming or separator mapping.
+    with pytest.raises(ValueError) as err:
+        terrain_by_name(name)
+    assert str(err.value) == (f"unknown terrain '{name}'; valid: downhill_slope, "
+                              "downside_stair, uneven_ground, uphill_slope, upside_stair")
+
+
+@pytest.mark.parametrize("name, geometry", [
+    ("uphill_slope", "rises 15 centimeters for every meter"),
+    ("downhill_slope", "descends 40 centimeters for every meter"),
+    ("upside_stair", "going up here. Each step is 10 centimeters in height and 50 centimeters"),
+    ("downside_stair", "going down here. Each step is 10 centimeters in height and 50 centimeters"),
+    ("uneven_ground", "maximum height is 20 cm, and the minimum height is 0 cm"),
+])
+def test_description_states_the_benchmark_geometry(name, geometry):
+    # A spec holds no geometry; the benchmark's slopes, steps and roughness
+    # reach the model only as this text.
+    assert geometry in TERRAIN_DESCRIPTIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TERRAIN_TYPES))
+def test_every_prompt_carries_the_terrain_description(name):
+    description = TERRAIN_DESCRIPTIONS[name]
+    for request in (locate_request(description), direct_request(description),
+                    direct_request(description, with_prior=True)):
+        assert description in request.user
 
 
 INF = math.inf
@@ -68,6 +108,14 @@ def test_write_pgm_rows_equal_savetxt(tmp_path_factory, values):
     expected.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
     np.savetxt(expected, scaled, fmt="%d")
     assert path.read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8])
+def test_write_pgm_integer_grid_writes_the_levels_of_its_float_copy(tmp_path, dtype):
+    values = np.random.default_rng(7).integers(0, 100, size=(40, 9)).astype(dtype)
+    write_pgm(tmp_path / "int.pgm", values)
+    write_pgm(tmp_path / "float.pgm", values.astype(float))
+    assert (tmp_path / "int.pgm").read_text() == (tmp_path / "float.pgm").read_text()
 
 
 @pytest.mark.parametrize("rows", [31, 32, 33, 64, 100])
